@@ -10,6 +10,7 @@ like one more triangle everywhere downstream.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,9 @@ from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
 from . import _fastdel
+from .predicates import dot_certified
+
+log = logging.getLogger(__name__)
 
 #: Face id of the unbounded external region.
 EXTERNAL = -1
@@ -212,8 +216,12 @@ def edges_sorted_desc(tri: EdgeTable) -> np.ndarray:
     Ties in the floating squared length are re-ordered by the exact rational
     squared length (descending) and finally by the canonical endpoint pair
     (ascending), so the sweep order is a total order independent of the
-    construction history.  Reads only the edge table, so a Triangulation's
-    triangles may already be released.
+    construction history.  A tied run in which every squared length is
+    certified exact by error-free transforms (`dot_certified`) holds equal
+    exact lengths, so all such runs are ordered by endpoint pair in one
+    lexsort; only the other runs are sorted with `Fraction` keys.  Reads
+    only the edge table, so a Triangulation's triangles may already be
+    released.
     """
     len_sq = tri.edge_length_sq
     if _fastdel.KERNELS is not None:
@@ -226,8 +234,10 @@ def edges_sorted_desc(tri: EdgeTable) -> np.ndarray:
         ends = np.concatenate((run_breaks, [len(order)]))
         runs = np.stack([starts, ends], axis=1)[ends - starts >= 2]
 
-    # Refine runs of equal floating squared length with exact arithmetic.
-    for s, e in runs:
+    uncertain = _order_certified_runs(tri, order, runs)
+    log.debug("edge sort: %d tied runs certified in bulk, %d sorted with "
+              "Fraction keys", len(runs) - len(uncertain), len(uncertain))
+    for s, e in uncertain:
         run = order[s:e]
         keyed = sorted(
             run,
@@ -239,3 +249,29 @@ def edges_sorted_desc(tri: EdgeTable) -> np.ndarray:
         )
         order[s:e] = keyed
     return order
+
+
+def _order_certified_runs(tri: EdgeTable, order: np.ndarray,
+                          runs: np.ndarray) -> np.ndarray:
+    """Sort, in place by endpoint pair, every tied run of order whose
+    squared lengths are certified exact and equal to the stored ones;
+    returns the (start, end) rows of the other runs."""
+    if not len(runs):
+        return runs
+    starts, ends = runs[:, 0], runs[:, 1]
+    sizes = ends - starts
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    run_id = np.repeat(np.arange(len(runs)), sizes)
+    pos = np.arange(len(run_id)) + np.repeat(starts - offsets, sizes)
+    ids = order[pos]
+    v0 = tri.edge_vertices[ids, 0]
+    v1 = tri.edge_vertices[ids, 1]
+    p0, p1 = tri.points[v0], tri.points[v1]
+    length_sq, exact = dot_certified(p0, p1, p1)
+    exact &= length_sq == tri.edge_length_sq[ids]
+    certified = np.logical_and.reduceat(exact, offsets)
+    take = certified[run_id]
+    if take.any():
+        ranked = np.lexsort((v1[take], v0[take], run_id[take]))
+        order[pos[take]] = ids[take][ranked]
+    return runs[~certified]

@@ -115,10 +115,13 @@ def hole_probabilities(diagram: Diagram) -> HoleProbabilityTable:
         return HoleProbabilityTable(probabilities={0: 1.0}, empty_range=True)
     lengths = np.diff(stair.breakpoints)
     total = stair.breakpoints[-1] - stair.breakpoints[0]
-    probs: dict = {}
-    for count, length in zip(stair.counts, lengths):
-        probs[int(count)] = probs.get(int(count), 0.0) + float(length) / float(total)
-    return HoleProbabilityTable(probabilities=probs)
+    # bincount adds the weights in interval order, as a running sum would;
+    # the dict lists the counts in order of first appearance
+    sums = np.bincount(stair.counts, weights=lengths / total)
+    present, first = np.unique(stair.counts, return_index=True)
+    present = present[np.argsort(first)]
+    return HoleProbabilityTable(
+        probabilities=dict(zip(present.tolist(), sums[present].tolist())))
 
 
 def barcode(diagram: Diagram) -> Barcode:

@@ -13,6 +13,7 @@ keeps every parent chain logarithmic in the tree size.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -23,7 +24,9 @@ import numpy as np
 from . import _fastdel
 from .delaunay import Cloud, Triangulation, edges_sorted_desc, triangulate
 from .diagrams import Diagram
-from .predicates import Point2, circumradius, is_acute
+from .predicates import Point2, circumradius, dot_certified, is_acute
+
+log = logging.getLogger(__name__)
 
 CASE_SAME_REGION = 1
 CASE_GRAY_JOINS_WHITE = 2
@@ -124,37 +127,33 @@ def triangle_births(tri: Triangulation) -> np.ndarray:
     Right triangles count as non-acute; their circumcenter lies on the
     hypotenuse, so they enter a hole region exactly when that edge leaves
     the complex and need no value of their own.
+
+    A floating-point pass decides every triangle outside a relative band
+    around a right angle.  The borderline triangles are certified in bulk:
+    where all three vertex dot products are provably exact
+    (`dot_certified`), the triangle is acute iff all three are positive.
+    Only the rest are re-decided one by one with `is_acute`, which falls
+    back to rational arithmetic.
     """
     pts = tri.points
     if _fastdel.KERNELS is not None:
         births = _fastdel.triangle_births(pts, tri.triangles, _ACUTE_BAND)
         borderline = np.flatnonzero(np.isnan(births))
     else:
-        a = pts[tri.triangles[:, 0]]
-        b = pts[tri.triangles[:, 1]]
-        c = pts[tri.triangles[:, 2]]
-        ab = ((b - a) ** 2).sum(axis=1)
-        bc = ((c - b) ** 2).sum(axis=1)
-        ca = ((a - c) ** 2).sum(axis=1)
+        a, b, c = (pts[tri.triangles[:, j]] for j in range(3))
+        ab, bc, ca = _side_lengths_sq(a, b, c)
         total = ab + bc + ca
-        longest = np.maximum(ab, np.maximum(bc, ca))
-        gap = total - 2.0 * longest
+        gap = total - 2.0 * np.maximum(ab, np.maximum(bc, ca))
         acute = gap > _ACUTE_BAND * total
         borderline = np.flatnonzero(np.abs(gap) <= _ACUTE_BAND * total)
-
-        cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (
-            b[:, 1] - a[:, 1]
-        ) * (c[:, 0] - a[:, 0])
         births = np.zeros(len(tri.triangles))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            radius = np.sqrt(ab * bc * ca) / (2.0 * np.abs(cross))
-        # clamp: an acute circumradius is at least half the longest edge,
-        # and the rounded quotient must not fall below that edge's scale
-        radius = np.maximum(radius, 0.5 * np.sqrt(longest))
-        births[acute] = radius[acute]
+        births[acute] = _clamped_circumradius(a, b, c, ab, bc, ca)[acute]
 
-    # Near-right triangles are re-decided with exact arithmetic.
-    for t in borderline:
+    uncertain = _certify_borderline(pts, tri.triangles, borderline, births)
+    log.debug("births: %d borderline triangles certified in bulk, "
+              "%d re-decided one by one", len(borderline) - len(uncertain),
+              len(uncertain))
+    for t in uncertain:
         i, j, k = (Point2(*pts[v]) for v in tri.triangles[t])
         if is_acute(i, j, k):
             d2 = max(
@@ -166,6 +165,46 @@ def triangle_births(tri: Triangulation) -> np.ndarray:
         else:
             births[t] = 0.0
     return births
+
+
+def _certify_borderline(pts: np.ndarray, triangles: np.ndarray,
+                        borderline: np.ndarray, births: np.ndarray) -> np.ndarray:
+    """Decide the borderline triangles whose vertex dot products are exact,
+    writing their births; returns the ids of the others."""
+    if not len(borderline):
+        return borderline
+    a, b, c = (pts[triangles[borderline, j]] for j in range(3))
+    dot_a, exact_a = dot_certified(a, b, c)
+    dot_b, exact_b = dot_certified(b, c, a)
+    dot_c, exact_c = dot_certified(c, a, b)
+    exact = exact_a & exact_b & exact_c
+    acute = exact & (dot_a > 0.0) & (dot_b > 0.0) & (dot_c > 0.0)
+    births[borderline[exact]] = 0.0
+    if acute.any():
+        a, b, c = a[acute], b[acute], c[acute]
+        births[borderline[acute]] = _clamped_circumradius(
+            a, b, c, *_side_lengths_sq(a, b, c))
+    return borderline[~exact]
+
+
+def _side_lengths_sq(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """Squared lengths |ab|², |bc|², |ca|² of the triangles whose vertices
+    are the rows of a, b and c."""
+    return (((b - a) ** 2).sum(axis=1), ((c - b) ** 2).sum(axis=1),
+            ((a - c) ** 2).sum(axis=1))
+
+
+def _clamped_circumradius(a, b, c, ab, bc, ca) -> np.ndarray:
+    """max(circumradius, half the longest edge) of each triangle, rounded
+    as the per-triangle loop and the compiled kernel round it."""
+    cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (
+        b[:, 1] - a[:, 1]
+    ) * (c[:, 0] - a[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = np.sqrt(ab * bc * ca) / (2.0 * np.abs(cross))
+    # clamp: an acute circumradius is at least half the longest edge,
+    # and the rounded quotient must not fall below that edge's scale
+    return np.maximum(radius, 0.5 * np.sqrt(np.maximum(ab, np.maximum(bc, ca))))
 
 
 def init_forest(tri: Triangulation) -> DualForest:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holecount import hole_persistence
 from holecount.diagrams import (
     Diagram,
     barcode,
@@ -16,6 +17,8 @@ from holecount.diagrams import (
     infer_hole_count,
     staircase,
 )
+
+from conftest import random_cloud
 
 SQRT2 = math.sqrt(2.0)
 FIG8_DEATH = 5.0 * math.sqrt(17.0) / 8.0
@@ -118,6 +121,20 @@ class TestHoleProbabilities:
         assert table.most_likely() == 1
         entries = table.sorted_entries()
         assert [k for k, _ in entries] == [1, 0]
+
+    @pytest.mark.parametrize("fixture", ["square2", "equilateral2", "figure_eight", None])
+    def test_matches_running_sum_loop(self, fixture, request):
+        cloud = request.getfixturevalue(fixture) if fixture else random_cloud(11, 2000)
+        diagram = hole_persistence(cloud)
+        stair = staircase(diagram)
+        lengths = np.diff(stair.breakpoints)
+        total = stair.breakpoints[-1] - stair.breakpoints[0]
+        expected: dict = {}
+        for count, length in zip(stair.counts, lengths):
+            expected[int(count)] = expected.get(int(count), 0.0) + float(length) / float(total)
+        got = hole_probabilities(diagram).probabilities
+        assert list(got.items()) == list(expected.items())
+        assert all(type(k) is int and type(v) is float for k, v in got.items())
 
     @given(pair_lists)
     @settings(max_examples=100)

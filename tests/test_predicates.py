@@ -14,6 +14,7 @@ from holecount.predicates import (
     Orientation,
     Point2,
     circumradius,
+    dot_certified,
     in_circumcircle,
     is_acute,
     orient2d,
@@ -182,3 +183,53 @@ class TestIsAcute:
     def test_collinear_raises(self):
         with pytest.raises(DegenerateTriangleError):
             is_acute(P(0, 0), P(1, 0), P(2, 0))
+
+
+def _exact_dot(a, b, c):
+    return sum((Fraction(q) - Fraction(p)) * (Fraction(r) - Fraction(p))
+               for p, q, r in zip(a, b, c))
+
+
+dyadic = st.builds(math.ldexp, st.integers(-2 ** 30, 2 ** 30), st.integers(-40, 40))
+coordinate = st.one_of(dyadic, st.floats(-1e6, 1e6, allow_nan=False))
+
+
+class TestDotCertified:
+    @given(st.lists(st.tuples(*[coordinate] * 6), min_size=1, max_size=20))
+    @settings(max_examples=200)
+    def test_certified_values_are_exact(self, rows):
+        arr = np.array(rows, dtype=np.float64)
+        a, b, c = arr[:, 0:2], arr[:, 2:4], arr[:, 4:6]
+        values, exact = dot_certified(a, b, c)
+        for i in np.flatnonzero(exact):
+            assert Fraction(values[i]) == _exact_dot(a[i], b[i], c[i])
+
+    def test_integer_lattice_certified(self):
+        a = np.array([[0.0, 0.0], [3.0, -7.0]])
+        b = np.array([[3.0, 0.0], [1e6, 2.0]])
+        c = np.array([[0.0, 4.0], [5.0, 9e6]])
+        values, exact = dot_certified(a, b, c)
+        assert exact.all()
+        assert values.tolist() == [0.0, (1e6 - 3) * 2 + 9 * (9e6 + 7)]
+
+    def test_rounded_products_not_certified(self):
+        # 0.1 * 0.1 rounds; the dot product at (0.1, 0) is exactly 0
+        a = np.array([[0.0, 0.0], [0.1, 0.0]])
+        b = np.array([[0.1, 0.0], [0.1, 0.3]])
+        c = np.array([[0.1, 0.3], [0.0, 0.0]])
+        assert dot_certified(a, b, c)[1].tolist() == [False, True]
+
+    def test_rounded_sum_not_certified(self):
+        # 2^60 + 1 rounds although both products are exact
+        a = np.zeros((1, 2))
+        b = np.array([[2.0 ** 30, 1.0]])
+        values, exact = dot_certified(a, b, b)
+        assert values[0] == 2.0 ** 60 and not exact[0]
+
+    def test_differences_outside_range_not_certified(self):
+        # exact products, but the error-free transforms are only trusted
+        # for nonzero differences within [2**-480, 2**480]
+        a = np.zeros((4, 2))
+        b = np.array([[2.0 ** -481, 0.0], [2.0 ** 481, 0.0],
+                      [2.0 ** -480, 0.0], [2.0 ** 480, 0.0]])
+        assert dot_certified(a, b, b)[1].tolist() == [False, False, True, True]

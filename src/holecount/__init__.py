@@ -1,74 +1,12 @@
 """Counting topologically persistent holes in noisy planar point clouds."""
 
 from .delaunay import (
-    EXTERNAL,
     AllCollinearError,
     Cloud,
     DuplicatePointsWarning,
-    Edge,
     TooFewPointsError,
-    Triangulation,
-    edges_sorted_desc,
-    triangulate,
 )
-from .diagrams import (
-    Barcode,
-    Diagram,
-    HoleProbabilityTable,
-    Staircase,
-    barcode,
-    bottleneck_distance,
-    hole_probabilities,
-    infer_hole_count,
-    staircase,
-)
-from .forest import (
-    DualForest,
-    SweepEvent,
-    hole_persistence,
-    hole_persistence_stats,
-    init_forest,
-    process_edge,
-    sweep,
-    sweep_events,
-    sweep_pairs,
-)
-from .oracles import (
-    AlphaFiltration,
-    EquivalenceReport,
-    alpha_filtration,
-    filtration_persistence,
-    raster_hole_count,
-    reduce_boundary_matrix,
-    verify_equivalence,
-)
-from .predicates import (
-    CircleSide,
-    DegenerateTriangleError,
-    Orientation,
-    Point2,
-    circumradius,
-    in_circumcircle,
-    is_acute,
-    orient2d,
-)
-from .cli import (
-    RunReport,
-    cli_main,
-    compute_report,
-    load_cloud_csv,
-    load_pairs_csv,
-    pairs_to_csv,
-    save_cloud_csv,
-)
-from .plots import barcode_svg, diagram_svg, render_plots, staircase_svg
-from .samplers import (
-    SampleQuality,
-    ShapeSpec,
-    epsilon_of_sample,
-    load_polyline_csv,
-    sample_shape,
-    shape_feature_sizes,
-)
+from .diagrams import Diagram
+from .forest import hole_persistence
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ first import it is compiled with the system ``gcc`` into ``__pycache__``
 next to this file, under a name keyed by a hash of the source and the
 flags, so later imports only load it.  When there is no compiler or the
 build fails, ``KERNELS`` is None and every caller takes the Qhull / numpy /
-list path instead; the reason is logged at DEBUG level.
+``DualForest`` reference path instead; the reason is logged at DEBUG level.
 
 Every kernel writes into arrays allocated here and allocates only small
 scratch space itself, which keeps the peak memory of a pipeline run within

@@ -577,10 +577,10 @@ int64_t hc_tied_runs(int64_t m, const int32_t *order, const double *length_sq,
 
 /* Descending sweep over edges in the given order, array union-find: union
  * by weight, no path compression, elder rule on white merges, exactly as
- * the list sweep in forest.py.  Face id -1 (the unbounded region) maps to
- * node k, whose birth is +inf and is not stored in `births`.  Writes the
- * (birth, death) pairs and returns their number; the deepest root walk is
- * tracked when `track_depth` is set. */
+ * the DualForest reference in forest.py.  Face id -1 (the unbounded
+ * region) maps to node k, whose birth is +inf and is not stored in
+ * `births`.  Writes the (birth, death) pairs and returns their number; the
+ * deepest root walk is tracked when `track_depth` is set. */
 int64_t hc_sweep(int64_t m, const int32_t *order, const int32_t *edge_faces,
                  const double *length_sq, int32_t k, int32_t *parent,
                  int32_t *weight, double *births, int32_t track_depth,

@@ -71,17 +71,6 @@ class Cloud:
 
 
 @dataclass(frozen=True)
-class Edge:
-    """One Delaunay edge: two endpoint indices, two face ids, its length."""
-
-    v0: int
-    v1: int
-    f0: int
-    f1: int
-    length: float
-
-
-@dataclass(frozen=True)
 class EdgeTable:
     """Flat, numpy-backed edge table of a triangulation."""
 
@@ -101,14 +90,6 @@ class EdgeTable:
     @property
     def hull_edge_count(self) -> int:
         return int(np.count_nonzero(self.edge_faces[:, 1] == EXTERNAL))
-
-    def edge(self, i: int) -> Edge:
-        v0, v1 = self.edge_vertices[i]
-        f0, f1 = self.edge_faces[i]
-        return Edge(int(v0), int(v1), int(f0), int(f1), float(np.sqrt(self.edge_length_sq[i])))
-
-    def edge_lengths(self) -> np.ndarray:
-        return np.sqrt(self.edge_length_sq)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ death swapped into the ascending-offset convention.
 
 Union is strictly by weight and find_root does no path compression, which
 keeps every parent chain logarithmic in the tree size.
+
+The sweep exists twice: ``hc_sweep`` in the compiled kernels, which
+`sweep_pairs` runs when they are loaded, and the `DualForest` reference
+driven by `iter_events`, which runs otherwise and backs the event traces.
+Both give identical pairs and root walks.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -213,13 +218,13 @@ def init_forest(tri: Triangulation) -> DualForest:
     return DualForest(triangle_births(tri))
 
 
-def process_edge(forest: DualForest, tri: Triangulation, edge_id: int) -> SweepEvent:
-    """Dispatch one edge of the descending sweep to its case."""
-    f0, f1 = tri.edge_faces[edge_id]
-    u = int(f0) if f0 >= 0 else forest.external
-    v = int(f1) if f1 >= 0 else forest.external
-    alpha = 0.5 * math.sqrt(tri.edge_length_sq[edge_id])
+def process_edge(forest: DualForest, u: int, v: int, alpha: float) -> SweepEvent:
+    """Dispatch one edge of the descending sweep to its case.
 
+    u and v are the dual nodes on either side of the edge (the external
+    node for the unbounded region) and alpha is the edge's scale, half its
+    length.
+    """
     rootu = forest.find_root(u)
     rootv = forest.find_root(v)
     if rootu == rootv:
@@ -238,119 +243,55 @@ def process_edge(forest: DualForest, tri: Triangulation, edge_id: int) -> SweepE
     return SweepEvent(CASE_WHITE_MERGE, alpha, pair)
 
 
-def sweep_events(cloud: Cloud) -> list:
-    """Run the full sweep through process_edge, returning every event.
+def iter_events(forest: DualForest, edge_faces: np.ndarray,
+                edge_length_sq: np.ndarray, order: np.ndarray) -> Iterator[SweepEvent]:
+    """The reference sweep: one event per edge of order, until every node
+    is linked.
 
-    Slower than sweep(); used for traces and tests.
+    The faces and scales of the ordered edges are read into lists once, so
+    the loop itself indexes no numpy arrays.
     """
+    k = forest.num_triangles
+    faces = edge_faces[order]
+    faces[faces < 0] = k
+    alphas = (0.5 * np.sqrt(edge_length_sq[order])).tolist()
+    for u, v, alpha in zip(faces[:, 0].tolist(), faces[:, 1].tolist(), alphas):
+        if forest.links >= k:
+            return
+        yield process_edge(forest, u, v, alpha)
+
+
+def sweep_events(cloud: Cloud) -> list:
+    """Every event of the reference sweep over the cloud; used for traces
+    and tests."""
     tri = triangulate(cloud)
     forest = init_forest(tri)
-    order = edges_sorted_desc(tri)
-    events = []
-    k = forest.num_triangles
-    for edge_id in order:
-        if forest.links >= k:
-            break
-        events.append(process_edge(forest, tri, int(edge_id)))
-    return events
+    return list(iter_events(forest, tri.edge_faces, tri.edge_length_sq,
+                            edges_sorted_desc(tri)))
 
 
-def sweep(forest: DualForest, tri: Triangulation, order: np.ndarray,
-          track_depth: bool = False) -> list:
-    """Process all edges in the given order; returns the Case-4 pairs.
+def sweep_pairs(births: np.ndarray, edge_faces: np.ndarray,
+                edge_length_sq: np.ndarray, order: np.ndarray,
+                track_depth: bool = False) -> tuple:
+    """(pairs, deepest root walk) of one sweep over pre-sorted edges.
 
-    Same algorithm as process_edge, inlined over flat lists so large clouds
-    stay fast.  With track_depth=True every root query updates
-    forest.max_find_steps.
+    Runs the compiled array sweep when the kernels are loaded and the
+    reference sweep otherwise; both give identical pairs and walks.  The
+    births may be overwritten, and the walk reads 0 unless track_depth.
     """
-    return _sweep_lists(forest, tri.edge_faces, tri.edge_length_sq, order,
-                        track_depth)
+    if _fastdel.KERNELS is not None:
+        return _fastdel.sweep(births, edge_faces, edge_length_sq, order,
+                              track_depth)
+    forest = DualForest(births)
+    pairs = [event.pair for event in
+             iter_events(forest, edge_faces, edge_length_sq, order)
+             if event.case == CASE_WHITE_MERGE]
+    return pairs, forest.max_find_steps if track_depth else 0
 
 
-def _sweep_lists(forest: DualForest, edge_faces: np.ndarray,
-                 edge_length_sq: np.ndarray, order: np.ndarray,
-                 track_depth: bool) -> list:
-    k = forest.num_triangles
-    faces = edge_faces[order].copy()
-    faces[faces < 0] = k
-    nodes_u = faces[:, 0].tolist()
-    nodes_v = faces[:, 1].tolist()
-    alphas = (0.5 * np.sqrt(edge_length_sq[order])).tolist()
-
-    parent = forest.parent
-    weight = forest.weight
-    birth = forest.birth
-    links = forest.links
-    max_steps = forest.max_find_steps
-    pairs = []
-
-    for u, v, alpha in zip(nodes_u, nodes_v, alphas):
-        if links >= k:
-            break
-        if track_depth:
-            steps = 0
-            r = u
-            while parent[r] != r:
-                r = parent[r]
-                steps += 1
-            if steps > max_steps:
-                max_steps = steps
-            steps = 0
-            s = v
-            while parent[s] != s:
-                s = parent[s]
-                steps += 1
-            if steps > max_steps:
-                max_steps = steps
-        else:
-            r = u
-            while parent[r] != r:
-                r = parent[r]
-            s = v
-            while parent[s] != s:
-                s = parent[s]
-        if r == s:
-            continue
-        bu = birth[r]
-        bv = birth[s]
-        if bu == 0.0:
-            if bv == 0.0:
-                # Case 3: two gray singletons
-                parent[s] = r
-                birth[r] = alpha
-                birth[s] = alpha
-                weight[r] = 1
-            else:
-                # Case 2: gray u joins the white region of v
-                parent[r] = s
-                birth[r] = bv
-                weight[s] += 1
-        elif bv == 0.0:
-            # Case 2 mirrored
-            parent[s] = r
-            birth[s] = bu
-            weight[r] += 1
-        else:
-            # Case 4: white regions merge, younger dies
-            pairs.append((alpha, bu if bu < bv else bv))
-            if weight[r] > weight[s]:
-                parent[s] = r
-                weight[r] += weight[s] + 1
-                birth[r] = bu if bu > bv else bv
-            else:
-                parent[r] = s
-                weight[s] += weight[r] + 1
-                birth[s] = bu if bu > bv else bv
-        links += 1
-
-    forest.links = links
-    forest.max_find_steps = max_steps
-    return pairs
-
-
-def hole_persistence(cloud: Cloud, track_depth: bool = False) -> Diagram:
+def hole_persistence(cloud: Cloud) -> Diagram:
     """Persistence pairs of all holes of the cloud's offset filtration."""
-    diagram, _, _ = hole_persistence_stats(cloud, track_depth=track_depth)
+    diagram, _, _ = hole_persistence_stats(cloud)
     return diagram
 
 
@@ -381,33 +322,10 @@ def hole_persistence_stats(cloud: Cloud, track_depth: bool = False,
     faces, length_sq = edges.edge_faces, edges.edge_length_sq
     del edges
     t3 = time.perf_counter()
-    pairs, max_steps = _sweep(births, faces, length_sq, order, track_depth)
+    pairs, max_steps = sweep_pairs(births, faces, length_sq, order, track_depth)
     del births, faces, length_sq, order
     t4 = time.perf_counter()
     if timings is not None:
         timings.update(triangulate=t1 - t0, sort=t3 - t2,
                        sweep=(t2 - t1) + (t4 - t3))
     return Diagram.from_pairs(pairs), max_steps, k
-
-
-def sweep_pairs(tri: Triangulation, order: np.ndarray,
-                track_depth: bool = False) -> tuple:
-    """(pairs, deepest root walk) of one sweep over pre-sorted edges.
-
-    Runs the compiled array sweep when the kernels are loaded, the list
-    sweep otherwise; the two are exercised against each other in the tests.
-    """
-    return _sweep(triangle_births(tri), tri.edge_faces, tri.edge_length_sq,
-                  order, track_depth)
-
-
-def _sweep(births: np.ndarray, edge_faces: np.ndarray,
-           edge_length_sq: np.ndarray, order: np.ndarray,
-           track_depth: bool) -> tuple:
-    """sweep_pairs over the bare arrays; the births may be overwritten."""
-    if _fastdel.KERNELS is not None:
-        return _fastdel.sweep(births, edge_faces, edge_length_sq, order,
-                              track_depth)
-    forest = DualForest(births)
-    pairs = _sweep_lists(forest, edge_faces, edge_length_sq, order, track_depth)
-    return pairs, forest.max_find_steps

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import holecount
-from holecount import _fastdel, hole_persistence
+from holecount import Cloud, _fastdel
+from holecount.forest import hole_persistence_stats
 
 from conftest import random_cloud
 
@@ -19,18 +20,23 @@ needs_kernels = pytest.mark.skipif(
 )
 
 
-def _fallback_pairs(monkeypatch, cloud):
+def _assert_backends_agree(monkeypatch, cloud):
+    """Same pairs, bit for bit, and the same deepest root walk with the
+    kernels loaded and unloaded; returns the pairs and the walk."""
+    compiled, walk, k = hole_persistence_stats(cloud, track_depth=True)
     with monkeypatch.context() as patch:
         patch.setattr(_fastdel, "KERNELS", None)
-        return hole_persistence(cloud).pairs
+        fallback, fallback_walk, fallback_k = hole_persistence_stats(
+            cloud, track_depth=True)
+    assert np.array_equal(compiled.pairs, fallback.pairs)
+    assert (walk, k) == (fallback_walk, fallback_k)
+    return compiled.pairs, walk
 
 
 @needs_kernels
 @pytest.mark.parametrize("fixture", ["square2", "equilateral2", "figure_eight"])
 def test_fallback_identical_on_fixtures(fixture, request, monkeypatch):
-    cloud = request.getfixturevalue(fixture)
-    compiled = hole_persistence(cloud).pairs
-    assert np.array_equal(compiled, _fallback_pairs(monkeypatch, cloud))
+    _assert_backends_agree(monkeypatch, request.getfixturevalue(fixture))
 
 
 @needs_kernels
@@ -38,9 +44,35 @@ def test_fallback_identical_on_fixtures(fixture, request, monkeypatch):
 def test_fallback_identical_on_random_clouds(seed, n, monkeypatch):
     cloud = random_cloud(seed, n)
     assert _fastdel.build_triangulation(cloud.points) is not None
-    compiled = hole_persistence(cloud).pairs
-    assert len(compiled) > 0
-    assert np.array_equal(compiled, _fallback_pairs(monkeypatch, cloud))
+    pairs, walk = _assert_backends_agree(monkeypatch, cloud)
+    assert len(pairs) > 0 and walk > 0
+
+
+@needs_kernels
+def test_fallback_identical_on_lattice(monkeypatch):
+    # every cell is a cocircular square: Qhull triangulates it on both
+    # paths, and each cell's two right triangles meet in Case 3
+    m = 20
+    grid = np.stack(np.meshgrid(np.arange(m), np.arange(m)), axis=-1).reshape(-1, 2)
+    cloud = Cloud.from_points(np.random.default_rng(5).permutation(grid))
+    assert _fastdel.build_triangulation(cloud.points) is None
+    pairs, walk = _assert_backends_agree(monkeypatch, cloud)
+    assert len(pairs) == (m - 1) ** 2 and walk > 0
+
+
+def test_import_leaves_out_cli_and_oracles():
+    code = (
+        "import sys\n"
+        "import holecount\n"
+        "print(sorted(m for m in ('holecount.cli', 'holecount.oracles',\n"
+        "                         'holecount.plots', 'holecount.samplers')\n"
+        "             if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(holecount.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_without_compiler(tmp_path):

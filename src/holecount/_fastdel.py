@@ -1,17 +1,19 @@
 """Compiled kernels for the large-cloud pipeline, loaded through ctypes.
 
-``_kernels.c`` holds the incremental Delaunay builder (Bowyer-Watson in
-Morton order with filtered predicates and ghost triangles), the edge table,
-the triangle births, the descending edge sort and the union-find sweep.  On
+``_kernels.c`` exports one function per layer, each called once: the
+incremental Delaunay builder ``hc_build`` (Bowyer-Watson in Morton order with
+filtered predicates and ghost triangles, compacted in place),
+``hc_edge_table``, ``hc_edge_lengths``, ``hc_births``, the descending edge
+sort with its tied runs ``hc_argsort_desc`` and the sweep ``hc_sweep``.  On
 first import it is compiled with the system ``gcc`` into ``__pycache__``
 next to this file, under a name keyed by a hash of the source and the
 flags, so later imports only load it.  When there is no compiler or the
 build fails, ``KERNELS`` is None and every caller takes the Qhull / numpy /
 ``DualForest`` reference path instead; the reason is logged at DEBUG level.
 
-Every kernel writes into arrays allocated here and allocates only small
-scratch space itself, which keeps the peak memory of a pipeline run within
-a small constant of its output size.
+Every kernel writes into arrays allocated here, the sort's radix scratch
+included, and allocates only small scratch space itself, which keeps the
+peak memory of a pipeline run within a small constant of its output size.
 """
 
 from __future__ import annotations
@@ -45,21 +47,18 @@ def _array(dtype):
     return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
 
 
-_F64, _I32, _I64 = _array(np.float64), _array(np.int32), _array(np.int64)
+_F64, _I32 = _array(np.float64), _array(np.int32)
 _c_i32, _c_i64, _c_f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
 _p_i64 = ctypes.POINTER(ctypes.c_int64)
 
 _SIGNATURES = {
     "hc_build": (_c_i32, [_F64, _c_i32, _I32, _I32, _I32, _c_i64, _p_i64]),
-    "hc_compact": (_c_i64, [_c_i32, _I32, _I32, _c_i64]),
-    "hc_edge_count": (_c_i64, [_c_i64, _I32]),
-    "hc_edge_table": (None, [_c_i64, _I32, _I32, _I32, _I32]),
+    "hc_edge_table": (_c_i64, [_c_i64, _I32, _I32, _c_i64, _I32, _I32]),
     "hc_edge_lengths": (None, [_F64, _c_i64, _I32, _F64]),
     "hc_births": (None, [_F64, _c_i64, _I32, _c_f64, _F64]),
-    "hc_argsort_desc": (_c_i32, [_c_i64, _F64, _I32]),
-    "hc_tied_runs": (_c_i64, [_c_i64, _I32, _F64, _I64, _c_i64]),
+    "hc_argsort_desc": (_c_i64, [_c_i64, _F64, _I32, _I32]),
     "hc_sweep": (_c_i64, [_c_i64, _I32, _I32, _F64, _c_i32, _I32, _I32, _F64,
-                          _c_i32, _F64, _p_i64]),
+                          _F64, _p_i64]),
 }
 
 
@@ -146,10 +145,7 @@ def build_triangulation(points: np.ndarray):
     status = KERNELS.hc_build(points, n, order, tris, neigh, cap,
                               ctypes.byref(n_tris))
     if status == STATUS_OK:
-        k = KERNELS.hc_compact(n, tris, neigh, n_tris.value)
-        if k >= 0:
-            return tris[:k], neigh[:k]
-        status = STATUS_OVERFLOW
+        return tris[:n_tris.value], neigh[:n_tris.value]
     log.debug("incremental builder stopped with status %d on %d points; "
               "falling back to Qhull", status, n)
     return None
@@ -157,12 +153,16 @@ def build_triangulation(points: np.ndarray):
 
 def edge_table(triangles: np.ndarray, neighbors: np.ndarray) -> tuple:
     """(edge_vertices, edge_faces) of a compact triangulation, one row per
-    undirected edge, in the order of the numpy edge table."""
+    undirected edge, in the order of the numpy edge table.  Every interior
+    edge borders two triangles and every hull edge one, so k triangles with
+    h hull slots (-1 neighbours) have (3k + h) / 2 edges."""
     k = len(triangles)
-    m = KERNELS.hc_edge_count(k, neighbors)
+    m = (3 * k + int(np.count_nonzero(neighbors < 0))) // 2
     edge_vertices = np.empty((m, 2), dtype=np.int32)
     edge_faces = np.empty((m, 2), dtype=np.int32)
-    KERNELS.hc_edge_table(k, triangles, neighbors, edge_vertices, edge_faces)
+    if KERNELS.hc_edge_table(k, triangles, neighbors, m, edge_vertices,
+                             edge_faces) != m:
+        raise ValueError("neighbour links of the triangulation are not mutual")
     return edge_vertices, edge_faces
 
 
@@ -187,24 +187,21 @@ def triangle_births(points: np.ndarray, triangles: np.ndarray, band: float) -> n
 
 def argsort_desc(length_sq: np.ndarray) -> tuple:
     """(order, tied runs): edge ids by squared length descending, ties by
-    id, as int32; and the (start, end) bounds of the runs of equal length
-    in that order."""
+    id, as int32; and the int32 (start, end) bounds of the runs of equal
+    length in that order, a view of the sort's radix scratch."""
     m = len(length_sq)
     if m >= 2 ** 31:
         raise ValueError(f"{m} edges do not fit int32 edge ids")
     order = np.empty(m, dtype=np.int32)
-    if KERNELS.hc_argsort_desc(m, length_sq, order) != 0:
+    scratch = np.empty(m, dtype=np.int32)
+    count = KERNELS.hc_argsort_desc(m, length_sq, order, scratch)
+    if count < 0:
         raise MemoryError("no scratch memory for the edge sort")
-    runs = np.empty((0, 2), dtype=np.int64)
-    count = KERNELS.hc_tied_runs(m, order, length_sq, runs, 0)
-    if count:
-        runs = np.empty((count, 2), dtype=np.int64)
-        KERNELS.hc_tied_runs(m, order, length_sq, runs, count)
-    return order, runs
+    return order, scratch[:2 * count].reshape(-1, 2)
 
 
 def sweep(births: np.ndarray, edge_faces: np.ndarray, edge_length_sq: np.ndarray,
-          order, track_depth: bool) -> tuple:
+          order) -> tuple:
     """(pairs, deepest root walk) of the array sweep; overwrites births.
 
     births holds the k triangle nodes; the unbounded region is node k.
@@ -223,6 +220,6 @@ def sweep(births: np.ndarray, edge_faces: np.ndarray, edge_length_sq: np.ndarray
     pairs = np.empty((k + 1, 2))
     max_steps = ctypes.c_int64()
     n_pairs = KERNELS.hc_sweep(len(order), order, edge_faces, edge_length_sq, k,
-                               parent, weight, births, int(track_depth), pairs,
+                               parent, weight, births, pairs,
                                ctypes.byref(max_steps))
     return pairs[:n_pairs], max_steps.value

@@ -1,18 +1,18 @@
 /* Compiled kernels of holecount, loaded through ctypes by _fastdel.py.
  *
- *   hc_build        incremental Delaunay triangulation (Bowyer-Watson)
- *   hc_compact      drop ghost and dead triangle slots in place
- *   hc_edge_count,
- *   hc_edge_table,
- *   hc_edge_lengths the flat edge table of a compact triangulation
+ *   hc_build        incremental Delaunay triangulation (Bowyer-Watson),
+ *                   compacted in place
+ *   hc_edge_table   the flat edge table of a compact triangulation
+ *   hc_edge_lengths squared length of every edge
  *   hc_births       per-triangle birth scales
- *   hc_argsort_desc edge ids by squared length, descending
- *   hc_tied_runs    runs of equal squared length in a sorted order
+ *   hc_argsort_desc edge ids by squared length, descending, and the runs of
+ *                   equal length in that order
  *   hc_sweep        the descending elder-rule union-find sweep
  *
  * Arrays are C-contiguous: points (n, 2) float64, triangles and neighbours
  * (k, 3) int32, edge endpoints and faces (E, 2) int32.  Every kernel writes
- * only into buffers the caller allocated, apart from small scratch space.
+ * only into buffers the caller allocated, the sort's radix buffer included,
+ * apart from small scratch space.
  *
  * Build with -ffp-contract=off and without -ffast-math: the births and the
  * edge lengths must round exactly as the numpy fallback in forest.py and
@@ -122,16 +122,85 @@ static int reserve(int32_t **buf, int64_t *cap, int64_t need)
     return 0;
 }
 
+static int slot_gone(const int32_t *tris, int64_t t, int32_t inf)
+{
+    return TRI(t, 0) < 0 || ghost_slot(&TRI(t, 0), inf) >= 0;
+}
+
+/* Compact the slots of hc_build in place: drop ghost and dead slots,
+ * renumber the neighbours (-1 across hull edges) and rotate every triangle
+ * so that its smallest vertex index comes first.  Returns the number of
+ * triangles kept, or -1 when scratch memory ran out. */
+static int64_t compact(int32_t n, int32_t *tris, int32_t *neigh, int64_t n_tris)
+{
+    int64_t n_gone = 0;
+    for (int64_t t = 0; t < n_tris; t++)
+        n_gone += slot_gone(tris, t, n);
+    int32_t *gone = malloc((size_t)(n_gone ? n_gone : 1) * sizeof *gone);
+    if (!gone)
+        return -1;
+    for (int64_t t = 0, g = 0; t < n_tris; t++)
+        if (slot_gone(tris, t, n))
+            gone[g++] = (int32_t)t;
+
+    /* renumber while every row is still in place: a kept slot moves down
+     * by the number of removed slots below it */
+    for (int64_t t = 0; t < n_tris; t++) {
+        if (slot_gone(tris, t, n))
+            continue;
+        for (int j = 0; j < 3; j++) {
+            int32_t nb = NB(t, j);
+            if (nb < 0 || slot_gone(tris, nb, n)) {
+                NB(t, j) = -1;
+                continue;
+            }
+            int64_t lo = 0, hi = n_gone;
+            while (lo < hi) {
+                int64_t mid = (lo + hi) / 2;
+                if (gone[mid] < nb)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            NB(t, j) = (int32_t)(nb - lo);
+        }
+    }
+    free(gone);
+
+    int64_t k = 0;
+    for (int64_t t = 0; t < n_tris; t++) {
+        if (slot_gone(tris, t, n))
+            continue;
+        int r = 0;
+        if (TRI(t, 1) < TRI(t, r))
+            r = 1;
+        if (TRI(t, 2) < TRI(t, r))
+            r = 2;
+        int32_t v[3], w[3];
+        for (int j = 0; j < 3; j++) {
+            v[j] = TRI(t, (j + r) % 3);
+            w[j] = NB(t, (j + r) % 3);
+        }
+        for (int j = 0; j < 3; j++) {
+            TRI(k, j) = v[j];
+            NB(k, j) = w[j];
+        }
+        k++;
+    }
+    return k;
+}
+
 enum { S_STACK, S_BAD, S_BND_U, S_BND_V, S_BND_OUT, S_NEW, S_FREE, S_COUNT };
 
-/* Insert the points in the given order.
+/* Insert the points in the given order, then compact the slots.
  *
  * Triangle slots hold vertex indices, with index n standing for the infinite
  * vertex of ghost triangles (two hull vertices plus infinity), so cavity
  * search and retriangulation treat the outside uniformly; dead slots have
  * first vertex -1.  neigh[t, j] is the triangle across the edge opposite
- * vertex j.  Any predicate the filter cannot certify aborts with
- * STATUS_UNCERTAIN and the caller falls back to an exact path.
+ * vertex j.  On STATUS_OK the first *n_tris_out rows hold the real
+ * triangles, compacted as above.  Any predicate the filter cannot certify
+ * aborts with STATUS_UNCERTAIN and the caller falls back to an exact path.
  */
 int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
                  int32_t *tris, int32_t *neigh, int64_t cap,
@@ -350,93 +419,24 @@ done:
     for (int i = 0; i < S_COUNT; i++)
         free(s[i]);
     free(in_cavity);
+    if (status == STATUS_OK) {
+        n_tris = compact(n, tris, neigh, n_tris);
+        if (n_tris < 0) {
+            n_tris = 0;
+            status = STATUS_OVERFLOW;
+        }
+    }
     *n_tris_out = n_tris;
     return status;
 }
 
-static int slot_gone(const int32_t *tris, int64_t t, int32_t inf)
-{
-    return TRI(t, 0) < 0 || ghost_slot(&TRI(t, 0), inf) >= 0;
-}
-
-/* Compact the output of hc_build in place: drop ghost and dead slots,
- * renumber the neighbours (-1 across hull edges) and rotate every triangle
- * so that its smallest vertex index comes first.  Returns the number of
- * triangles kept, or -1 when scratch memory ran out. */
-int64_t hc_compact(int32_t n, int32_t *tris, int32_t *neigh, int64_t n_tris)
-{
-    int64_t n_gone = 0;
-    for (int64_t t = 0; t < n_tris; t++)
-        n_gone += slot_gone(tris, t, n);
-    int32_t *gone = malloc((size_t)(n_gone ? n_gone : 1) * sizeof *gone);
-    if (!gone)
-        return -1;
-    for (int64_t t = 0, g = 0; t < n_tris; t++)
-        if (slot_gone(tris, t, n))
-            gone[g++] = (int32_t)t;
-
-    /* renumber while every row is still in place: a kept slot moves down
-     * by the number of removed slots below it */
-    for (int64_t t = 0; t < n_tris; t++) {
-        if (slot_gone(tris, t, n))
-            continue;
-        for (int j = 0; j < 3; j++) {
-            int32_t nb = NB(t, j);
-            if (nb < 0 || slot_gone(tris, nb, n)) {
-                NB(t, j) = -1;
-                continue;
-            }
-            int64_t lo = 0, hi = n_gone;
-            while (lo < hi) {
-                int64_t mid = (lo + hi) / 2;
-                if (gone[mid] < nb)
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
-            NB(t, j) = (int32_t)(nb - lo);
-        }
-    }
-    free(gone);
-
-    int64_t k = 0;
-    for (int64_t t = 0; t < n_tris; t++) {
-        if (slot_gone(tris, t, n))
-            continue;
-        int r = 0;
-        if (TRI(t, 1) < TRI(t, r))
-            r = 1;
-        if (TRI(t, 2) < TRI(t, r))
-            r = 2;
-        int32_t v[3], w[3];
-        for (int j = 0; j < 3; j++) {
-            v[j] = TRI(t, (j + r) % 3);
-            w[j] = NB(t, (j + r) % 3);
-        }
-        for (int j = 0; j < 3; j++) {
-            TRI(k, j) = v[j];
-            NB(k, j) = w[j];
-        }
-        k++;
-    }
-    return k;
-}
-
-/* Number of undirected edges of a compact triangulation. */
-int64_t hc_edge_count(int64_t k, const int32_t *neigh)
-{
-    int64_t count = 0;
-    for (int64_t t = 0; t < k; t++)
-        for (int j = 0; j < 3; j++)
-            count += NB(t, j) < 0 || NB(t, j) > t;
-    return count;
-}
-
 /* One row per undirected edge, contributed by the incident triangle with
  * the smaller id (hull edges by their only triangle, second face -1), in
- * the same order as the numpy edge table in delaunay.py. */
-void hc_edge_table(int64_t k, const int32_t *tris, const int32_t *neigh,
-                   int32_t *edge_vertices, int32_t *edge_faces)
+ * the same order as the numpy edge table in delaunay.py.  Writes at most
+ * `cap` rows and returns how many edges there are in all: (3k + h) / 2 for
+ * h hull edges when every neighbour link is mutual. */
+int64_t hc_edge_table(int64_t k, const int32_t *tris, const int32_t *neigh,
+                      int64_t cap, int32_t *edge_vertices, int32_t *edge_faces)
 {
     int64_t e = 0;
     for (int64_t t = 0; t < k; t++) {
@@ -444,14 +444,17 @@ void hc_edge_table(int64_t k, const int32_t *tris, const int32_t *neigh,
             int32_t nb = NB(t, j);
             if (nb >= 0 && nb <= t)
                 continue;
-            int32_t u = TRI(t, (j + 1) % 3), v = TRI(t, (j + 2) % 3);
-            edge_vertices[2 * e] = u < v ? u : v;
-            edge_vertices[2 * e + 1] = u < v ? v : u;
-            edge_faces[2 * e] = (int32_t)t;
-            edge_faces[2 * e + 1] = nb < 0 ? -1 : nb;
+            if (e < cap) {
+                int32_t u = TRI(t, (j + 1) % 3), v = TRI(t, (j + 2) % 3);
+                edge_vertices[2 * e] = u < v ? u : v;
+                edge_vertices[2 * e + 1] = u < v ? v : u;
+                edge_faces[2 * e] = (int32_t)t;
+                edge_faces[2 * e + 1] = nb < 0 ? -1 : nb;
+            }
             e++;
         }
     }
+    return e;
 }
 
 void hc_edge_lengths(const double *pts, int64_t m,
@@ -501,18 +504,18 @@ void hc_births(const double *pts, int64_t k, const int32_t *tris, double band,
 
 /* Edge ids by squared length, descending, ties by ascending id: a stable
  * LSD radix sort on the bit patterns, which order non-negative doubles.
- * 11-bit digits; a digit on which every key agrees is skipped.  Returns 0,
- * or -1 when scratch memory ran out. */
-int32_t hc_argsort_desc(int64_t m, const double *length_sq, int32_t *order)
+ * 11-bit digits; a digit on which every key agrees is skipped.  `scratch`
+ * holds m entries; once the order is in place it receives the half-open
+ * (start, end) bounds of every run of two or more equal lengths, which
+ * need at most m entries.  Returns the number of runs, or -1 when the
+ * histograms could not be allocated. */
+int64_t hc_argsort_desc(int64_t m, const double *length_sq, int32_t *order,
+                        int32_t *scratch)
 {
     enum { BITS = 11, PASSES = 6, BUCKETS = 1 << BITS };
     int64_t *count = calloc((size_t)PASSES * BUCKETS, sizeof *count);
-    int32_t *tmp = malloc((size_t)(m ? m : 1) * sizeof *tmp);
-    if (!count || !tmp) {
-        free(count);
-        free(tmp);
+    if (!count)
         return -1;
-    }
     for (int64_t e = 0; e < m; e++) {
         uint64_t key;
         memcpy(&key, &length_sq[e], sizeof key);
@@ -521,7 +524,7 @@ int32_t hc_argsort_desc(int64_t m, const double *length_sq, int32_t *order)
             count[d * BUCKETS + ((key >> (d * BITS)) & (BUCKETS - 1))]++;
         order[e] = (int32_t)e;
     }
-    int32_t *src = order, *dst = tmp;
+    int32_t *src = order, *dst = scratch;
     for (int d = 0; d < PASSES; d++) {
         int64_t *c = count + d * BUCKETS;
         int trivial = 0;
@@ -548,26 +551,15 @@ int32_t hc_argsort_desc(int64_t m, const double *length_sq, int32_t *order)
     if (src != order)
         memcpy(order, src, (size_t)m * sizeof *order);
     free(count);
-    free(tmp);
-    return 0;
-}
 
-/* Runs of two or more edges with equal squared length in a sorted order:
- * writes up to `cap` half-open (start, end) pairs and returns how many runs
- * there are in all. */
-int64_t hc_tied_runs(int64_t m, const int32_t *order, const double *length_sq,
-                     int64_t *bounds, int64_t cap)
-{
     int64_t runs = 0;
     for (int64_t start = 0; start < m;) {
         int64_t end = start + 1;
         while (end < m && length_sq[order[end]] == length_sq[order[start]])
             end++;
         if (end - start >= 2) {
-            if (runs < cap) {
-                bounds[2 * runs] = start;
-                bounds[2 * runs + 1] = end;
-            }
+            scratch[2 * runs] = (int32_t)start;
+            scratch[2 * runs + 1] = (int32_t)end;
             runs++;
         }
         start = end;
@@ -579,12 +571,12 @@ int64_t hc_tied_runs(int64_t m, const int32_t *order, const double *length_sq,
  * by weight, no path compression, elder rule on white merges, exactly as
  * the DualForest reference in forest.py.  Face id -1 (the unbounded
  * region) maps to node k, whose birth is +inf and is not stored in
- * `births`.  Writes the (birth, death) pairs and returns their number; the
- * deepest root walk is tracked when `track_depth` is set. */
+ * `births`.  Writes the (birth, death) pairs and returns their number, and
+ * the longest root walk of any find in *max_steps_out. */
 int64_t hc_sweep(int64_t m, const int32_t *order, const int32_t *edge_faces,
                  const double *length_sq, int32_t k, int32_t *parent,
-                 int32_t *weight, double *births, int32_t track_depth,
-                 double *pairs, int64_t *max_steps_out)
+                 int32_t *weight, double *births, double *pairs,
+                 int64_t *max_steps_out)
 {
 #define BIRTH(x) ((x) == k ? INFINITY : births[x])
 #define SET_BIRTH(x, value) \
@@ -607,14 +599,14 @@ int64_t hc_sweep(int64_t m, const int32_t *order, const int32_t *edge_faces,
             r = parent[r];
             steps++;
         }
-        if (track_depth && steps > max_steps)
+        if (steps > max_steps)
             max_steps = steps;
         steps = 0;
         while (parent[q] != q) {
             q = parent[q];
             steps++;
         }
-        if (track_depth && steps > max_steps)
+        if (steps > max_steps)
             max_steps = steps;
         if (r == q)
             continue;

@@ -109,7 +109,7 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "pairs": [[b, d] for b, d in self.diagram.pairs],
+                "pairs": self.diagram.pairs.tolist(),
                 "probabilities": {str(k): v for k, v in self.probabilities.items()},
                 "inferred_count": self.inferred_count,
                 "inferred_gap": self.inferred_gap,

@@ -171,7 +171,6 @@ def triangulate(cloud: Cloud) -> Triangulation:
         hi = np.maximum(v0, v1)
         edge_vertices = np.stack([lo, hi], axis=1)
         edge_faces = np.stack([face_ids[keep], opp[keep]], axis=1)
-        edge_faces[edge_faces[:, 1] == -1, 1] = EXTERNAL
 
         d = pts[hi] - pts[lo]
         edge_length_sq = d[:, 0] ** 2 + d[:, 1] ** 2

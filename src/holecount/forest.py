@@ -152,7 +152,8 @@ def triangle_births(tri: Triangulation) -> np.ndarray:
         acute = gap > _ACUTE_BAND * total
         borderline = np.flatnonzero(np.abs(gap) <= _ACUTE_BAND * total)
         births = np.zeros(len(tri.triangles))
-        births[acute] = _clamped_circumradius(a, b, c, ab, bc, ca)[acute]
+        births[acute] = _clamped_circumradius(a[acute], b[acute], c[acute],
+                                              ab[acute], bc[acute], ca[acute])
 
     uncertain = _certify_borderline(pts, tri.triangles, borderline, births)
     log.debug("births: %d borderline triangles certified in bulk, "
@@ -271,22 +272,20 @@ def sweep_events(cloud: Cloud) -> list:
 
 
 def sweep_pairs(births: np.ndarray, edge_faces: np.ndarray,
-                edge_length_sq: np.ndarray, order: np.ndarray,
-                track_depth: bool = False) -> tuple:
+                edge_length_sq: np.ndarray, order: np.ndarray) -> tuple:
     """(pairs, deepest root walk) of one sweep over pre-sorted edges.
 
     Runs the compiled array sweep when the kernels are loaded and the
     reference sweep otherwise; both give identical pairs and walks.  The
-    births may be overwritten, and the walk reads 0 unless track_depth.
+    births may be overwritten.
     """
     if _fastdel.KERNELS is not None:
-        return _fastdel.sweep(births, edge_faces, edge_length_sq, order,
-                              track_depth)
+        return _fastdel.sweep(births, edge_faces, edge_length_sq, order)
     forest = DualForest(births)
     pairs = [event.pair for event in
              iter_events(forest, edge_faces, edge_length_sq, order)
              if event.case == CASE_WHITE_MERGE]
-    return pairs, forest.max_find_steps if track_depth else 0
+    return pairs, forest.max_find_steps
 
 
 def hole_persistence(cloud: Cloud) -> Diagram:
@@ -299,8 +298,9 @@ def hole_persistence_stats(cloud: Cloud, track_depth: bool = False,
                            timings: Optional[dict] = None) -> tuple:
     """(diagram, deepest root walk, triangle count) of one pipeline run.
 
-    The depth statistic is only meaningful with track_depth=True; it backs
-    the logarithmic bound on parent chains under union by weight.  A dict
+    The walk, the longest parent chain any find followed, backs the
+    logarithmic bound on parent chains under union by weight; the sweep
+    always counts it, and it is reported as 0 unless track_depth.  A dict
     passed as timings receives the wall seconds of the "triangulate",
     "sort" and "sweep" (births included) stages.
 
@@ -322,10 +322,10 @@ def hole_persistence_stats(cloud: Cloud, track_depth: bool = False,
     faces, length_sq = edges.edge_faces, edges.edge_length_sq
     del edges
     t3 = time.perf_counter()
-    pairs, max_steps = sweep_pairs(births, faces, length_sq, order, track_depth)
+    pairs, max_steps = sweep_pairs(births, faces, length_sq, order)
     del births, faces, length_sq, order
     t4 = time.perf_counter()
     if timings is not None:
         timings.update(triangulate=t1 - t0, sort=t3 - t2,
                        sweep=(t2 - t1) + (t4 - t3))
-    return Diagram.from_pairs(pairs), max_steps, k
+    return Diagram.from_pairs(pairs), max_steps if track_depth else 0, k

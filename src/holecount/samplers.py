@@ -127,15 +127,19 @@ class ShapeSpec:
 
 
 def load_polyline_csv(path) -> ShapeSpec:
-    """Read 'x,y' lines ('#' comments allowed) as a closed polygon shape."""
+    """Read 'x,y' lines ('#' comments allowed) as a closed polygon shape;
+    a malformed line raises ValueError naming the file and the line."""
     points = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            x, y = line.split(",")
-            points.append((float(x), float(y)))
+            try:
+                x, y = map(float, line.split(","))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            points.append((x, y))
     return ShapeSpec.polygon(points)
 
 

@@ -146,6 +146,18 @@ class TestSynthCommand:
                          "--points", "100", "--out", str(out)]) == 0
         assert load_cloud_csv(out).n == 100
 
+    @pytest.mark.parametrize("bad_row,reason", [
+        ("2", "not enough values to unpack"), ("x,0", "could not convert"),
+    ])
+    def test_polygon_bad_row_names_file_and_line(self, tmp_path, capsys,
+                                                 bad_row, reason):
+        poly = tmp_path / "poly.csv"
+        poly.write_text(f"0,0\n2,0\n{bad_row}\n0,2\n")
+        assert cli_main(["synth", "polygon", "--poly", str(poly), "--points",
+                         "100", "--out", str(tmp_path / "p.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{poly}:3:" in err and reason in err
+
     def test_wheel_without_spokes_exit_1(self, tmp_path, capsys):
         assert cli_main(["synth", "wheel", "--points", "100",
                          "--out", str(tmp_path / "w.csv")]) == 1

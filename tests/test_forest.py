@@ -189,7 +189,7 @@ class TestSweepEquivalence:
             if e.pair is not None
         ]
         fast, walk = sweep_pairs(triangle_births(tri), tri.edge_faces,
-                                 tri.edge_length_sq, order, track_depth=True)
+                                 tri.edge_length_sq, order)
 
         assert list(map(tuple, np.asarray(fast).reshape(-1, 2))) == from_events
         assert walk == forest.max_find_steps

@@ -1,6 +1,7 @@
 """The compiled kernels against the Python fallback, and the fallback alone."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -58,6 +59,32 @@ def test_fallback_identical_on_lattice(monkeypatch):
     assert _fastdel.build_triangulation(cloud.points) is None
     pairs, walk = _assert_backends_agree(monkeypatch, cloud)
     assert len(pairs) == (m - 1) ** 2 and walk > 0
+
+
+@needs_kernels
+def test_edge_table_rejects_one_sided_neighbour_links():
+    # a square cut along (0, 2); the second triangle forgets the first, so
+    # there is one edge more than (3k + h) / 2 rows: refused, not overrun
+    tris = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int32)
+    neigh = np.array([[-1, 1, -1], [-1, -1, 0]], dtype=np.int32)
+    assert len(_fastdel.edge_table(tris, neigh)[0]) == 5
+    neigh[1, 2] = -1
+    with pytest.raises(ValueError, match="not mutual"):
+        _fastdel.edge_table(tris, neigh)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_exports_match_signatures(tmp_path):
+    # the source builds without warnings, and every exported hc_* function
+    # has a ctypes signature and vice versa
+    out = subprocess.run(
+        ["gcc", *_fastdel._CFLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "k.so"), str(_fastdel._SOURCE), "-lm"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    source = _fastdel._SOURCE.read_text()
+    exported = re.findall(r"^(?!static\b)\w[\w ]*?\b(hc_\w+)\(", source, re.M)
+    assert sorted(exported) == sorted(_fastdel._SIGNATURES)
 
 
 def test_import_leaves_out_cli_and_oracles():

@@ -8,6 +8,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import subprocess
@@ -31,33 +32,84 @@ from .samplers import ShapeSpec, load_polyline_csv, sample_shape
 
 
 class CloudFormatError(ValueError):
-    """Malformed cloud CSV; message carries the line number."""
+    """Malformed cloud or pair CSV; message carries the line number."""
+
+
+# numpy's number parser strips these ASCII separators around a field, but
+# Python's float() rejects them, so a text holding one skips the bulk read.
+_INFORMATION_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_rows(path, lines, first_lineno: int, columns: str) -> np.ndarray:
+    """Reference parser: one row of two finite numbers per line, split on
+    ','; blank lines and lines starting with '#' (after whitespace) are
+    skipped. Every format error is worded here."""
+    rows = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise CloudFormatError(
+                f"{path}:{lineno}: expected '{columns}', got {line!r}"
+            )
+        try:
+            a, b = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise CloudFormatError(
+                f"{path}:{lineno}: non-numeric coordinate in {line!r}"
+            ) from None
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise CloudFormatError(
+                f"{path}:{lineno}: non-finite coordinate in {line!r}"
+            )
+        rows.append((a, b))
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+
+def _read_rows(path, fh, first_lineno: int, columns: str) -> np.ndarray:
+    """The (m, 2) float64 rows of the rest of `fh`, as `_parse_rows` reads
+    them. One `np.loadtxt` call reads a well-formed file; its result is kept
+    only when it has two columns of finite values. Anything else, including
+    every file with an error, goes through `_parse_rows`."""
+    pos = fh.tell() if fh.seekable() else None  # a pipe cannot seek
+    try:
+        text = fh.read()
+    except UnicodeDecodeError:
+        if pos is None:
+            raise
+        # line by line, an earlier format error is still reported first,
+        # and the decoder names the byte by its offset in the same chunk
+        fh.seek(pos)
+        return _parse_rows(path, fh, first_lineno, columns)
+    # loadtxt refuses '#' lines and warns on text without rows, so it gets
+    # the text from the first line that is neither a comment nor blank
+    start = 0
+    while text.startswith(("#", "\n"), start):
+        start = text.find("\n", start) + 1 or len(text)
+    rows = None
+    if start < len(text) and not any(c in text for c in _INFORMATION_SEPARATORS):
+        try:
+            rows = np.loadtxt(io.StringIO(text[start:]), delimiter=",",
+                              comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:
+            pass
+    if rows is None or rows.shape[1] != 2 or not np.isfinite(rows).all():
+        rows = _parse_rows(path, io.StringIO(text), first_lineno, columns)
+    return rows
 
 
 def load_cloud_csv(path) -> Cloud:
-    """Read one 'x,y' pair per line; '#' starts a comment line."""
-    points = []
+    """Read one 'x,y' pair of finite numbers per line; blank lines and
+    whole-line '#' comments are skipped."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise CloudFormatError(
-                    f"{path}:{lineno}: expected 'x,y', got {line!r}"
-                )
-            try:
-                points.append((float(fields[0]), float(fields[1])))
-            except ValueError:
-                raise CloudFormatError(
-                    f"{path}:{lineno}: non-numeric coordinate in {line!r}"
-                ) from None
+        points = _read_rows(path, fh, 1, "x,y")
     if len(points) < 3:
         raise CloudFormatError(
             f"{path}: need at least 3 points, found {len(points)}"
         )
-    return Cloud.from_points(np.asarray(points))
+    return Cloud.from_points(points)
 
 
 def save_cloud_csv(path, cloud: Cloud, comment: str = "") -> None:
@@ -69,22 +121,13 @@ def save_cloud_csv(path, cloud: Cloud, comment: str = "") -> None:
 
 
 def load_pairs_csv(path) -> Diagram:
-    """Read a 'birth,death' table (header required)."""
-    pairs = []
+    """Read a 'birth,death' table (header required); the rows follow the
+    cloud CSV grammar."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "birth,death":
             raise CloudFormatError(f"{path}:1: expected header 'birth,death'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise CloudFormatError(
-                    f"{path}:{lineno}: expected 'birth,death', got {line!r}"
-                )
-            pairs.append((float(fields[0]), float(fields[1])))
+        pairs = _read_rows(path, fh, 2, "birth,death")
     return Diagram.from_pairs(pairs)
 
 
@@ -107,9 +150,14 @@ class RunReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
+        """The text of `json.dumps(<the six keys, "pairs" first>, indent=2)`.
+
+        With an indent, `json.dumps` runs its pure-Python encoder, so the
+        pairs block is laid out here around numbers that one call of the C
+        encoder renders; no number's text contains ", ".
+        """
+        rest = json.dumps(
             {
-                "pairs": self.diagram.pairs.tolist(),
                 "probabilities": {str(k): v for k, v in self.probabilities.items()},
                 "inferred_count": self.inferred_count,
                 "inferred_gap": self.inferred_gap,
@@ -118,6 +166,13 @@ class RunReport:
             },
             indent=2,
         )
+        if not len(self.diagram.pairs):
+            return '{\n  "pairs": [],\n' + rest[2:]
+        numbers = json.dumps(self.diagram.pairs.ravel().tolist())[1:-1].split(", ")
+        rows = map(",\n      ".join, zip(numbers[0::2], numbers[1::2]))
+        return "".join(('{\n  "pairs": [\n    [\n      ',
+                        "\n    ],\n    [\n      ".join(rows),
+                        "\n    ]\n  ],\n", rest[2:]))
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":

@@ -3,14 +3,20 @@ exit codes."""
 
 import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from holecount import Cloud
 from holecount.cli import (
     CloudFormatError,
     RunReport,
+    _parse_rows,
+    _read_rows,
     cli_main,
     compute_report,
     load_cloud_csv,
@@ -57,6 +63,96 @@ class TestCloudCsv:
         with pytest.raises(CloudFormatError, match="at least 3"):
             load_cloud_csv(path)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_from_a_pipe(self):
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as fh:
+            fh.write("# square\n0,0\n2,0\n2,2\n0,2\n")
+        try:
+            assert load_cloud_csv(f"/dev/fd/{read_end}").n == 4
+        finally:
+            os.close(read_end)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_names_line(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,0\n1,0\n{value},1\n0,1\n")
+        assert cli_main(["compute", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3: non-finite coordinate in '{value},1'" in err
+
+
+# Lines of every kind the grammar or its near misses can produce.
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.6e}".format),
+    st.sampled_from(["+1e0", "1e-400", "-1e-400", "-0", ".5", "5.", "1E+3"]),
+)
+_PAD = st.sampled_from(["", " ", "\t", " \t "])
+_ROW = st.builds("{}{}{},{}{}{}".format, _PAD, _NUMBER, _PAD, _PAD, _NUMBER, _PAD)
+_ODD_LINE = st.sampled_from([
+    "", "   ", "\t", "# comment", "  # indented comment", "1,2 # inline",
+    "1", "1,2,3", "1_0,2", "nan,1", "1,inf", "-inf,0", "1e400,0", "x,1",
+    "1,,2", ",", "1\x1c,2", "1,\x1f2", "\uff11,2", "0x10,1",
+    "\udcff,1",  # written as the byte 0xff, which is not UTF-8
+])
+_CLOUD_TEXT = st.builds(
+    lambda head, lines, eol, last: eol.join(head + lines) + (eol if last else ""),
+    st.lists(st.sampled_from(["# synth wheel", "#", ""]), max_size=2),
+    st.lists(st.one_of(_ROW, _ROW, _ROW, _ODD_LINE), max_size=12),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+
+
+def _outcome(read, path):
+    """Rows as dtype, shape and bytes, or the error as type and message."""
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. loadtxt's "no data"
+            rows = read(path, fh, 1, "x,y")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return rows.dtype, rows.shape, rows.tobytes()
+
+
+class TestBulkRead:
+    """The bulk read and the line parser it falls back to agree on every
+    file: the same float64 bytes, or the same error."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_CLOUD_TEXT)
+    @pytest.mark.filterwarnings("ignore::holecount.DuplicatePointsWarning")
+    def test_matches_line_parser(self, tmp_path, text):
+        path = tmp_path / "cloud.csv"
+        path.write_bytes(text.encode(errors="surrogateescape"))
+        expected = _outcome(_parse_rows, path)
+        assert _outcome(_read_rows, path) == expected
+        if len(expected) == 2:
+            with pytest.raises(expected[0]) as info:
+                load_cloud_csv(path)
+            assert str(info.value) == expected[1]
+        elif expected[1][0] < 3:
+            with pytest.raises(CloudFormatError, match="at least 3"):
+                load_cloud_csv(path)
+        else:
+            rows = np.frombuffer(expected[2]).reshape(-1, 2)
+            loaded = load_cloud_csv(path).points
+            assert loaded.tobytes() == Cloud.from_points(rows).points.tobytes()
+
+    @pytest.mark.parametrize("head", ["", "0,0\nx,1\n"])
+    def test_undecodable_byte_past_first_chunk(self, tmp_path, head):
+        """The decoder reads 8 KiB chunks; line by line, a format error
+        before the bad byte still comes first, and the byte's offset is
+        counted within its chunk."""
+        path = tmp_path / "cloud.csv"
+        rows = "".join(f"{i},{i % 7}\n" for i in range(2000))
+        path.write_bytes((head + rows).encode() + b"\xff,1\n")
+        expected = _outcome(_parse_rows, path)
+        assert expected[0] is (CloudFormatError if head else UnicodeDecodeError)
+        assert _outcome(_read_rows, path) == expected
+
 
 class TestPairsCsv:
     def test_round_trip(self, tmp_path):
@@ -73,8 +169,52 @@ class TestPairsCsv:
         with pytest.raises(CloudFormatError, match="header"):
             load_pairs_csv(path)
 
+    @pytest.mark.parametrize("bad_row,reason", [
+        ("x,2", "non-numeric"), ("1,2,3", "expected 'birth,death'"),
+        ("1,inf", "non-finite"),
+    ])
+    def test_bad_row_names_line(self, tmp_path, bad_row, reason):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"birth,death\n0,1\n{bad_row}\n")
+        with pytest.raises(CloudFormatError) as info:
+            load_pairs_csv(path)
+        assert str(info.value).startswith(f"{path}:3: {reason}")
+
+
+def _indent2_json(report: RunReport) -> str:
+    """The report layout as `json.dumps` writes it with indent=2."""
+    return json.dumps(
+        {
+            "pairs": report.diagram.pairs.tolist(),
+            "probabilities": {str(k): v for k, v in report.probabilities.items()},
+            "inferred_count": report.inferred_count,
+            "inferred_gap": report.inferred_gap,
+            "timings": report.timings,
+            "metadata": report.metadata,
+        },
+        indent=2,
+    )
+
 
 class TestRunReport:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda csv: compute_report(
+            Cloud.from_points([(0, 0), (4, 0), (2, 0.5)])), id="empty"),
+        pytest.param(lambda csv: compute_report(load_cloud_csv(csv),
+                                                source=str(csv)), id="square"),
+        pytest.param(lambda csv: compute_report(Cloud.from_points(
+            np.random.default_rng(7).uniform(0.0, 1.0, (10 ** 5, 2)))),
+            id="uniform-1e5"),
+        pytest.param(lambda csv: RunReport(
+            diagram=Diagram.from_pairs([(-0.0, 1.0), (0.5, 0.5), (2.0, 1e300)]),
+            probabilities={0: 0.25, 1: 0.75}, inferred_count=1,
+            inferred_gap=0.5, timings={"sweep": 1e-05},
+            metadata={"n": 3, "source": "données/ü.csv"}), id="hand-built"),
+    ])
+    def test_json_text_is_indent2_layout(self, square_csv, make):
+        report = make(square_csv)
+        assert report.to_json() == _indent2_json(report)
+
     def test_json_round_trip(self, square_csv):
         report = compute_report(load_cloud_csv(square_csv), source=str(square_csv))
         back = RunReport.from_json(report.to_json())

@@ -153,12 +153,13 @@ class RunReport:
         """The text of `json.dumps(<the six keys, "pairs" first>, indent=2)`.
 
         With an indent, `json.dumps` runs its pure-Python encoder, so the
-        pairs block is laid out here around numbers that one call of the C
-        encoder renders; no number's text contains ", ".
+        pairs and probabilities blocks are each laid out here around the
+        text of one C-encoder call: the pairs block splits the numbers on
+        ", ", which no number's text contains, and the probabilities block
+        takes the indented line break as its item separator.
         """
         rest = json.dumps(
             {
-                "probabilities": {str(k): v for k, v in self.probabilities.items()},
                 "inferred_count": self.inferred_count,
                 "inferred_gap": self.inferred_gap,
                 "timings": self.timings,
@@ -166,13 +167,23 @@ class RunReport:
             },
             indent=2,
         )
-        if not len(self.diagram.pairs):
-            return '{\n  "pairs": [],\n' + rest[2:]
-        numbers = json.dumps(self.diagram.pairs.ravel().tolist())[1:-1].split(", ")
-        rows = map(",\n      ".join, zip(numbers[0::2], numbers[1::2]))
-        return "".join(('{\n  "pairs": [\n    [\n      ',
-                        "\n    ],\n    [\n      ".join(rows),
-                        "\n    ]\n  ],\n", rest[2:]))
+        parts = ['{\n  "pairs": ']
+        if len(self.diagram.pairs):
+            numbers = json.dumps(self.diagram.pairs.ravel().tolist())[1:-1].split(", ")
+            rows = map(",\n      ".join, zip(numbers[0::2], numbers[1::2]))
+            parts += ["[\n    [\n      ", "\n    ],\n    [\n      ".join(rows),
+                      "\n    ]\n  ]"]
+        else:
+            parts.append("[]")
+        parts.append(',\n  "probabilities": ')
+        if self.probabilities:
+            entries = json.dumps({str(k): v for k, v in self.probabilities.items()},
+                                 separators=(",\n    ", ": "))
+            parts += ["{\n    ", entries[1:-1], "\n  }"]
+        else:
+            parts.append("{}")
+        parts += [",\n", rest[2:]]
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -317,7 +328,7 @@ def _cmd_bench(args) -> int:
 def _cmd_bottleneck(args) -> int:
     d1 = load_pairs_csv(args.d1)
     d2 = load_pairs_csv(args.d2)
-    print(f"{bottleneck_distance(d1, d2):.15g}")
+    print(repr(bottleneck_distance(d1, d2)))
     return 0
 
 

@@ -4,10 +4,12 @@ hole-count probabilities, bottleneck distance and widest-gap inference."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,8 @@ class Staircase:
         return len(self.counts) == 0
 
     def count_at(self, alpha: float) -> int:
+        if np.isnan(alpha):
+            raise ValueError("scale is NaN")
         if self.empty or alpha < self.breakpoints[0] or alpha >= self.breakpoints[-1]:
             return 0
         i = int(np.searchsorted(self.breakpoints, alpha, side="right")) - 1
@@ -145,51 +149,129 @@ def infer_hole_count(diagram: Diagram) -> tuple:
     return len(pers) - split, float(gaps[split])
 
 
-def _matching_feasible(real_cost: np.ndarray, diag1: np.ndarray,
-                       diag2: np.ndarray, delta: float) -> bool:
-    """Perfect matching test for the augmented bipartite diagram graph.
+def _covers(rows: np.ndarray, cols: np.ndarray, usable: np.ndarray,
+            forced: np.ndarray, n_cols: int) -> bool:
+    """Whether the usable edges (rows[e], cols[e]), grouped by row, hold a
+    matching that covers every row marked `forced`."""
+    n_forced = int(np.count_nonzero(forced))
+    if n_forced == 0:
+        return True
+    if n_forced > n_cols:
+        return False
+    keep = usable & forced[rows]
+    counts = np.bincount(rows[keep], minlength=len(forced))
+    if not counts[forced].all():
+        return False
+    indptr = np.zeros(len(forced) + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    indices = cols[keep]
+    graph = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
+                       shape=(len(forced), n_cols))
+    match = maximum_bipartite_matching(graph, perm_type="column")
+    return bool((match[forced] >= 0).all())
 
-    Rows are d1's points followed by diagonal slots for d2's points, columns
-    are d2's points followed by diagonal slots for d1's points.
-    """
-    m1, m2 = len(diag1), len(diag2)
-    n = m1 + m2
-    adj = np.zeros((n, n), dtype=bool)
-    adj[:m1, :m2] = real_cost <= delta
-    adj[np.arange(m1), m2 + np.arange(m1)] = diag1 <= delta
-    adj[m1 + np.arange(m2), np.arange(m2)] = diag2 <= delta
-    adj[m1:, m2:] = True  # diagonal-to-diagonal is free
-    match = maximum_bipartite_matching(csr_matrix(adj), perm_type="column")
-    return int((match >= 0).sum()) == n
+
+def _upper_bound(p1, p2, diag1, diag2, tree1, tree2) -> float:
+    """Cost of one augmented matching: mutual L-infinity nearest neighbours
+    are paired (or both sent to the diagonal, if cheaper), every other point
+    goes to the diagonal."""
+    j_of = tree2.query(p1, p=np.inf)[1]
+    i_of = tree1.query(p2, p=np.inf)[1]
+    i = np.flatnonzero(i_of[j_of] == np.arange(len(p1)))
+    j = j_of[i]
+    pair_cost = np.minimum(np.abs(p1[i] - p2[j]).max(axis=1),
+                           np.maximum(diag1[i], diag2[j]))
+    return float(max(pair_cost.max(initial=0.0), np.delete(diag1, i).max(initial=0.0),
+                     np.delete(diag2, j).max(initial=0.0)))
+
+
+def _ball_pairs(tree, queries: np.ndarray, radii: np.ndarray) -> tuple:
+    """(query index, tree index) of every tree point within each query's
+    L-infinity radius."""
+    hits = tree.query_ball_point(queries, r=radii, p=np.inf)
+    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    found = np.fromiter(chain.from_iterable(hits), dtype=np.intp,
+                        count=int(counts.sum()))
+    return np.repeat(np.arange(len(queries)), counts), found
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values by one sort.  np.unique hashes integers
+    first: 4.2 s against 0.06 s for 4e6 int64 keys."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
 def bottleneck_distance(d1: Diagram, d2: Diagram) -> float:
     """Exact bottleneck distance between two finite diagrams.
 
     L-infinity ground metric; a point may match the diagonal at cost
-    (death - birth) / 2.  Binary search over the finite set of candidate
-    costs with a bipartite matching feasibility test.
+    (death - birth) / 2.  The result is the smallest candidate cost at
+    which the augmented graph (points plus diagonal slots) has a perfect
+    matching, bit for bit the float of `oracles.bottleneck_distance_dense`,
+    found without a dense cost matrix or graph:
+
+    * At a threshold delta a point is forced when its diagonal cost exceeds
+      delta.  A perfect augmented matching exists exactly when the edges of
+      cost <= delta hold one matching covering d1's forced points and one
+      covering d2's (Mendelsohn-Dulmage), so each test is at most two
+      rectangular Hopcroft-Karp runs.
+    * Mutual nearest neighbours under L-infinity give a feasible matching of
+      cost U, an upper bound.  Feasibility changes only at 0, at diagonal
+      costs and at costs c(i, j) < max(diag_i, diag_j), so kd-tree ball
+      queries of radius min(diag, U) from both sides find every edge that
+      can matter; their costs are recomputed and filtered exactly.
+    * Every point pays at least its cheapest option, which bounds the
+      result from below; the search gallops up from that bound through the
+      candidates and then bisects.
     """
     p1 = d1.off_diagonal()
     p2 = d2.off_diagonal()
-    m1, m2 = len(p1), len(p2)
-    if m1 == 0 and m2 == 0:
-        return 0.0
-    diag1 = (p1[:, 1] - p1[:, 0]) / 2.0 if m1 else np.empty(0)
-    diag2 = (p2[:, 1] - p2[:, 0]) / 2.0 if m2 else np.empty(0)
-    if m1 and m2:
-        real_cost = np.abs(p1[:, None, :] - p2[None, :, :]).max(axis=2)
-    else:
-        real_cost = np.empty((m1, m2))
+    diag1 = (p1[:, 1] - p1[:, 0]) / 2.0
+    diag2 = (p2[:, 1] - p2[:, 0]) / 2.0
+    if not len(p1) or not len(p2):
+        return float(max(diag1.max(initial=0.0), diag2.max(initial=0.0)))
 
-    candidates = np.unique(np.concatenate([
-        np.array([0.0]), diag1, diag2, real_cost.reshape(-1)
-    ]))
-    lo, hi = 0, len(candidates) - 1
-    # The largest candidate (everything to the diagonal) is always feasible.
+    tree1, tree2 = cKDTree(p1), cKDTree(p2)
+    bound = _upper_bound(p1, p2, diag1, diag2, tree1, tree2)
+    # the trees' own distances only select; every kept cost is recomputed
+    i_a, j_a = _ball_pairs(tree2, p1, np.nextafter(np.minimum(diag1, bound), np.inf))
+    j_b, i_b = _ball_pairs(tree1, p2, np.nextafter(np.minimum(diag2, bound), np.inf))
+    i, j = np.divmod(_distinct(np.concatenate((i_a * len(p2) + j_a,
+                                               i_b * len(p2) + j_b))), len(p2))
+    cost = np.abs(p1[i] - p2[j]).max(axis=1)
+    keep = (cost < np.maximum(diag1[i], diag2[j])) & (cost <= bound)
+    i, j, cost = i[keep], j[keep], cost[keep]
+
+    # the edges come grouped by i; regroup a copy by j
+    by_j = np.argsort(j, kind="stable")
+    i2, j2, c2 = i[by_j], j[by_j], cost[by_j]
+
+    def feasible(delta):
+        return (_covers(i, j, cost <= delta, diag1 > delta, len(p2))
+                and _covers(j2, i2, c2 <= delta, diag2 > delta, len(p1)))
+
+    # every point pays at least its cheapest option, the diagonal or an
+    # edge; an edge left out costs at least the point's diagonal or more
+    # than the upper bound, so it is never the cheapest
+    cheapest1, cheapest2 = diag1.copy(), diag2.copy()
+    np.minimum.at(cheapest1, i, cost)
+    np.minimum.at(cheapest2, j, cost)
+    lower = max(cheapest1.max(), cheapest2.max())
+    candidates = _distinct(np.concatenate((
+        diag1[diag1 <= bound], diag2[diag2 <= bound], cost)))
+    candidates = candidates[np.searchsorted(candidates, lower):]
+    # gallop up from the lower bound, which is often the answer, then bisect;
+    # the largest candidate shares its feasibility with the upper bound
+    lo, hi, probe = 0, len(candidates) - 1, 0
+    while probe < hi and not feasible(candidates[probe]):
+        lo, probe = probe + 1, min(2 * probe + 1, hi)
+    hi = probe
     while lo < hi:
         mid = (lo + hi) // 2
-        if _matching_feasible(real_cost, diag1, diag2, candidates[mid]):
+        if feasible(candidates[mid]):
             hi = mid
         else:
             lo = mid + 1

@@ -4,6 +4,9 @@ Two routes that share only the triangulation:
   * explicit filtration of the Delaunay complex reduced over Z/2 with the
     textbook column algorithm (columns as integer bitsets), and
   * rasterization of the union of disks with a flood fill of the complement.
+
+Plus the dense bottleneck distance, the reference for the sparse one in
+`diagrams`.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
 from .delaunay import Cloud, triangulate
@@ -263,3 +268,55 @@ def verify_equivalence(cloud: Cloud, raster_alphas: int = 0) -> EquivalenceRepor
         pair_count=len(a),
         raster_checks=checks,
     )
+
+
+def _matching_feasible(real_cost: np.ndarray, diag1: np.ndarray,
+                       diag2: np.ndarray, delta: float) -> bool:
+    """Perfect matching test for the augmented bipartite diagram graph.
+
+    Rows are d1's points followed by diagonal slots for d2's points, columns
+    are d2's points followed by diagonal slots for d1's points.
+    """
+    m1, m2 = len(diag1), len(diag2)
+    n = m1 + m2
+    adj = np.zeros((n, n), dtype=bool)
+    adj[:m1, :m2] = real_cost <= delta
+    adj[np.arange(m1), m2 + np.arange(m1)] = diag1 <= delta
+    adj[m1 + np.arange(m2), np.arange(m2)] = diag2 <= delta
+    adj[m1:, m2:] = True  # diagonal-to-diagonal is free
+    match = maximum_bipartite_matching(csr_matrix(adj), perm_type="column")
+    return int((match >= 0).sum()) == n
+
+
+def bottleneck_distance_dense(d1: Diagram, d2: Diagram) -> float:
+    """Exact bottleneck distance by the dense augmented graph.
+
+    L-infinity ground metric; a point may match the diagonal at cost
+    (death - birth) / 2.  Binary search over every candidate cost with a
+    perfect matching test on the full (m1+m2)^2 graph: the reference for
+    `diagrams.bottleneck_distance`.
+    """
+    p1 = d1.off_diagonal()
+    p2 = d2.off_diagonal()
+    m1, m2 = len(p1), len(p2)
+    if m1 == 0 and m2 == 0:
+        return 0.0
+    diag1 = (p1[:, 1] - p1[:, 0]) / 2.0 if m1 else np.empty(0)
+    diag2 = (p2[:, 1] - p2[:, 0]) / 2.0 if m2 else np.empty(0)
+    if m1 and m2:
+        real_cost = np.abs(p1[:, None, :] - p2[None, :, :]).max(axis=2)
+    else:
+        real_cost = np.empty((m1, m2))
+
+    candidates = np.unique(np.concatenate([
+        np.array([0.0]), diag1, diag2, real_cost.reshape(-1)
+    ]))
+    lo, hi = 0, len(candidates) - 1
+    # The largest candidate (everything to the diagonal) is always feasible.
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _matching_feasible(real_cost, diag1, diag2, candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])

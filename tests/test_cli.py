@@ -24,7 +24,7 @@ from holecount.cli import (
     pairs_to_csv,
     save_cloud_csv,
 )
-from holecount.diagrams import Diagram
+from holecount.diagrams import Diagram, bottleneck_distance
 
 
 @pytest.fixture
@@ -210,6 +210,14 @@ class TestRunReport:
             probabilities={0: 0.25, 1: 0.75}, inferred_count=1,
             inferred_gap=0.5, timings={"sweep": 1e-05},
             metadata={"n": 3, "source": "données/ü.csv"}), id="hand-built"),
+        pytest.param(lambda csv: RunReport(
+            diagram=Diagram.from_pairs([]), probabilities={}, inferred_count=0,
+            inferred_gap=0.0, timings={}, metadata={}), id="no-probabilities"),
+        pytest.param(lambda csv: RunReport(
+            diagram=Diagram.from_pairs([(0.0, 1.0)]),
+            probabilities={7: 5e-324, 0: 1.0 / 3.0, 12: 1e22, 3: -0.0},
+            inferred_count=7, inferred_gap=1.0, timings={"sweep": 0.0},
+            metadata={"n": 4, "source": ""}), id="probability-floats"),
     ])
     def test_json_text_is_indent2_layout(self, square_csv, make):
         report = make(square_csv)
@@ -322,6 +330,15 @@ class TestBottleneckCommand:
         f2.write_text("birth,death\n0,2.5\n")
         assert cli_main(["bottleneck", str(f1), str(f2)]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(0.5)
+
+    def test_prints_the_exact_float(self, tmp_path, capsys):
+        f1, f2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
+        f1.write_text("birth,death\n0.1,0.7\n")
+        f2.write_text("birth,death\n0.3,0.7\n")
+        assert cli_main(["bottleneck", str(f1), str(f2)]) == 0
+        distance = bottleneck_distance(load_pairs_csv(f1), load_pairs_csv(f2))
+        assert distance == 0.19999999999999998
+        assert float(capsys.readouterr().out) == distance
 
 
 class TestBenchCommand:

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holecount import hole_persistence
+from holecount import Cloud, hole_persistence
 from holecount.diagrams import (
     Diagram,
     barcode,
@@ -17,6 +17,8 @@ from holecount.diagrams import (
     infer_hole_count,
     staircase,
 )
+from holecount.oracles import bottleneck_distance_dense
+from holecount.samplers import ShapeSpec, sample_shape
 
 from conftest import random_cloud
 
@@ -28,6 +30,22 @@ pair_lists = st.lists(
         lambda p: (min(p), max(p))
     ),
     max_size=8,
+)
+
+
+def grid_pair_lists(step):
+    """Pairs on a coarse grid: heavy ties in every cost, repeated pairs."""
+    return st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)).map(
+            lambda p: (min(p) * step, max(p) * step)
+        ),
+        max_size=12,
+    )
+
+
+diagonal_lists = st.lists(st.floats(0.0, 50.0).map(lambda b: (b, b)), max_size=4)
+any_pair_lists = st.one_of(
+    pair_lists, grid_pair_lists(1.0), grid_pair_lists(0.125), diagonal_lists
 )
 
 
@@ -81,6 +99,11 @@ class TestStaircase:
         s = staircase(D())
         assert s.empty
         assert s.count_at(1.0) == 0
+
+    @pytest.mark.parametrize("pairs", [[(1, SQRT2)], []])
+    def test_nan_scale_rejected(self, pairs):
+        with pytest.raises(ValueError):
+            staircase(Diagram.from_pairs(pairs)).count_at(math.nan)
 
     @given(pair_lists)
     @settings(max_examples=100)
@@ -208,9 +231,32 @@ class TestBottleneck:
     @settings(max_examples=60, deadline=None)
     def test_symmetry(self, p1, p2):
         d1, d2 = Diagram.from_pairs(p1), Diagram.from_pairs(p2)
-        assert bottleneck_distance(d1, d2) == pytest.approx(
-            bottleneck_distance(d2, d1), abs=1e-12
-        )
+        assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1)
+
+    @given(any_pair_lists, any_pair_lists)
+    @settings(max_examples=300, deadline=None)
+    @example([], [])
+    @example([(0.0, 2.0)], [])
+    @example([], [(1.0, 1.0), (0.0, 3.0)])
+    @example([(0.1, 0.7)], [(0.3, 0.7)])
+    def test_equals_dense_reference(self, p1, p2):
+        d1, d2 = Diagram.from_pairs(p1), Diagram.from_pairs(p2)
+        assert bottleneck_distance(d1, d2) == bottleneck_distance_dense(d1, d2)
+        assert bottleneck_distance(d1, d1) == bottleneck_distance_dense(d1, d1) == 0.0
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 7), st.floats(1e-4, 0.01))
+    @settings(max_examples=12, deadline=None)
+    def test_wheel_and_moved_copy_equal_dense_reference(self, seed, spokes, eps):
+        points = sample_shape(ShapeSpec.wheel(spokes), 300, noise=0.005, seed=seed).points
+        rng = np.random.default_rng(seed)
+        radius = eps * np.sqrt(rng.uniform(size=len(points)))
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=len(points))
+        moved = points + np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+        d1 = hole_persistence(Cloud.from_points(points))
+        d2 = hole_persistence(Cloud.from_points(moved))
+        distance = bottleneck_distance(d1, d2)
+        assert distance == bottleneck_distance_dense(d1, d2)
+        assert distance <= eps + 1e-9  # stability, up to rounding in the radii
 
     @given(pair_lists, pair_lists, pair_lists)
     @settings(max_examples=40, deadline=None)

@@ -3,8 +3,8 @@
 ``_kernels.c`` exports one function per layer, each called once: the
 incremental Delaunay builder ``hc_build`` (Bowyer-Watson in Morton order with
 filtered predicates and ghost triangles, compacted in place),
-``hc_edge_table``, ``hc_edge_lengths``, ``hc_births``, the descending edge
-sort with its tied runs ``hc_argsort_desc`` and the sweep ``hc_sweep``.  On
+``hc_edge_table``, ``hc_edge_lengths``, ``hc_births``, the stable
+descending edge sort ``hc_argsort_desc`` and the sweep ``hc_sweep``.  On
 first import it is compiled with the system ``gcc`` into ``__pycache__``
 next to this file, under a name keyed by a hash of the source and the
 flags, so later imports only load it.  When there is no compiler or the
@@ -185,19 +185,17 @@ def triangle_births(points: np.ndarray, triangles: np.ndarray, band: float) -> n
     return births
 
 
-def argsort_desc(length_sq: np.ndarray) -> tuple:
-    """(order, tied runs): edge ids by squared length descending, ties by
-    id, as int32; and the int32 (start, end) bounds of the runs of equal
-    length in that order, a view of the sort's radix scratch."""
+def argsort_desc(length_sq: np.ndarray) -> np.ndarray:
+    """Edge ids by squared length descending, ties by ascending id, as
+    int32."""
     m = len(length_sq)
     if m >= 2 ** 31:
         raise ValueError(f"{m} edges do not fit int32 edge ids")
     order = np.empty(m, dtype=np.int32)
     scratch = np.empty(m, dtype=np.int32)
-    count = KERNELS.hc_argsort_desc(m, length_sq, order, scratch)
-    if count < 0:
+    if KERNELS.hc_argsort_desc(m, length_sq, order, scratch) < 0:
         raise MemoryError("no scratch memory for the edge sort")
-    return order, scratch[:2 * count].reshape(-1, 2)
+    return order
 
 
 def sweep(births: np.ndarray, edge_faces: np.ndarray, edge_length_sq: np.ndarray,

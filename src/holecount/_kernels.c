@@ -5,8 +5,8 @@
  *   hc_edge_table   the flat edge table of a compact triangulation
  *   hc_edge_lengths squared length of every edge
  *   hc_births       per-triangle birth scales
- *   hc_argsort_desc edge ids by squared length, descending, and the runs of
- *                   equal length in that order
+ *   hc_argsort_desc edge ids by squared length, descending; a stable sort,
+ *                   so ties keep ascending id
  *   hc_sweep        the descending elder-rule union-find sweep
  *
  * Arrays are C-contiguous: points (n, 2) float64, triangles and neighbours
@@ -505,10 +505,8 @@ void hc_births(const double *pts, int64_t k, const int32_t *tris, double band,
 /* Edge ids by squared length, descending, ties by ascending id: a stable
  * LSD radix sort on the bit patterns, which order non-negative doubles.
  * 11-bit digits; a digit on which every key agrees is skipped.  `scratch`
- * holds m entries; once the order is in place it receives the half-open
- * (start, end) bounds of every run of two or more equal lengths, which
- * need at most m entries.  Returns the number of runs, or -1 when the
- * histograms could not be allocated. */
+ * holds m entries.  Returns 0, or -1 when the histograms could not be
+ * allocated. */
 int64_t hc_argsort_desc(int64_t m, const double *length_sq, int32_t *order,
                         int32_t *scratch)
 {
@@ -551,28 +549,15 @@ int64_t hc_argsort_desc(int64_t m, const double *length_sq, int32_t *order,
     if (src != order)
         memcpy(order, src, (size_t)m * sizeof *order);
     free(count);
-
-    int64_t runs = 0;
-    for (int64_t start = 0; start < m;) {
-        int64_t end = start + 1;
-        while (end < m && length_sq[order[end]] == length_sq[order[start]])
-            end++;
-        if (end - start >= 2) {
-            scratch[2 * runs] = (int32_t)start;
-            scratch[2 * runs + 1] = (int32_t)end;
-            runs++;
-        }
-        start = end;
-    }
-    return runs;
+    return 0;
 }
 
 /* Descending sweep over edges in the given order, array union-find: union
  * by weight, no path compression, elder rule on white merges, exactly as
  * the DualForest reference in forest.py.  Face id -1 (the unbounded
  * region) maps to node k, whose birth is +inf and is not stored in
- * `births`.  Writes the (birth, death) pairs and returns their number, and
- * the longest root walk of any find in *max_steps_out. */
+ * `births`.  Writes the (birth, death) pairs with death > birth and returns
+ * their number, and the longest root walk of any find in *max_steps_out. */
 int64_t hc_sweep(int64_t m, const int32_t *order, const int32_t *edge_faces,
                  const double *length_sq, int32_t k, int32_t *parent,
                  int32_t *weight, double *births, double *pairs,
@@ -627,9 +612,12 @@ int64_t hc_sweep(int64_t m, const int32_t *order, const int32_t *edge_faces,
             SET_BIRTH(q, bu);
             weight[r] += 1;
         } else { /* Case 4: white regions merge, the younger dies */
-            pairs[2 * n_pairs] = alpha;
-            pairs[2 * n_pairs + 1] = bu < bv ? bu : bv;
-            n_pairs++;
+            double younger = bu < bv ? bu : bv;
+            if (younger > alpha) { /* zero-persistence pairs are dropped */
+                pairs[2 * n_pairs] = alpha;
+                pairs[2 * n_pairs + 1] = younger;
+                n_pairs++;
+            }
             double elder = bu > bv ? bu : bv;
             if (weight[r] > weight[q]) {
                 parent[q] = r;

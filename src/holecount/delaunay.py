@@ -10,19 +10,14 @@ like one more triangle everywhere downstream.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
 from . import _fastdel
-from .predicates import dot_certified
-
-log = logging.getLogger(__name__)
 
 #: Face id of the unbounded external region.
 EXTERNAL = -1
@@ -71,13 +66,14 @@ class Cloud:
 
 
 @dataclass(frozen=True)
-class EdgeTable:
-    """Flat, numpy-backed edge table of a triangulation."""
+class Triangulation:
+    """Delaunay triangulation: the triangles plus a flat edge table."""
 
     points: np.ndarray       # (n, 2)
     edge_vertices: np.ndarray  # (E, 2) canonical (min, max) endpoint indices
     edge_faces: np.ndarray     # (E, 2) triangle ids; EXTERNAL for hull edges
     edge_length_sq: np.ndarray  # (E,) float64
+    triangles: np.ndarray    # (k, 3) vertex indices, CCW, smallest first
 
     @property
     def n(self) -> int:
@@ -91,21 +87,9 @@ class EdgeTable:
     def hull_edge_count(self) -> int:
         return int(np.count_nonzero(self.edge_faces[:, 1] == EXTERNAL))
 
-
-@dataclass(frozen=True)
-class Triangulation(EdgeTable):
-    """Delaunay triangulation: the triangles plus their edge table."""
-
-    triangles: np.ndarray    # (k, 3) vertex indices, CCW, smallest first
-
     @property
     def num_triangles(self) -> int:
         return len(self.triangles)
-
-    def edge_table(self) -> EdgeTable:
-        """The edge table alone, sharing this triangulation's arrays."""
-        return EdgeTable(self.points, self.edge_vertices, self.edge_faces,
-                         self.edge_length_sq)
 
 
 def _qhull_triangles(pts: np.ndarray):
@@ -184,74 +168,15 @@ def triangulate(cloud: Cloud) -> Triangulation:
     )
 
 
-def _exact_length_sq(pts: np.ndarray, v0: int, v1: int) -> Fraction:
-    dx = Fraction(float(pts[v1, 0])) - Fraction(float(pts[v0, 0]))
-    dy = Fraction(float(pts[v1, 1])) - Fraction(float(pts[v0, 1]))
-    return dx * dx + dy * dy
+def edges_sorted_desc(edge_length_sq: np.ndarray) -> np.ndarray:
+    """Edge ids by squared length descending; ties keep ascending id.
 
-
-def edges_sorted_desc(tri: EdgeTable) -> np.ndarray:
-    """Edge ids sorted by length descending, deterministically.
-
-    Ties in the floating squared length are re-ordered by the exact rational
-    squared length (descending) and finally by the canonical endpoint pair
-    (ascending), so the sweep order is a total order independent of the
-    construction history.  A tied run in which every squared length is
-    certified exact by error-free transforms (`dot_certified`) holds equal
-    exact lengths, so all such runs are ordered by endpoint pair in one
-    lexsort; only the other runs are sorted with `Fraction` keys.  Reads
-    only the edge table, so a Triangulation's triangles may already be
-    released.
+    Tie order cannot move a pair with death > birth: a gray (non-acute)
+    triangle meets at most one edge of a tied run, as two equal longest
+    edges make a triangle acute, so the run's other events are white merges,
+    and the elder rule kills the same births in any order.  Only
+    zero-persistence pairs can differ, and the sweep drops those.
     """
-    len_sq = tri.edge_length_sq
     if _fastdel.KERNELS is not None:
-        order, runs = _fastdel.argsort_desc(len_sq)
-    else:
-        order = np.argsort(-len_sq, kind="stable")
-        sorted_len = len_sq[order]
-        run_breaks = np.flatnonzero(sorted_len[:-1] != sorted_len[1:]) + 1
-        starts = np.concatenate(([0], run_breaks))
-        ends = np.concatenate((run_breaks, [len(order)]))
-        runs = np.stack([starts, ends], axis=1)[ends - starts >= 2]
-
-    uncertain = _order_certified_runs(tri, order, runs)
-    log.debug("edge sort: %d tied runs certified in bulk, %d sorted with "
-              "Fraction keys", len(runs) - len(uncertain), len(uncertain))
-    for s, e in uncertain:
-        run = order[s:e]
-        keyed = sorted(
-            run,
-            key=lambda i: (
-                -_exact_length_sq(tri.points, *tri.edge_vertices[i]),
-                int(tri.edge_vertices[i, 0]),
-                int(tri.edge_vertices[i, 1]),
-            ),
-        )
-        order[s:e] = keyed
-    return order
-
-
-def _order_certified_runs(tri: EdgeTable, order: np.ndarray,
-                          runs: np.ndarray) -> np.ndarray:
-    """Sort, in place by endpoint pair, every tied run of order whose
-    squared lengths are certified exact and equal to the stored ones;
-    returns the (start, end) rows of the other runs."""
-    if not len(runs):
-        return runs
-    starts, ends = runs[:, 0], runs[:, 1]
-    sizes = ends - starts
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    run_id = np.repeat(np.arange(len(runs)), sizes)
-    pos = np.arange(len(run_id)) + np.repeat(starts - offsets, sizes)
-    ids = order[pos]
-    v0 = tri.edge_vertices[ids, 0]
-    v1 = tri.edge_vertices[ids, 1]
-    p0, p1 = tri.points[v0], tri.points[v1]
-    length_sq, exact = dot_certified(p0, p1, p1)
-    exact &= length_sq == tri.edge_length_sq[ids]
-    certified = np.logical_and.reduceat(exact, offsets)
-    take = certified[run_id]
-    if take.any():
-        ranked = np.lexsort((v1[take], v0[take], run_id[take]))
-        order[pos[take]] = ids[take][ranked]
-    return runs[~certified]
+        return _fastdel.argsort_desc(edge_length_sq)
+    return np.argsort(-edge_length_sq, kind="stable")

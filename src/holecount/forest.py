@@ -5,7 +5,10 @@ processed from longest to shortest; at each edge the two dual nodes are
 classified as gray (still covered, birth time 0) or white (already part of a
 hole region), and one of four cases applies.  Case 4 — two white regions
 merging — emits a (birth, death) pair for the younger region, with birth and
-death swapped into the ascending-offset convention.
+death swapped into the ascending-offset convention, unless the younger region
+was born at this very scale.  Such zero-persistence pairs are dropped: they are
+the only pairs that the order of equally long edges can change (see
+`edges_sorted_desc`), so the diagram depends on the edge lengths alone.
 
 Union is strictly by weight and find_root does no path compression, which
 keeps every parent chain logarithmic in the tree size.
@@ -48,7 +51,7 @@ class SweepEvent:
 
     case: int
     alpha: float
-    pair: Optional[tuple] = None  # (birth, death), Case 4 only
+    pair: Optional[tuple] = None  # (birth, death), Case 4 with death > birth
 
 
 class DualForest:
@@ -104,17 +107,19 @@ class DualForest:
         self.weight[u] = 1
         self.links += 1
 
-    def merge_white(self, rootu: int, rootv: int, alpha: float) -> tuple:
+    def merge_white(self, rootu: int, rootv: int, alpha: float) -> Optional[tuple]:
         """Case 4: merge two white regions; the younger one dies.
 
         Returns the emitted (birth, death) pair in ascending-offset
         convention: the hole is born when the current edge enters the offset
-        and dies at the younger region's birth scale.
+        and dies at the younger region's birth scale.  Returns None instead
+        when the younger region was born at alpha itself.
         """
         assert rootu != rootv
         bu, bv = self.birth[rootu], self.birth[rootv]
         assert bu > 0.0 and bv > 0.0
-        pair = (alpha, min(bu, bv))
+        younger = min(bu, bv)
+        pair = (alpha, younger) if younger > alpha else None
         if self.weight[rootu] > self.weight[rootv]:
             parent, child = rootu, rootv
         else:
@@ -268,7 +273,7 @@ def sweep_events(cloud: Cloud) -> list:
     tri = triangulate(cloud)
     forest = init_forest(tri)
     return list(iter_events(forest, tri.edge_faces, tri.edge_length_sq,
-                            edges_sorted_desc(tri)))
+                            edges_sorted_desc(tri.edge_length_sq)))
 
 
 def sweep_pairs(births: np.ndarray, edge_faces: np.ndarray,
@@ -284,7 +289,7 @@ def sweep_pairs(births: np.ndarray, edge_faces: np.ndarray,
     forest = DualForest(births)
     pairs = [event.pair for event in
              iter_events(forest, edge_faces, edge_length_sq, order)
-             if event.case == CASE_WHITE_MERGE]
+             if event.pair is not None]
     return pairs, forest.max_find_steps
 
 
@@ -305,22 +310,20 @@ def hole_persistence_stats(cloud: Cloud, track_depth: bool = False,
     "sort" and "sweep" (births included) stages.
 
     Each array is released as soon as no later stage reads it: the
-    triangles once the births are known, the endpoint pairs once the edges
-    are sorted, and the edge table before the diagram is built.  That keeps
-    the peak at the triangulation plus the births, about 130 bytes per
-    point with the compiled kernels.
+    triangles and the edge endpoints once the births are known, and the
+    rest of the edge table before the diagram is built.  That keeps the
+    peak at the triangulation plus the births, about 130 bytes per point
+    with the compiled kernels.
     """
     t0 = time.perf_counter()
     tri = triangulate(cloud)
     t1 = time.perf_counter()
     births = triangle_births(tri)
     k = len(births)
-    edges = tri.edge_table()
+    faces, length_sq = tri.edge_faces, tri.edge_length_sq
     del tri
     t2 = time.perf_counter()
-    order = edges_sorted_desc(edges)
-    faces, length_sq = edges.edge_faces, edges.edge_length_sq
-    del edges
+    order = edges_sorted_desc(length_sq)
     t3 = time.perf_counter()
     pairs, max_steps = sweep_pairs(births, faces, length_sq, order)
     del births, faces, length_sq, order

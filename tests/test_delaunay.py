@@ -165,27 +165,33 @@ class TestTriangulate:
 class TestEdgeSort:
     def test_square_diagonal_first(self):
         tri = triangulate(Cloud.from_points([(0, 0), (1, 0), (1, 1), (0, 1)]))
-        order = edges_sorted_desc(tri)
+        order = edges_sorted_desc(tri.edge_length_sq)
         lengths = np.sqrt(tri.edge_length_sq[order])
         assert lengths[0] == pytest.approx(np.sqrt(2.0))
         assert np.allclose(lengths[1:], 1.0)
 
     def test_equal_lengths_deterministic(self):
         tri = triangulate(Cloud.from_points([(0, 0), (2, 0), (1, np.sqrt(3.0))]))
-        orders = [edges_sorted_desc(tri).tolist() for _ in range(3)]
+        orders = [edges_sorted_desc(tri.edge_length_sq).tolist() for _ in range(3)]
         assert orders[0] == orders[1] == orders[2]
 
-    def test_ties_broken_by_endpoint_pair(self):
-        tri = triangulate(Cloud.from_points([(0, 0), (1, 0), (1, 1), (0, 1)]))
-        order = edges_sorted_desc(tri)
-        unit = [tuple(tri.edge_vertices[i]) for i in order[1:]]
-        assert unit == sorted(unit)
+    @pytest.mark.parametrize("backend", ["kernels", "fallback"])
+    def test_ties_keep_edge_id_order(self, backend, monkeypatch):
+        if backend == "fallback":
+            monkeypatch.setattr(_fastdel, "KERNELS", None)
+        elif _fastdel.KERNELS is None:
+            pytest.skip("compiled kernels unavailable (no C compiler)")
+        length_sq = np.array([1.0, 2.0, 1.0, 0.5, 2.0, 1.0, 0.0, 1.0])
+        assert edges_sorted_desc(length_sq).tolist() == [1, 4, 0, 2, 5, 7, 3, 6]
+        many = 0.1 * np.random.default_rng(3).integers(0, 50, 5000)
+        assert np.array_equal(edges_sorted_desc(many),
+                              np.argsort(-many, kind="stable"))
 
     @pytest.mark.parametrize("seed", [2, 8])
     def test_matches_naive_exact_sort(self, seed):
         cloud = random_cloud(seed, 100)
         tri = triangulate(cloud)
-        order = edges_sorted_desc(tri)
+        order = edges_sorted_desc(tri.edge_length_sq)
 
         def exact_sq(i):
             v0, v1 = tri.edge_vertices[i]
@@ -207,5 +213,5 @@ class TestEdgeSort:
     @settings(max_examples=20, deadline=None)
     def test_order_is_permutation(self, seed):
         tri = triangulate(random_cloud(seed, 30))
-        order = edges_sorted_desc(tri)
+        order = edges_sorted_desc(tri.edge_length_sq)
         assert sorted(order.tolist()) == list(range(tri.num_edges))

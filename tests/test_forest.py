@@ -168,7 +168,7 @@ class TestSquareTrace:
         tri = triangulate(square2)
         forest = init_forest(tri)
         for _ in iter_events(forest, tri.edge_faces, tri.edge_length_sq,
-                             edges_sorted_desc(tri)):
+                             edges_sorted_desc(tri.edge_length_sq)):
             pass
         assert forest.links == forest.num_triangles
         roots = {forest.find_root(i) for i in range(forest.num_triangles + 1)}
@@ -180,7 +180,7 @@ class TestSweepEquivalence:
     def test_two_paths_agree(self, seed, n):
         cloud = random_cloud(seed, n)
         tri = triangulate(cloud)
-        order = edges_sorted_desc(tri)
+        order = edges_sorted_desc(tri.edge_length_sq)
 
         forest = init_forest(tri)
         from_events = [

@@ -127,11 +127,19 @@ static int slot_gone(const int32_t *tris, int64_t t, int32_t inf)
     return TRI(t, 0) < 0 || ghost_slot(&TRI(t, 0), inf) >= 0;
 }
 
+/* Whether point a precedes point b in (x, y) order. */
+static int lex_less(const double *pts, int32_t a, int32_t b)
+{
+    return PX(a) < PX(b) || (PX(a) == PX(b) && PY(a) < PY(b));
+}
+
 /* Compact the slots of hc_build in place: drop ghost and dead slots,
  * renumber the neighbours (-1 across hull edges) and rotate every triangle
- * so that its smallest vertex index comes first.  Returns the number of
- * triangles kept, or -1 when scratch memory ran out. */
-static int64_t compact(int32_t n, int32_t *tris, int32_t *neigh, int64_t n_tris)
+ * so that its lexicographically smallest point comes first, whatever the
+ * vertex ids.  Returns the number of triangles kept, or -1 when scratch
+ * memory ran out. */
+static int64_t compact(const double *pts, int32_t n, int32_t *tris,
+                       int32_t *neigh, int64_t n_tris)
 {
     int64_t n_gone = 0;
     for (int64_t t = 0; t < n_tris; t++)
@@ -172,9 +180,9 @@ static int64_t compact(int32_t n, int32_t *tris, int32_t *neigh, int64_t n_tris)
         if (slot_gone(tris, t, n))
             continue;
         int r = 0;
-        if (TRI(t, 1) < TRI(t, r))
+        if (lex_less(pts, TRI(t, 1), TRI(t, r)))
             r = 1;
-        if (TRI(t, 2) < TRI(t, r))
+        if (lex_less(pts, TRI(t, 2), TRI(t, r)))
             r = 2;
         int32_t v[3], w[3];
         for (int j = 0; j < 3; j++) {
@@ -420,7 +428,7 @@ done:
         free(s[i]);
     free(in_cavity);
     if (status == STATUS_OK) {
-        n_tris = compact(n, tris, neigh, n_tris);
+        n_tris = compact(pts, n, tris, neigh, n_tris);
         if (n_tris < 0) {
             n_tris = 0;
             status = STATUS_OVERFLOW;

@@ -73,7 +73,7 @@ class Triangulation:
     edge_vertices: np.ndarray  # (E, 2) canonical (min, max) endpoint indices
     edge_faces: np.ndarray     # (E, 2) triangle ids; EXTERNAL for hull edges
     edge_length_sq: np.ndarray  # (E,) float64
-    triangles: np.ndarray    # (k, 3) vertex indices, CCW, smallest first
+    triangles: np.ndarray    # (k, 3) vertex indices, CCW, least (x, y) first
 
     @property
     def n(self) -> int:
@@ -114,10 +114,13 @@ def _qhull_triangles(pts: np.ndarray):
     tris[flip, 1], tris[flip, 2] = tris[flip, 2], tris[flip, 1].copy()
     neigh[flip, 1], neigh[flip, 2] = neigh[flip, 2], neigh[flip, 1].copy()
 
-    # Rotate each triangle (and its neighbor slots) to put the smallest
-    # vertex index first, as the incremental builder does: births then
-    # round identically whichever path built the triangle.
-    turn = (np.argmin(tris, axis=1)[:, None] + np.arange(3)) % 3
+    # Rotate each triangle (and its neighbor slots) to put its
+    # lexicographically smallest point first, as the incremental builder
+    # does: births then round identically whichever path built the triangle
+    # and in whatever order the points came.
+    rank = np.empty(len(pts), dtype=np.int64)
+    rank[np.lexsort((pts[:, 1], pts[:, 0]))] = np.arange(len(pts))
+    turn = (np.argmin(rank[tris], axis=1)[:, None] + np.arange(3)) % 3
     return np.take_along_axis(tris, turn, axis=1), np.take_along_axis(neigh, turn, axis=1)
 
 

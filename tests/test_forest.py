@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from holecount import _fastdel
 from holecount.delaunay import Cloud, edges_sorted_desc, triangulate
 from holecount.forest import (
     CASE_GRAY_JOINS_WHITE,
@@ -195,13 +196,18 @@ class TestSweepEquivalence:
         assert walk == forest.max_find_steps
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_permutation_invariance(self, seed):
-        cloud = random_cloud(seed, 150)
+    def test_permutation_invariance(self, seed, monkeypatch):
+        # in general position the triangles are unique, and their births
+        # and the pairs must not depend on the order of the points either
+        base = random_cloud(seed, 150).points
         rng = np.random.default_rng(seed + 99)
-        shuffled = Cloud.from_points(rng.permutation(cloud.points, axis=0))
-        d1 = hole_persistence(cloud).off_diagonal()
-        d2 = hole_persistence(shuffled).off_diagonal()
-        assert np.allclose(d1, d2, atol=1e-12)
+        for pts in (base, np.ldexp(base, -30), base + [1000.5, -250.25]):
+            perm = rng.permutation(len(pts))
+            for kernels in {_fastdel.KERNELS, None}:
+                monkeypatch.setattr(_fastdel, "KERNELS", kernels)
+                d1 = hole_persistence(Cloud.from_points(pts)).pairs
+                d2 = hole_persistence(Cloud.from_points(pts[perm])).pairs
+                assert np.array_equal(d1, d2)
 
 
 class TestHolePersistence:

@@ -32,7 +32,7 @@ import numpy as np
 from . import _fastdel
 from .delaunay import Cloud, Triangulation, edges_sorted_desc, triangulate
 from .diagrams import Diagram
-from .predicates import Point2, circumradius, dot_certified, is_acute
+from .predicates import Point2, dot_certified, is_acute
 
 log = logging.getLogger(__name__)
 
@@ -139,11 +139,7 @@ def triangle_births(tri: Triangulation) -> np.ndarray:
     the complex and need no value of their own.
 
     A floating-point pass decides every triangle outside a relative band
-    around a right angle.  The borderline triangles are certified in bulk:
-    where all three vertex dot products are provably exact
-    (`dot_certified`), the triangle is acute iff all three are positive.
-    Only the rest are re-decided one by one with `is_acute`, which falls
-    back to rational arithmetic.
+    around a right angle; `_decide_borderline` decides the rest.
     """
     pts = tri.points
     if _fastdel.KERNELS is not None:
@@ -160,42 +156,36 @@ def triangle_births(tri: Triangulation) -> np.ndarray:
         births[acute] = _clamped_circumradius(a[acute], b[acute], c[acute],
                                               ab[acute], bc[acute], ca[acute])
 
-    uncertain = _certify_borderline(pts, tri.triangles, borderline, births)
+    redecided = _decide_borderline(pts, tri.triangles, borderline, births)
     log.debug("births: %d borderline triangles certified in bulk, "
-              "%d re-decided one by one", len(borderline) - len(uncertain),
-              len(uncertain))
-    for t in uncertain:
-        i, j, k = (Point2(*pts[v]) for v in tri.triangles[t])
-        if is_acute(i, j, k):
-            d2 = max(
-                (j.x - i.x) ** 2 + (j.y - i.y) ** 2,
-                (k.x - j.x) ** 2 + (k.y - j.y) ** 2,
-                (i.x - k.x) ** 2 + (i.y - k.y) ** 2,
-            )
-            births[t] = max(circumradius(i, j, k), 0.5 * math.sqrt(d2))
-        else:
-            births[t] = 0.0
+              "%d re-decided one by one", len(borderline) - redecided, redecided)
     return births
 
 
-def _certify_borderline(pts: np.ndarray, triangles: np.ndarray,
-                        borderline: np.ndarray, births: np.ndarray) -> np.ndarray:
-    """Decide the borderline triangles whose vertex dot products are exact,
-    writing their births; returns the ids of the others."""
+def _decide_borderline(pts: np.ndarray, triangles: np.ndarray,
+                       borderline: np.ndarray, births: np.ndarray) -> int:
+    """Write the births of the borderline triangles; returns how many of
+    them were re-decided one by one.
+
+    A triangle is acute iff its three vertex dot products are positive.
+    Where `dot_certified` proves all three exact, their signs decide; the
+    other triangles go to `is_acute`, which falls back to rational
+    arithmetic.  One vectorised pass then computes every acute birth.
+    """
     if not len(borderline):
-        return borderline
+        return 0
     a, b, c = (pts[triangles[borderline, j]] for j in range(3))
-    dot_a, exact_a = dot_certified(a, b, c)
-    dot_b, exact_b = dot_certified(b, c, a)
-    dot_c, exact_c = dot_certified(c, a, b)
-    exact = exact_a & exact_b & exact_c
-    acute = exact & (dot_a > 0.0) & (dot_b > 0.0) & (dot_c > 0.0)
-    births[borderline[exact]] = 0.0
-    if acute.any():
-        a, b, c = a[acute], b[acute], c[acute]
-        births[borderline[acute]] = _clamped_circumradius(
-            a, b, c, *_side_lengths_sq(a, b, c))
-    return borderline[~exact]
+    (dot_a, exact_a), (dot_b, exact_b), (dot_c, exact_c) = (
+        dot_certified(a, b, c), dot_certified(b, c, a), dot_certified(c, a, b))
+    acute = (dot_a > 0.0) & (dot_b > 0.0) & (dot_c > 0.0)
+    uncertain = np.flatnonzero(~(exact_a & exact_b & exact_c))
+    for i in uncertain:
+        acute[i] = is_acute(Point2(*a[i]), Point2(*b[i]), Point2(*c[i]))
+    births[borderline] = 0.0
+    a, b, c = a[acute], b[acute], c[acute]
+    births[borderline[acute]] = _clamped_circumradius(a, b, c,
+                                                      *_side_lengths_sq(a, b, c))
+    return len(uncertain)
 
 
 def _side_lengths_sq(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
@@ -207,7 +197,7 @@ def _side_lengths_sq(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
 
 def _clamped_circumradius(a, b, c, ab, bc, ca) -> np.ndarray:
     """max(circumradius, half the longest edge) of each triangle, rounded
-    as the per-triangle loop and the compiled kernel round it."""
+    as the compiled kernel and `predicates.circumradius` round it."""
     cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (
         b[:, 1] - a[:, 1]
     ) * (c[:, 0] - a[:, 0])

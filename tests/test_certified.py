@@ -242,7 +242,8 @@ def tied_clouds(draw):
     keep = rng.random(len(pts)) < draw(st.floats(0.4, 1.0))
     keep[[0, 1, m]] = True
     pts = pts[keep]
-    near = pts[rng.choice(len(pts), draw(st.integers(0, 6)), replace=False)]
+    count = min(draw(st.integers(0, 6)), len(pts))
+    near = pts[rng.choice(len(pts), count, replace=False)]
     rows, axis = np.arange(len(near)), rng.integers(0, 2, len(near))
     if draw(st.booleans()):
         near[rows, axis] = np.nextafter(near[rows, axis], np.inf)

@@ -129,8 +129,8 @@ def morton_argsort(points: np.ndarray) -> np.ndarray:
 def build_triangulation(points: np.ndarray):
     """Triangulate incrementally; returns (triangles, neighbors) in the
     layout of the Qhull path (CCW, lexicographically smallest point first,
-    -1 across hull edges), or None when the kernels are not loaded or a predicate
-    could not be certified in floating point."""
+    -1 across hull edges), or None when the kernels are not loaded or a
+    predicate could not be certified in floating point."""
     n = len(points)
     if KERNELS is None or not 3 <= n <= _MAX_POINTS:
         return None

@@ -8,7 +8,7 @@ merging — emits a (birth, death) pair for the younger region, with birth and
 death swapped into the ascending-offset convention, unless the younger region
 was born at this very scale.  Such zero-persistence pairs are dropped: they are
 the only pairs that the order of equally long edges can change (see
-`edges_sorted_desc`), so the diagram depends on the edge lengths alone.
+`edges_sorted_desc`), so no tie order can change the diagram.
 
 Union is strictly by weight and find_root does no path compression, which
 keeps every parent chain logarithmic in the tree size.

@@ -3,17 +3,17 @@
 ``_kernels.c`` exports one function per layer, each called once: the
 incremental Delaunay builder ``hc_build`` (Bowyer-Watson in Morton order with
 filtered predicates and ghost triangles, compacted in place),
-``hc_edge_table``, ``hc_edge_lengths``, ``hc_births``, the stable
-descending edge sort ``hc_argsort_desc`` and the sweep ``hc_sweep``.  On
-first import it is compiled with the system ``gcc`` into ``__pycache__``
-next to this file, under a name keyed by a hash of the source and the
-flags, so later imports only load it.  When there is no compiler or the
-build fails, ``KERNELS`` is None and every caller takes the Qhull / numpy /
-``DualForest`` reference path instead; the reason is logged at DEBUG level.
+``hc_edge_table``, ``hc_edge_lengths``, ``hc_births`` and the sweep
+``hc_sweep``; the edge sort between them is numpy's.  On first import it is
+compiled with the system ``gcc`` into ``__pycache__`` next to this file,
+under a name keyed by a hash of the source and the flags, so later imports
+only load it.  When there is no compiler or the build fails, ``KERNELS`` is
+None and every caller takes the Qhull / numpy / ``DualForest`` reference
+path instead; the reason is logged at DEBUG level.
 
-Every kernel writes into arrays allocated here, the sort's radix scratch
-included, and allocates only small scratch space itself, which keeps the
-peak memory of a pipeline run within a small constant of its output size.
+Every kernel writes into arrays allocated here and allocates only small
+scratch space itself, which keeps the peak memory of a pipeline run within
+a small constant of its output size.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ _SIGNATURES = {
     "hc_edge_table": (_c_i64, [_c_i64, _I32, _I32, _c_i64, _I32, _I32]),
     "hc_edge_lengths": (None, [_F64, _c_i64, _I32, _F64]),
     "hc_births": (None, [_F64, _c_i64, _I32, _c_f64, _F64]),
-    "hc_argsort_desc": (_c_i64, [_c_i64, _F64, _I32, _I32]),
     "hc_sweep": (_c_i64, [_c_i64, _I32, _I32, _F64, _c_i32, _I32, _I32, _F64,
                           _F64, _p_i64]),
 }
@@ -183,19 +182,6 @@ def triangle_births(points: np.ndarray, triangles: np.ndarray, band: float) -> n
     births = np.empty(len(triangles))
     KERNELS.hc_births(points, len(triangles), triangles, band, births)
     return births
-
-
-def argsort_desc(length_sq: np.ndarray) -> np.ndarray:
-    """Edge ids by squared length descending, ties by ascending id, as
-    int32."""
-    m = len(length_sq)
-    if m >= 2 ** 31:
-        raise ValueError(f"{m} edges do not fit int32 edge ids")
-    order = np.empty(m, dtype=np.int32)
-    scratch = np.empty(m, dtype=np.int32)
-    if KERNELS.hc_argsort_desc(m, length_sq, order, scratch) < 0:
-        raise MemoryError("no scratch memory for the edge sort")
-    return order
 
 
 def sweep(births: np.ndarray, edge_faces: np.ndarray, edge_length_sq: np.ndarray,

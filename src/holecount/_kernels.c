@@ -5,14 +5,11 @@
  *   hc_edge_table   the flat edge table of a compact triangulation
  *   hc_edge_lengths squared length of every edge
  *   hc_births       per-triangle birth scales
- *   hc_argsort_desc edge ids by squared length, descending; a stable sort,
- *                   so ties keep ascending id
  *   hc_sweep        the descending elder-rule union-find sweep
  *
  * Arrays are C-contiguous: points (n, 2) float64, triangles and neighbours
  * (k, 3) int32, edge endpoints and faces (E, 2) int32.  Every kernel writes
- * only into buffers the caller allocated, the sort's radix buffer included,
- * apart from small scratch space.
+ * only into buffers the caller allocated, apart from small scratch space.
  *
  * Build with -ffp-contract=off and without -ffast-math: the births and the
  * edge lengths must round exactly as the numpy fallback in forest.py and
@@ -23,7 +20,6 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 #define STATUS_OK 0
 #define STATUS_UNCERTAIN 1
@@ -508,56 +504,6 @@ void hc_births(const double *pts, int64_t k, const int32_t *tris, double band,
             births[t] = 0.0;
         }
     }
-}
-
-/* Edge ids by squared length, descending, ties by ascending id: a stable
- * LSD radix sort on the bit patterns, which order non-negative doubles.
- * 11-bit digits; a digit on which every key agrees is skipped.  `scratch`
- * holds m entries.  Returns 0, or -1 when the histograms could not be
- * allocated. */
-int64_t hc_argsort_desc(int64_t m, const double *length_sq, int32_t *order,
-                        int32_t *scratch)
-{
-    enum { BITS = 11, PASSES = 6, BUCKETS = 1 << BITS };
-    int64_t *count = calloc((size_t)PASSES * BUCKETS, sizeof *count);
-    if (!count)
-        return -1;
-    for (int64_t e = 0; e < m; e++) {
-        uint64_t key;
-        memcpy(&key, &length_sq[e], sizeof key);
-        key = ~key;
-        for (int d = 0; d < PASSES; d++)
-            count[d * BUCKETS + ((key >> (d * BITS)) & (BUCKETS - 1))]++;
-        order[e] = (int32_t)e;
-    }
-    int32_t *src = order, *dst = scratch;
-    for (int d = 0; d < PASSES; d++) {
-        int64_t *c = count + d * BUCKETS;
-        int trivial = 0;
-        for (int b = 0; b < BUCKETS; b++)
-            trivial |= c[b] == m;
-        if (trivial)
-            continue;
-        int64_t sum = 0;
-        for (int b = 0; b < BUCKETS; b++) {
-            int64_t here = c[b];
-            c[b] = sum;
-            sum += here;
-        }
-        for (int64_t i = 0; i < m; i++) {
-            uint64_t key;
-            memcpy(&key, &length_sq[src[i]], sizeof key);
-            key = ~key;
-            dst[c[(key >> (d * BITS)) & (BUCKETS - 1)]++] = src[i];
-        }
-        int32_t *swap = src;
-        src = dst;
-        dst = swap;
-    }
-    if (src != order)
-        memcpy(order, src, (size_t)m * sizeof *order);
-    free(count);
-    return 0;
 }
 
 /* Descending sweep over edges in the given order, array union-find: union

@@ -28,7 +28,7 @@ from .diagrams import (
 from .forest import hole_persistence_stats
 from .oracles import verify_equivalence
 from .plots import render_plots
-from .samplers import ShapeSpec, load_polyline_csv, sample_shape
+from .samplers import ShapeSpec, sample_shape
 
 
 class CloudFormatError(ValueError):
@@ -110,6 +110,13 @@ def load_cloud_csv(path) -> Cloud:
             f"{path}: need at least 3 points, found {len(points)}"
         )
     return Cloud.from_points(points)
+
+
+def load_polyline_csv(path) -> ShapeSpec:
+    """Read the vertices of a closed polygon shape, in the cloud CSV
+    grammar."""
+    with open(path) as fh:
+        return ShapeSpec.polygon(_read_rows(path, fh, 1, "x,y"))
 
 
 def save_cloud_csv(path, cloud: Cloud, comment: str = "") -> None:
@@ -304,6 +311,8 @@ def _cmd_bench(args) -> int:
     sizes = [10 ** e for e in range(3, 8) if 10 ** e <= args.max_n]
     if not sizes:
         raise CloudFormatError("--max-n must be at least 1000")
+    if args.repeats < 1:
+        raise CloudFormatError("--repeats must be at least 1")
     print(f"{'n':>9} {'triangulate':>12} {'sort':>9} {'sweep':>9} "
           f"{'total':>9} {'t/(n log2 n)':>13} {'peak RSS':>10}")
     for n in sizes:

@@ -172,7 +172,9 @@ def triangulate(cloud: Cloud) -> Triangulation:
 
 
 def edges_sorted_desc(edge_length_sq: np.ndarray) -> np.ndarray:
-    """Edge ids by squared length descending; ties keep ascending id.
+    """Edge ids by squared length descending, as a C-contiguous int32 array
+    that the compiled sweep takes without a copy; ties come out in an
+    unspecified but deterministic order.
 
     Tie order cannot move a pair with death > birth: a gray (non-acute)
     triangle meets at most one edge of a tied run, as two equal longest
@@ -180,6 +182,8 @@ def edges_sorted_desc(edge_length_sq: np.ndarray) -> np.ndarray:
     and the elder rule kills the same births in any order.  Only
     zero-persistence pairs can differ, and the sweep drops those.
     """
-    if _fastdel.KERNELS is not None:
-        return _fastdel.argsort_desc(edge_length_sq)
-    return np.argsort(-edge_length_sq, kind="stable")
+    m = len(edge_length_sq)
+    if m >= 2 ** 31:
+        raise ValueError(f"{m} edges do not fit int32 edge ids")
+    # a reversed ascending sort needs no negated copy of the lengths
+    return np.argsort(edge_length_sq)[::-1].astype(np.int32)

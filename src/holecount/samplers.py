@@ -126,23 +126,6 @@ class ShapeSpec:
         raise ValueError(f"unknown shape kind {kind!r}")
 
 
-def load_polyline_csv(path) -> ShapeSpec:
-    """Read 'x,y' lines ('#' comments allowed) as a closed polygon shape;
-    a malformed line raises ValueError naming the file and the line."""
-    points = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                x, y = map(float, line.split(","))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            points.append((x, y))
-    return ShapeSpec.polygon(points)
-
-
 def _points_at_arclength(spec: ShapeSpec, positions: np.ndarray) -> np.ndarray:
     segs = spec.segments()
     lengths = np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1)
@@ -160,8 +143,12 @@ def sample_shape(spec: ShapeSpec, n: int, noise: float = 0.0,
         raise ValueError("need at least 3 sample points")
     if noise < 0:
         raise ValueError("noise must be nonnegative")
+    with np.errstate(over="ignore"):  # an infinite length is refused below
+        length = spec.total_length()
+    if not 0.0 < length < np.inf:
+        raise ValueError(f"shape length must be finite and positive, got {length}")
     rng = np.random.default_rng(seed)
-    positions = rng.uniform(0.0, spec.total_length(), size=n)
+    positions = rng.uniform(0.0, length, size=n)
     pts = _points_at_arclength(spec, positions)
     if noise > 0:
         radius = noise * np.sqrt(rng.uniform(size=n))

@@ -21,6 +21,7 @@ from holecount.cli import (
     compute_report,
     load_cloud_csv,
     load_pairs_csv,
+    load_polyline_csv,
     pairs_to_csv,
     save_cloud_csv,
 )
@@ -294,8 +295,16 @@ class TestSynthCommand:
                          "--points", "100", "--out", str(out)]) == 0
         assert load_cloud_csv(out).n == 100
 
+    def test_polyline_csv(self, tmp_path):
+        path = tmp_path / "poly.csv"
+        path.write_text("# a triangle\n0,0\n2,0\n1,1\n")
+        spec = load_polyline_csv(path)
+        assert spec.kind == "polygon"
+        assert spec.segments().shape == (3, 2, 2)
+
     @pytest.mark.parametrize("bad_row,reason", [
-        ("2", "not enough values to unpack"), ("x,0", "could not convert"),
+        ("2", "expected 'x,y'"), ("x,0", "non-numeric coordinate"),
+        ("nan,1", "non-finite coordinate"), ("0,inf", "non-finite coordinate"),
     ])
     def test_polygon_bad_row_names_file_and_line(self, tmp_path, capsys,
                                                  bad_row, reason):
@@ -350,6 +359,10 @@ class TestBenchCommand:
 
     def test_max_n_validated(self, capsys):
         assert cli_main(["bench", "--max-n", "10"]) == 1
+
+    def test_repeats_validated(self, capsys):
+        assert cli_main(["bench", "--max-n", "1000", "--repeats", "0"]) == 1
+        assert "--repeats" in capsys.readouterr().err
 
 
 class TestParsing:

@@ -176,16 +176,18 @@ class TestEdgeSort:
         assert orders[0] == orders[1] == orders[2]
 
     @pytest.mark.parametrize("backend", ["kernels", "fallback"])
-    def test_ties_keep_edge_id_order(self, backend, monkeypatch):
+    def test_ties_give_int32_descending_permutation(self, backend, monkeypatch):
         if backend == "fallback":
             monkeypatch.setattr(_fastdel, "KERNELS", None)
         elif _fastdel.KERNELS is None:
             pytest.skip("compiled kernels unavailable (no C compiler)")
-        length_sq = np.array([1.0, 2.0, 1.0, 0.5, 2.0, 1.0, 0.0, 1.0])
-        assert edges_sorted_desc(length_sq).tolist() == [1, 4, 0, 2, 5, 7, 3, 6]
+        few = np.array([1.0, 2.0, 1.0, 0.5, 2.0, 1.0, 0.0, 1.0])
         many = 0.1 * np.random.default_rng(3).integers(0, 50, 5000)
-        assert np.array_equal(edges_sorted_desc(many),
-                              np.argsort(-many, kind="stable"))
+        for length_sq in (few, many):
+            order = edges_sorted_desc(length_sq)
+            assert order.dtype == np.int32 and order.flags.c_contiguous
+            assert np.array_equal(np.sort(order), np.arange(len(length_sq)))
+            assert np.all(np.diff(length_sq[order]) <= 0)
 
     @pytest.mark.parametrize("seed", [2, 8])
     def test_matches_naive_exact_sort(self, seed):

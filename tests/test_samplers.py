@@ -9,7 +9,6 @@ from holecount.forest import hole_persistence
 from holecount.samplers import (
     ShapeSpec,
     epsilon_of_sample,
-    load_polyline_csv,
     sample_shape,
     shape_feature_sizes,
 )
@@ -47,13 +46,6 @@ class TestShapeSpec:
     def test_json_round_trip(self, spec):
         assert ShapeSpec.from_json(spec.to_json()) == spec
 
-    def test_polyline_csv(self, tmp_path):
-        path = tmp_path / "poly.csv"
-        path.write_text("# a triangle\n0,0\n2,0\n1,1\n")
-        spec = load_polyline_csv(path)
-        assert spec.kind == "polygon"
-        assert spec.segments().shape == (3, 2, 2)
-
 
 class TestSampleShape:
     def test_deterministic(self):
@@ -90,6 +82,10 @@ class TestSampleShape:
             sample_shape(ShapeSpec.wheel(3), 2)
         with pytest.raises(ValueError):
             sample_shape(ShapeSpec.wheel(3), 10, noise=-0.1)
+        # a zero length, and one that overflows to inf
+        for points in ([(0, 0), (0, 0)], [(1e308, 0), (-1e308, 0), (0, 1)]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                sample_shape(ShapeSpec.polygon(points), 10)
 
 
 class TestEpsilonOfSample:

@@ -116,7 +116,12 @@ def load_polyline_csv(path) -> ShapeSpec:
     """Read the vertices of a closed polygon shape, in the cloud CSV
     grammar."""
     with open(path) as fh:
-        return ShapeSpec.polygon(_read_rows(path, fh, 1, "x,y"))
+        vertices = _read_rows(path, fh, 1, "x,y")
+    if len(vertices) < 2:
+        raise CloudFormatError(
+            f"{path}: need at least 2 vertices, found {len(vertices)}"
+        )
+    return ShapeSpec.polygon(vertices)
 
 
 def save_cloud_csv(path, cloud: Cloud, comment: str = "") -> None:
@@ -292,19 +297,22 @@ def _cmd_infer(args) -> int:
 
 
 def _measure_child_memory(n: int, seed: int) -> int:
-    """Peak RSS in bytes of a fresh interpreter running one pipeline pass."""
+    """Peak RSS in bytes of a fresh interpreter running one pipeline pass.
+
+    The child reads its own VmHWM, which starts afresh at exec; Linux
+    carries the parent's peak into the child's ru_maxrss."""
     code = (
-        "import resource, sys\n"
         "import numpy as np\n"
         "from holecount import Cloud, hole_persistence\n"
         f"pts = np.random.default_rng({seed}).uniform(0, 1, ({n}, 2))\n"
         "hole_persistence(Cloud.from_points(pts))\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('VmHWM:')))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    return int(out.stdout.strip()) * 1024  # ru_maxrss is in KiB on Linux
+    return int(out.stdout.strip()) * 1024  # VmHWM is in kB
 
 
 def _cmd_bench(args) -> int:

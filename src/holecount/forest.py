@@ -32,7 +32,7 @@ import numpy as np
 from . import _fastdel
 from .delaunay import Cloud, Triangulation, edges_sorted_desc, triangulate
 from .diagrams import Diagram
-from .predicates import Point2, dot_certified, is_acute
+from .predicates import acute_exact, dot_certified
 
 log = logging.getLogger(__name__)
 
@@ -158,19 +158,19 @@ def triangle_births(tri: Triangulation) -> np.ndarray:
 
     redecided = _decide_borderline(pts, tri.triangles, borderline, births)
     log.debug("births: %d borderline triangles certified in bulk, "
-              "%d re-decided one by one", len(borderline) - redecided, redecided)
+              "%d re-decided exactly", len(borderline) - redecided, redecided)
     return births
 
 
 def _decide_borderline(pts: np.ndarray, triangles: np.ndarray,
                        borderline: np.ndarray, births: np.ndarray) -> int:
     """Write the births of the borderline triangles; returns how many of
-    them were re-decided one by one.
+    them were re-decided exactly.
 
     A triangle is acute iff its three vertex dot products are positive.
     Where `dot_certified` proves all three exact, their signs decide; the
-    other triangles go to `is_acute`, which falls back to rational
-    arithmetic.  One vectorised pass then computes every acute birth.
+    other triangles go to `acute_exact`.  One vectorised pass then computes
+    every acute birth.
     """
     if not len(borderline):
         return 0
@@ -179,8 +179,7 @@ def _decide_borderline(pts: np.ndarray, triangles: np.ndarray,
         dot_certified(a, b, c), dot_certified(b, c, a), dot_certified(c, a, b))
     acute = (dot_a > 0.0) & (dot_b > 0.0) & (dot_c > 0.0)
     uncertain = np.flatnonzero(~(exact_a & exact_b & exact_c))
-    for i in uncertain:
-        acute[i] = is_acute(Point2(*a[i]), Point2(*b[i]), Point2(*c[i]))
+    acute[uncertain] = acute_exact(a[uncertain], b[uncertain], c[uncertain])
     births[borderline] = 0.0
     a, b, c = a[acute], b[acute], c[acute]
     births[borderline[acute]] = _clamped_circumradius(a, b, c,
@@ -197,7 +196,7 @@ def _side_lengths_sq(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
 
 def _clamped_circumradius(a, b, c, ab, bc, ca) -> np.ndarray:
     """max(circumradius, half the longest edge) of each triangle, rounded
-    as the compiled kernel and `predicates.circumradius` round it."""
+    as the compiled kernel rounds it."""
     cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (
         b[:, 1] - a[:, 1]
     ) * (c[:, 0] - a[:, 0])

@@ -1,18 +1,22 @@
 """Independent ground-truth computations used to verify the fast sweep.
 
-Two routes that share only the triangulation:
+Two routes:
   * explicit filtration of the Delaunay complex reduced over Z/2 with the
-    textbook column algorithm (columns as integer bitsets), and
+    textbook column algorithm (columns as integer bitsets), which reads the
+    pipeline's triangulation and its `triangle_births`, so it checks the
+    sort and the sweep; and
   * rasterization of the union of disks with a flood fill of the complement.
 
 Plus the dense bottleneck distance, the reference for the sparse one in
-`diagrams`.
+`diagrams`, and exact orientation and in-circle tests in plain `Fraction`
+arithmetic, which share no code with the pipeline's predicates.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage
@@ -23,6 +27,28 @@ from scipy.spatial import cKDTree
 from .delaunay import Cloud, triangulate
 from .diagrams import Diagram, staircase
 from .forest import hole_persistence, triangle_births
+
+
+def orient_exact(a, b, c) -> int:
+    """Sign of the cross product (b - a) x (c - a) of three (x, y) points:
+    +1 counter-clockwise, -1 clockwise, 0 collinear."""
+    (ax, ay), (bx, by), (cx, cy) = ([Fraction(float(v)) for v in p] for p in (a, b, c))
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
+
+
+def incircle_exact(a, b, c, d) -> int:
+    """+1 if d lies strictly inside the circle through a, b and c, 0 on it,
+    -1 outside; a, b and c may come in either orientation.  Raises
+    ValueError when they are collinear."""
+    orient = orient_exact(a, b, c)
+    if orient == 0:
+        raise ValueError("collinear points define no circumcircle")
+    dx, dy = (Fraction(float(v)) for v in d)
+    rows = [(Fraction(float(x)) - dx, Fraction(float(y)) - dy) for x, y in (a, b, c)]
+    (ax, ay, al), (bx, by, bl), (cx, cy, cl) = ((x, y, x * x + y * y) for x, y in rows)
+    det = al * (bx * cy - by * cx) - bl * (ax * cy - ay * cx) + cl * (ax * by - ay * bx)
+    return orient * ((det > 0) - (det < 0))
 
 
 class ResolutionWarning(UserWarning):

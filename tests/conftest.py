@@ -1,4 +1,8 @@
-"""Shared fixtures: small analytic clouds with known persistence."""
+"""Shared fixtures: small analytic clouds with known persistence, and the
+per-triangle references that births are checked against."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,3 +40,22 @@ def figure_eight():
 def random_cloud(seed, n, span=1.0):
     rng = np.random.default_rng(seed)
     return Cloud.from_points(span * rng.random((n, 2)))
+
+
+def fraction_acute(p, q, r):
+    """Strict acuteness of one triangle, decided in Fraction: the longest
+    squared side is less than the sum of the other two."""
+    def sq(u, v):
+        return (Fraction(v[0]) - Fraction(u[0])) ** 2 + (Fraction(v[1]) - Fraction(u[1])) ** 2
+
+    sides = sq(p, q), sq(q, r), sq(r, p)
+    return 2 * max(sides) < sum(sides)
+
+
+def float_circumradius(p, q, r):
+    """|pq|*|qr|*|rp| / (4*area) in floats, rounded as the pipeline rounds it."""
+    ab = (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
+    bc = (r[0] - q[0]) ** 2 + (r[1] - q[1]) ** 2
+    ca = (p[0] - r[0]) ** 2 + (p[1] - r[1]) ** 2
+    area2 = abs((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
+    return math.sqrt(ab * bc * ca) / (2.0 * area2)

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from holecount import Diagram, _fastdel, hole_persistence
 from holecount.delaunay import Cloud, Triangulation, edges_sorted_desc, triangulate
 from holecount.forest import sweep_pairs, triangle_births
-from holecount.predicates import Point2, circumradius, is_acute
+
+from conftest import float_circumradius, fraction_acute
 
 ACUTE_BAND = 1e-12
 
@@ -34,6 +35,19 @@ def backend(request, monkeypatch):
     else:
         monkeypatch.setattr(_fastdel, "KERNELS", None)
     return request.param
+
+
+def borderline(tri):
+    """Triangles within the relative band around a right angle that the
+    float pass leaves to the exact tiers."""
+    pts = tri.points
+    a, b, c = (pts[tri.triangles[:, j]] for j in range(3))
+    ab = ((b - a) ** 2).sum(axis=1)
+    bc = ((c - b) ** 2).sum(axis=1)
+    ca = ((a - c) ** 2).sum(axis=1)
+    total = ab + bc + ca
+    gap = total - 2.0 * np.maximum(ab, np.maximum(bc, ca))
+    return np.flatnonzero(np.abs(gap) <= ACUTE_BAND * total)
 
 
 def reference_births(tri):
@@ -56,15 +70,15 @@ def reference_births(tri):
         radius = np.maximum(np.sqrt(ab * bc * ca) / (2.0 * np.abs(cross)),
                             0.5 * np.sqrt(longest))
     births[acute] = radius[acute]
-    for t in np.flatnonzero(np.abs(gap) <= ACUTE_BAND * total):
-        i, j, k = (Point2(*pts[v]) for v in tri.triangles[t])
-        if is_acute(i, j, k):
+    for t in borderline(tri):
+        i, j, k = (tuple(pts[v].tolist()) for v in tri.triangles[t])
+        if fraction_acute(i, j, k):
             d2 = max(
-                (j.x - i.x) ** 2 + (j.y - i.y) ** 2,
-                (k.x - j.x) ** 2 + (k.y - j.y) ** 2,
-                (i.x - k.x) ** 2 + (i.y - k.y) ** 2,
+                (j[0] - i[0]) ** 2 + (j[1] - i[1]) ** 2,
+                (k[0] - j[0]) ** 2 + (k[1] - j[1]) ** 2,
+                (i[0] - k[0]) ** 2 + (i[1] - k[1]) ** 2,
             )
-            births[t] = max(circumradius(i, j, k), 0.5 * math.sqrt(d2))
+            births[t] = max(float_circumradius(i, j, k), 0.5 * math.sqrt(d2))
         else:
             births[t] = 0.0
     return births
@@ -91,7 +105,7 @@ def reference_order(tri):
 
 
 def fallback_counts(caplog):
-    """Triangles re-decided one by one, summed over the DEBUG counter lines
+    """Triangles re-decided exactly, summed over the DEBUG counter lines
     logged so far."""
     return sum(r.args[1] for r in caplog.records if r.name == "holecount.forest")
 
@@ -183,6 +197,16 @@ def test_tenth_lattice_falls_back(backend, caplog):
     tri = triangulate(Cloud.from_points(0.1 * lattice(7, seed=4)))
     assert_matches_reference(tri)
     assert fallback_counts(caplog) > 0
+
+
+def test_decimal_lattice_decided_exactly(backend, caplog):
+    # spacing 0.05: no coordinate difference is certified, so every
+    # borderline triangle goes to the exact pass
+    caplog.set_level(logging.DEBUG)
+    pts = np.stack(np.meshgrid(np.arange(30), np.arange(30)), axis=-1).reshape(-1, 2) * 0.05
+    tri = triangulate(Cloud.from_points(pts))
+    assert triangle_births(tri).tobytes() == reference_births(tri).tobytes()
+    assert fallback_counts(caplog) == len(borderline(tri)) > 0
 
 
 def test_lattice_20_needs_no_fraction(caplog):

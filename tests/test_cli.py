@@ -15,6 +15,7 @@ from holecount import Cloud
 from holecount.cli import (
     CloudFormatError,
     RunReport,
+    _measure_child_memory,
     _parse_rows,
     _read_rows,
     cli_main,
@@ -315,6 +316,16 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert f"{poly}:3:" in err and reason in err
 
+    @pytest.mark.parametrize("text,found", [("# no vertices\n\n", 0), ("0,0\n", 1)],
+                             ids=["comments-only", "one-row"])
+    def test_polygon_too_few_vertices_names_file(self, tmp_path, capsys, text, found):
+        poly = tmp_path / "poly.csv"
+        poly.write_text(text)
+        assert cli_main(["synth", "polygon", "--poly", str(poly), "--points",
+                         "100", "--out", str(tmp_path / "p.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{poly}: need at least 2 vertices, found {found}" in err
+
     def test_wheel_without_spokes_exit_1(self, tmp_path, capsys):
         assert cli_main(["synth", "wheel", "--points", "100",
                          "--out", str(tmp_path / "w.csv")]) == 1
@@ -359,6 +370,14 @@ class TestBenchCommand:
 
     def test_max_n_validated(self, capsys):
         assert cli_main(["bench", "--max-n", "10"]) == 1
+
+    def test_child_memory_is_the_childs_own(self):
+        # a peak of the calling process must not show in the child's figure
+        ballast = np.ones(300 * 2 ** 20 // 8)
+        try:
+            assert _measure_child_memory(1000, seed=0) < 150 * 2 ** 20
+        finally:
+            del ballast
 
     def test_repeats_validated(self, capsys):
         assert cli_main(["bench", "--max-n", "1000", "--repeats", "0"]) == 1

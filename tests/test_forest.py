@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holecount import _fastdel
 from holecount.delaunay import Cloud, edges_sorted_desc, triangulate
@@ -22,9 +24,8 @@ from holecount.forest import (
     sweep_pairs,
     triangle_births,
 )
-from holecount.predicates import Point2, circumradius, is_acute
 
-from conftest import random_cloud
+from conftest import float_circumradius, fraction_acute, random_cloud
 
 
 class TestTriangleBirths:
@@ -49,11 +50,42 @@ class TestTriangleBirths:
         tri = triangulate(cloud)
         births = triangle_births(tri)
         for t, verts in enumerate(tri.triangles):
-            a, b, c = (Point2(*tri.points[v]) for v in verts)
-            if is_acute(a, b, c):
-                assert births[t] == pytest.approx(circumradius(a, b, c), rel=1e-12)
+            a, b, c = (tri.points[v].tolist() for v in verts)
+            if fraction_acute(a, b, c):
+                assert births[t] == pytest.approx(float_circumradius(a, b, c), rel=1e-12)
             else:
                 assert births[t] == 0.0
+
+    def test_near_right_birth_is_circumradius(self):
+        # 3-4-5 with the right-angle corner pulled outward: acute, and its
+        # circumradius lies just above 2.5
+        births = triangle_births(triangulate(Cloud.from_points([(-1e-6, -1e-6), (3, 0), (0, 4)])))
+        assert births.tolist() == [pytest.approx(2.5, abs=1e-5)]
+        assert births[0] > 2.5
+
+    def test_tall_isoceles_against_circumcenter_solve(self):
+        a, b, c = (0.0, 0.0), (2.0, 0.0), (1.0, 10.0)
+        # independent oracle: intersect the perpendicular bisectors
+        mat = 2.0 * np.array([[b[0] - a[0], b[1] - a[1]], [c[0] - a[0], c[1] - a[1]]])
+        rhs = np.array([b[0] ** 2 + b[1] ** 2 - a[0] ** 2 - a[1] ** 2,
+                        c[0] ** 2 + c[1] ** 2 - a[0] ** 2 - a[1] ** 2])
+        center = np.linalg.solve(mat, rhs)
+        expected = math.hypot(center[0] - a[0], center[1] - a[1])
+        births = triangle_births(triangulate(Cloud.from_points([a, b, c])))
+        assert births[0] == pytest.approx(expected, rel=1e-12)
+
+    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+                    min_size=3, max_size=3, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_acute_birth_at_least_half_longest_side(self, pts):
+        a, b, c = pts
+        if (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0]):
+            return
+        births = triangle_births(triangulate(Cloud.from_points(pts)))
+        longest = max((q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
+                      for p, q in ((a, b), (b, c), (c, a)))
+        assert (births[0] > 0) == fraction_acute(a, b, c)
+        assert births[0] == 0 or births[0] >= 0.5 * math.sqrt(longest)
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_birth_at_least_half_longest_edge(self, seed):

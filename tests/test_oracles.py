@@ -1,13 +1,15 @@
 """The two independent verification routes: filtration reduction and the
 disk-union raster, plus the cross-checking report."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from holecount import Cloud
+from holecount import Cloud, oracles
 from holecount.diagrams import staircase
 from holecount.forest import hole_persistence
 from holecount.oracles import (
@@ -125,3 +127,18 @@ class TestVerifyEquivalence:
         report = verify_equivalence(random_cloud(2, 25), raster_alphas=3)
         assert report.raster_checks  # at least one scale was checkable
         assert report.raster_ok
+
+
+def test_oracles_import_nothing_from_predicates():
+    # the oracle's exact orientation and in-circle tests must stay
+    # independent of the pipeline's predicates
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+            imported.add(module)
+    assert not {m for m in imported if "predicates" in m.split(".")}

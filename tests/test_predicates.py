@@ -1,4 +1,6 @@
-"""Exactness and analytic values of the geometric sign predicates."""
+"""Exactness of the geometric sign decisions: the pipeline's acuteness
+tiers (`dot_certified`, `acute_exact`) and the oracle's own `Fraction`
+orientation and in-circle tests."""
 
 import math
 from fractions import Fraction
@@ -8,91 +10,73 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holecount.predicates import (
-    CircleSide,
-    DegenerateTriangleError,
-    Orientation,
-    Point2,
-    circumradius,
-    dot_certified,
-    in_circumcircle,
-    is_acute,
-    orient2d,
-    orient2d_sign,
-)
+from holecount.oracles import incircle_exact, orient_exact
+from holecount.predicates import acute_exact, dot_certified
 
-
-def P(x, y):
-    return Point2(float(x), float(y))
+from conftest import fraction_acute
 
 
 class TestOrient2d:
     def test_ccw(self):
-        assert orient2d(P(0, 0), P(1, 0), P(0, 1)) is Orientation.CCW
+        assert orient_exact((0, 0), (1, 0), (0, 1)) == 1
 
     def test_collinear(self):
-        assert orient2d(P(0, 0), P(1, 1), P(2, 2)) is Orientation.COLLINEAR
+        assert orient_exact((0, 0), (1, 1), (2, 2)) == 0
 
     def test_cw(self):
-        assert orient2d(P(0, 0), P(0, 1), P(1, 0)) is Orientation.CW
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            Point2(math.nan, 0.0)
-        with pytest.raises(ValueError):
-            Point2(0.0, math.inf)
+        assert orient_exact((0, 0), (0, 1), (1, 0)) == -1
 
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
            st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
     def test_antisymmetric_under_swaps(self, ax, ay, bx, by, cx, cy):
-        a, b, c = P(ax, ay), P(bx, by), P(cx, cy)
-        s = orient2d_sign(a.x, a.y, b.x, b.y, c.x, c.y)
-        assert orient2d_sign(b.x, b.y, a.x, a.y, c.x, c.y) == -s
-        assert orient2d_sign(a.x, a.y, c.x, c.y, b.x, b.y) == -s
+        a, b, c = (ax, ay), (bx, by), (cx, cy)
+        s = orient_exact(a, b, c)
+        assert orient_exact(b, a, c) == -s
+        assert orient_exact(a, c, b) == -s
 
 
 class TestInCircumcircle:
     # Circle through the unit right triangle: center (0.5, 0.5), radius
     # sqrt(2)/2, so (1, 1) lies exactly on it.
-    A, B, C = P(0, 0), P(1, 0), P(0, 1)
+    A, B, C = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)
 
     def test_inside(self):
-        assert in_circumcircle(self.A, self.B, self.C, P(0.25, 0.25)) is CircleSide.INSIDE
+        assert incircle_exact(self.A, self.B, self.C, (0.25, 0.25)) == 1
 
     def test_on(self):
-        assert in_circumcircle(self.A, self.B, self.C, P(1, 1)) is CircleSide.ON
+        assert incircle_exact(self.A, self.B, self.C, (1, 1)) == 0
 
     def test_outside(self):
-        assert in_circumcircle(self.A, self.B, self.C, P(2, 2)) is CircleSide.OUTSIDE
+        assert incircle_exact(self.A, self.B, self.C, (2, 2)) == -1
 
     def test_cyclic_invariance(self):
-        d = P(0.3, 0.7)
-        r = in_circumcircle(self.A, self.B, self.C, d)
-        assert in_circumcircle(self.B, self.C, self.A, d) is r
-        assert in_circumcircle(self.C, self.A, self.B, d) is r
+        d = (0.3, 0.7)
+        r = incircle_exact(self.A, self.B, self.C, d)
+        assert incircle_exact(self.B, self.C, self.A, d) == r
+        assert incircle_exact(self.C, self.A, self.B, d) == r
 
     def test_cw_input_normalized(self):
-        assert in_circumcircle(self.A, self.C, self.B, P(0.25, 0.25)) is CircleSide.INSIDE
+        assert incircle_exact(self.A, self.C, self.B, (0.25, 0.25)) == 1
 
     def test_collinear_raises(self):
-        with pytest.raises(DegenerateTriangleError):
-            in_circumcircle(P(0, 0), P(1, 1), P(2, 2), P(0, 1))
+        with pytest.raises(ValueError):
+            incircle_exact((0, 0), (1, 1), (2, 2), (0, 1))
 
 
 def _exact_incircle_side(a, b, c, d):
-    """Rational-arithmetic classification used as the exactness oracle."""
+    """Rational in-circle sign written out here, independent of the oracle."""
 
     def row(p):
-        x, y = Fraction(p.x) - Fraction(d.x), Fraction(p.y) - Fraction(d.y)
+        x, y = Fraction(p[0]) - Fraction(d[0]), Fraction(p[1]) - Fraction(d[1])
         return x, y, x * x + y * y
 
     ax, ay, al = row(a)
     bx, by, bl = row(b)
     cx, cy, cl = row(c)
     det = al * (bx * cy - by * cx) - bl * (ax * cy - ay * cx) + cl * (ax * by - ay * bx)
-    orient = (Fraction(b.x) - Fraction(a.x)) * (Fraction(c.y) - Fraction(a.y)) - (
-        Fraction(b.y) - Fraction(a.y)
-    ) * (Fraction(c.x) - Fraction(a.x))
+    orient = (Fraction(b[0]) - Fraction(a[0])) * (Fraction(c[1]) - Fraction(a[1])) - (
+        Fraction(b[1]) - Fraction(a[1])
+    ) * (Fraction(c[0]) - Fraction(a[0]))
     if orient < 0:
         det = -det
     return (det > 0) - (det < 0)
@@ -100,9 +84,8 @@ def _exact_incircle_side(a, b, c, d):
 
 class TestNearDegenerateExactness:
     def test_perturbed_cocircular_signs_match_rational(self):
-        # Quadruples nudged off a common circle by ~1e-15: the float
-        # determinant is far below its error bound, so every answer goes
-        # through the exact branch and must agree with plain rationals.
+        # Quadruples nudged off a common circle by ~1e-15, far inside the
+        # rounding error of a float determinant.
         rng = np.random.default_rng(42)
         trials = 2000
         for _ in range(trials):
@@ -110,79 +93,42 @@ class TestNearDegenerateExactness:
             radius = rng.uniform(0.5, 2.0)
             base = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
             base += 1e-15 * rng.standard_normal((4, 2))
-            a, b, c, d = (P(x, y) for x, y in base)
-            if orient2d_sign(a.x, a.y, b.x, b.y, c.x, c.y) == 0:
+            a, b, c, d = (tuple(map(float, p)) for p in base)
+            if orient_exact(a, b, c) == 0:
                 continue
-            got = in_circumcircle(a, b, c, d)
-            assert got.value == _exact_incircle_side(a, b, c, d)
+            assert incircle_exact(a, b, c, d) == _exact_incircle_side(a, b, c, d)
 
     def test_tiny_offsets_from_a_line(self):
         for k in range(-40, 41):
             cy = 2.0 + k * 1e-16  # may round back to exactly 2.0
             expected = (cy > 2.0) - (cy < 2.0)
-            assert orient2d_sign(0.0, 0.0, 1.0, 1.0, 2.0, cy) == expected
+            assert orient_exact((0.0, 0.0), (1.0, 1.0), (2.0, cy)) == expected
 
 
-class TestCircumradius:
-    def test_equilateral_side_2(self):
-        r = circumradius(P(0, 0), P(2, 0), P(1, math.sqrt(3.0)))
-        assert r == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
-
-    def test_right_triangle_3_4_5(self):
-        assert circumradius(P(0, 0), P(3, 0), P(0, 4)) == pytest.approx(2.5, abs=1e-12)
-
-    def test_tall_isoceles_against_circumcenter_solve(self):
-        a, b, c = P(0, 0), P(2, 0), P(1, 10)
-        # independent oracle: intersect the perpendicular bisectors
-        mat = np.array([
-            [2.0 * (b.x - a.x), 2.0 * (b.y - a.y)],
-            [2.0 * (c.x - a.x), 2.0 * (c.y - a.y)],
-        ])
-        rhs = np.array([
-            b.x ** 2 + b.y ** 2 - a.x ** 2 - a.y ** 2,
-            c.x ** 2 + c.y ** 2 - a.x ** 2 - a.y ** 2,
-        ])
-        center = np.linalg.solve(mat, rhs)
-        expected = math.hypot(center[0] - a.x, center[1] - a.y)
-        assert circumradius(a, b, c) == pytest.approx(expected, rel=1e-12)
-
-    def test_collinear_raises(self):
-        with pytest.raises(DegenerateTriangleError):
-            circumradius(P(0, 0), P(1, 1), P(2, 2))
-
-    @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20),
-           st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
-    @settings(max_examples=200)
-    def test_at_least_half_longest_side(self, ax, ay, bx, by, cx, cy):
-        a, b, c = P(ax, ay), P(bx, by), P(cx, cy)
-        if orient2d_sign(a.x, a.y, b.x, b.y, c.x, c.y) == 0:
-            return
-        longest = math.sqrt(max(
-            (b.x - a.x) ** 2 + (b.y - a.y) ** 2,
-            (c.x - b.x) ** 2 + (c.y - b.y) ** 2,
-            (a.x - c.x) ** 2 + (a.y - c.y) ** 2,
-        ))
-        assert circumradius(a, b, c) >= 0.5 * longest * (1.0 - 1e-12)
+def acute(*vertices):
+    """`acute_exact` on one triangle."""
+    a, b, c = (np.array([p], dtype=np.float64) for p in vertices)
+    return bool(acute_exact(a, b, c)[0])
 
 
 class TestIsAcute:
     def test_equilateral(self):
-        assert is_acute(P(0, 0), P(2, 0), P(1, math.sqrt(3.0)))
+        assert acute((0, 0), (2, 0), (1, math.sqrt(3.0)))
 
     def test_right_triangle_is_not_acute(self):
-        assert not is_acute(P(0, 0), P(3, 0), P(0, 4))
+        assert not acute((0, 0), (3, 0), (0, 4))
 
     def test_obtuse(self):
-        assert not is_acute(P(0, 0), P(4, 0), P(1, 0.5))
+        assert not acute((0, 0), (4, 0), (1, 0.5))
 
     def test_exact_on_nearly_right(self):
         # legs 1, 1 and a hypotenuse vertex displaced by one ulp
-        assert not is_acute(P(0, 0), P(1, 0), P(0, 1))
-        assert is_acute(P(0, 0), P(1, 0), P(0.5, 0.5000000000000002))
+        assert not acute((0, 0), (1, 0), (0, 1))
+        assert acute((0, 0), (1, 0), (0.5, 0.5000000000000002))
 
-    def test_collinear_raises(self):
-        with pytest.raises(DegenerateTriangleError):
-            is_acute(P(0, 0), P(1, 0), P(2, 0))
+    def test_collinear_is_not_acute(self):
+        assert not acute((0, 0), (1, 0), (2, 0))
+        assert not acute((0, 0), (1, 1), (0, 0))
 
 
 def _exact_dot(a, b, c):
@@ -233,3 +179,46 @@ class TestDotCertified:
         b = np.array([[2.0 ** -481, 0.0], [2.0 ** 481, 0.0],
                       [2.0 ** -480, 0.0], [2.0 ** 480, 0.0]])
         assert dot_certified(a, b, b)[1].tolist() == [False, False, True, True]
+
+
+decimal = st.builds(lambda i, d: i / 10 ** d, st.integers(-10 ** 6, 10 ** 6), st.integers(0, 3))
+
+
+@st.composite
+def triangles(draw):
+    """(kind, row): a row a, b, c of decimal or dyadic coordinates, scaled
+    by 2**k.  "right" rows have a right angle at a, exact on the dyadic
+    grid and then maybe one coordinate moved by one ulp, or rounded on a
+    decimal grid; "collinear" rows are exactly collinear."""
+    kind = draw(st.sampled_from(["free", "right", "collinear"]))
+    if kind == "free":
+        row = np.array([draw(st.one_of(dyadic, decimal)) for _ in range(6)])
+    else:
+        small = st.integers(-2 ** 20, 2 ** 20)
+        ax, ay, px, py = (draw(small) for _ in range(4))
+        t = draw(st.sampled_from([-1, 2, 3]))
+        if kind == "right":
+            ints = [ax, ay, ax + px, ay + py, ax - t * py, ay + t * px]
+        else:
+            ints = [ax, ay, ax + px, ay + py, ax + t * px, ay + t * py]
+        row = np.ldexp(np.array(ints, dtype=np.float64), draw(st.integers(-40, 40)))
+        if kind == "right" and draw(st.booleans()):
+            row = np.array(ints) * draw(st.sampled_from([0.1, 0.05, 0.001]))
+        elif kind == "right":
+            i = draw(st.integers(0, 5))
+            row[i] = np.nextafter(row[i], draw(st.sampled_from([-np.inf, np.inf, row[i]])))
+    return kind, np.ldexp(row, draw(st.integers(-300, 300)))
+
+
+class TestAcuteExact:
+    @given(st.lists(triangles(), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, rows):
+        arr = np.array([row for _, row in rows])
+        a, b, c = arr[:, 0:2], arr[:, 2:4], arr[:, 4:6]
+        got = acute_exact(a, b, c)
+        assert got.dtype == bool and got.shape == (len(rows),)
+        for i, (kind, _) in enumerate(rows):
+            assert got[i] == fraction_acute(a[i], b[i], c[i])
+            if kind == "collinear":
+                assert not got[i]

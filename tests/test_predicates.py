@@ -1,6 +1,7 @@
 """Exactness of the geometric sign decisions: the pipeline's acuteness
 tiers (`dot_certified`, `acute_exact`) and the oracle's own `Fraction`
-orientation and in-circle tests."""
+orientation and in-circle tests, plus the float circumradius that the
+birth tests compare against."""
 
 import math
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from holecount.oracles import incircle_exact, orient_exact
 from holecount.predicates import acute_exact, dot_certified
 
-from conftest import fraction_acute
+from conftest import float_circumradius, fraction_acute
 
 
 class TestOrient2d:
@@ -129,6 +130,16 @@ class TestIsAcute:
     def test_collinear_is_not_acute(self):
         assert not acute((0, 0), (1, 0), (2, 0))
         assert not acute((0, 0), (1, 1), (0, 0))
+
+
+class TestCircumradius:
+    def test_equilateral_side_2(self):
+        # the reference that triangle births are checked against, in every
+        # vertex order
+        tri = [(0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3.0))]
+        for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)):
+            r = float_circumradius(*(tri[i] for i in order))
+            assert r == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
 
 
 def _exact_dot(a, b, c):

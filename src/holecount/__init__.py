@@ -3,6 +3,7 @@
 from .delaunay import (
     AllCollinearError,
     Cloud,
+    DroppedPointsWarning,
     DuplicatePointsWarning,
     TooFewPointsError,
 )

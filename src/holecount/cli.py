@@ -11,6 +11,7 @@ import argparse
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import dataclass, field
@@ -299,8 +300,9 @@ def _cmd_infer(args) -> int:
 def _measure_child_memory(n: int, seed: int) -> int:
     """Peak RSS in bytes of a fresh interpreter running one pipeline pass.
 
-    The child reads its own VmHWM, which starts afresh at exec; Linux
-    carries the parent's peak into the child's ru_maxrss."""
+    The child imports this holecount, whatever the caller's PYTHONPATH, and
+    reads its own VmHWM, which starts afresh at exec; Linux carries the
+    parent's peak into the child's ru_maxrss."""
     code = (
         "import numpy as np\n"
         "from holecount import Cloud, hole_persistence\n"
@@ -309,9 +311,10 @@ def _measure_child_memory(n: int, seed: int) -> int:
         "print(next(line.split()[1] for line in open('/proc/self/status')\n"
         "           if line.startswith('VmHWM:')))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
+    path = [str(Path(__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
     return int(out.stdout.strip()) * 1024  # VmHWM is in kB
 
 

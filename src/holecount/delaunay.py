@@ -35,6 +35,10 @@ class DuplicatePointsWarning(UserWarning):
     """Duplicate input points were removed before triangulating."""
 
 
+class DroppedPointsWarning(UserWarning):
+    """Qhull left some input points out of the triangulation."""
+
+
 @dataclass(frozen=True)
 class Cloud:
     """An ordered sequence of distinct 2D points."""
@@ -100,6 +104,9 @@ def _qhull_triangles(pts: np.ndarray):
         raise AllCollinearError("points are collinear or otherwise degenerate") from exc
     if dt.simplices.shape[0] == 0:
         raise AllCollinearError("points are collinear: empty triangulation")
+    if len(dt.coplanar):
+        warnings.warn(f"Qhull left {len(dt.coplanar)} of {len(pts)} points out "
+                      "of the triangulation", DroppedPointsWarning, stacklevel=3)
 
     tris = dt.simplices.astype(np.int32, copy=True)
     neigh = dt.neighbors.astype(np.int32, copy=True)

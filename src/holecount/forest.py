@@ -32,7 +32,6 @@ import numpy as np
 from . import _fastdel
 from .delaunay import Cloud, Triangulation, edges_sorted_desc, triangulate
 from .diagrams import Diagram
-from .predicates import acute_exact, dot_certified
 
 log = logging.getLogger(__name__)
 
@@ -156,35 +155,65 @@ def triangle_births(tri: Triangulation) -> np.ndarray:
         births[acute] = _clamped_circumradius(a[acute], b[acute], c[acute],
                                               ab[acute], bc[acute], ca[acute])
 
-    redecided = _decide_borderline(pts, tri.triangles, borderline, births)
-    log.debug("births: %d borderline triangles certified in bulk, "
-              "%d re-decided exactly", len(borderline) - redecided, redecided)
+    wide = _decide_borderline(pts, tri.triangles, borderline, births)
+    log.debug("births: %d borderline triangles decided in int64, "
+              "%d in Python ints", len(borderline) - wide, wide)
     return births
 
 
 def _decide_borderline(pts: np.ndarray, triangles: np.ndarray,
                        borderline: np.ndarray, births: np.ndarray) -> int:
-    """Write the births of the borderline triangles; returns how many of
-    them were re-decided exactly.
-
-    A triangle is acute iff its three vertex dot products are positive.
-    Where `dot_certified` proves all three exact, their signs decide; the
-    other triangles go to `acute_exact`.  One vectorised pass then computes
-    every acute birth.
-    """
+    """Write the births of the borderline triangles, decided by
+    `acute_exact` and computed in one vectorised pass; returns how many of
+    them were decided in Python ints."""
     if not len(borderline):
         return 0
     a, b, c = (pts[triangles[borderline, j]] for j in range(3))
-    (dot_a, exact_a), (dot_b, exact_b), (dot_c, exact_c) = (
-        dot_certified(a, b, c), dot_certified(b, c, a), dot_certified(c, a, b))
-    acute = (dot_a > 0.0) & (dot_b > 0.0) & (dot_c > 0.0)
-    uncertain = np.flatnonzero(~(exact_a & exact_b & exact_c))
-    acute[uncertain] = acute_exact(a[uncertain], b[uncertain], c[uncertain])
+    acute, wide = acute_exact(a, b, c)
     births[borderline] = 0.0
     a, b, c = a[acute], b[acute], c[acute]
     births[borderline[acute]] = _clamped_circumradius(a, b, c,
                                                       *_side_lengths_sq(a, b, c))
-    return len(uncertain)
+    return wide
+
+
+def acute_exact(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """(acute, wide) for the rows of the (n, 2) vertex arrays a, b and c:
+    True where a row forms a strictly acute triangle, decided exactly, and
+    the number of rows decided in Python ints.
+
+    Each row is written as integers times one power of two.  Where its six
+    doubles scaled by 2**(30 - E), E the `np.frexp` exponent of its largest
+    magnitude, are integers that scale back exactly, they lie below 2**30
+    and the dot products fit int64.  Any other row takes each 53-bit
+    mantissa as a Python int, shifted left by its exponent above the
+    smallest one of its row.  A row is acute iff its three vertex dot
+    products are positive, so a right or collinear row is not.
+    """
+    rows = np.concatenate((a, b, c), axis=1)
+    # E from the largest magnitude, not the largest exponent: frexp(0) has
+    # exponent 0, above that of any value below 1/2
+    _, top = np.frexp(np.abs(rows).max(axis=1, keepdims=True))
+    scaled = np.ldexp(rows, 30 - top)
+    narrow = ((scaled == np.floor(scaled))
+              & (np.ldexp(scaled, top - 30) == rows)).all(axis=1)
+    acute = np.empty(len(rows), dtype=bool)
+    acute[narrow] = _dots_positive(scaled[narrow].astype(np.int64))
+    mant, exp = np.frexp(rows[~narrow])
+    exp = exp - exp.min(axis=1, keepdims=True)
+    ints = np.ldexp(mant, 53).astype(np.int64).astype(object) << exp.astype(object)
+    acute[~narrow] = _dots_positive(ints)
+    return acute, len(ints)
+
+
+def _dots_positive(ints: np.ndarray) -> np.ndarray:
+    """True for the rows (ax, ay, bx, by, cx, cy) of int64 or Python-int
+    coordinates whose three vertex dot products are all positive."""
+    ax, ay, bx, by, cx, cy = ints.T
+    ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - bx, cy - by, ax - cx, ay - cy
+    # the dot products at a, b and c are -(u·w), -(v·u) and -(w·v)
+    return ((ux * wx + uy * wy < 0) & (vx * ux + vy * uy < 0)
+            & (wx * vx + wy * vy < 0)).astype(bool)
 
 
 def _side_lengths_sq(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:

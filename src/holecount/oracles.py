@@ -9,7 +9,7 @@ Two routes:
 
 Plus the dense bottleneck distance, the reference for the sparse one in
 `diagrams`, and exact orientation and in-circle tests in plain `Fraction`
-arithmetic, which share no code with the pipeline's predicates.
+arithmetic, which share no code with the pipeline's exact acuteness pass.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
-"""Bulk certification of borderline births, and edge ties in any order.
+"""Exact decision of borderline births, and edge ties in any order.
 
-The per-triangle births loop that the bulk path replaced is kept here as a
-reference: the births must reproduce it bit for bit, with the compiled
-kernels loaded and without them, and must leave to rational arithmetic only
-what they cannot certify.  The edge sort compares float lengths alone and
+A per-triangle births loop is kept here as a reference: the births must
+reproduce it bit for bit, with the compiled kernels loaded and without
+them, and must leave to Python ints only the rows that int64 cannot hold.  The edge sort compares float lengths alone and
 leaves the order inside a tie unspecified; the Fraction-keyed tie sort it
 replaced is kept as a reference order, and any order of equally long edges,
 that one included, must give the same pairs.
@@ -39,7 +38,7 @@ def backend(request, monkeypatch):
 
 def borderline(tri):
     """Triangles within the relative band around a right angle that the
-    float pass leaves to the exact tiers."""
+    float pass leaves to the exact pass."""
     pts = tri.points
     a, b, c = (pts[tri.triangles[:, j]] for j in range(3))
     ab = ((b - a) ** 2).sum(axis=1)
@@ -105,8 +104,8 @@ def reference_order(tri):
 
 
 def fallback_counts(caplog):
-    """Triangles re-decided exactly, summed over the DEBUG counter lines
-    logged so far."""
+    """Borderline triangles decided in Python ints, summed over the DEBUG
+    counter lines logged so far."""
     return sum(r.args[1] for r in caplog.records if r.name == "holecount.forest")
 
 
@@ -165,7 +164,8 @@ def test_lattice_with_ulp_moves(backend, caplog):
 
 
 # borderline triangles (within 1e-12 of a right angle, relatively) whose
-# three vertex dot products are exact: one acute, one obtuse
+# integer coordinates stay below 2**30, so int64 decides them: one acute,
+# one obtuse
 NEAR_RIGHT_ACUTE = [(-271, 264), (950921, 937495), (-800395543, 812318231)]
 NEAR_RIGHT_OBTUSE = [(732, 1019), (-376729, -10340), (6327695, -210244756)]
 
@@ -191,8 +191,8 @@ def test_near_right_triangles_certified(backend, pts, acute, caplog):
 
 
 def test_tenth_lattice_falls_back(backend, caplog):
-    # coordinates 0.1 * i: the differences round, so no right triangle is
-    # certified in bulk
+    # coordinates 0.1 * i need more than 30 bits at their row's top
+    # exponent, so the right triangles go to Python ints
     caplog.set_level(logging.DEBUG)
     tri = triangulate(Cloud.from_points(0.1 * lattice(7, seed=4)))
     assert_matches_reference(tri)
@@ -200,8 +200,8 @@ def test_tenth_lattice_falls_back(backend, caplog):
 
 
 def test_decimal_lattice_decided_exactly(backend, caplog):
-    # spacing 0.05: no coordinate difference is certified, so every
-    # borderline triangle goes to the exact pass
+    # spacing 0.05: no row fits the int64 form, so every borderline
+    # triangle goes to Python ints
     caplog.set_level(logging.DEBUG)
     pts = np.stack(np.meshgrid(np.arange(30), np.arange(30)), axis=-1).reshape(-1, 2) * 0.05
     tri = triangulate(Cloud.from_points(pts))

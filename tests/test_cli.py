@@ -379,6 +379,11 @@ class TestBenchCommand:
         finally:
             del ballast
 
+    def test_child_memory_without_pythonpath(self, monkeypatch):
+        # the child must import this holecount without the caller's PYTHONPATH
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        assert _measure_child_memory(1000, seed=0) > 0
+
     def test_repeats_validated(self, capsys):
         assert cli_main(["bench", "--max-n", "1000", "--repeats", "0"]) == 1
         assert "--repeats" in capsys.readouterr().err

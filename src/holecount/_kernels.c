@@ -1,7 +1,7 @@
 /* Compiled kernels of holecount, loaded through ctypes by _fastdel.py.
  *
- *   hc_build        incremental Delaunay triangulation (Bowyer-Watson),
- *                   compacted in place
+ *   hc_build        incremental Delaunay triangulation (triangle split and
+ *                   Lawson flips), compacted in place
  *   hc_edge_table   the flat edge table of a compact triangulation
  *   hc_edge_lengths squared length of every edge
  *   hc_births       per-triangle birth scales
@@ -23,7 +23,7 @@
 
 #define STATUS_OK 0
 #define STATUS_UNCERTAIN 1
-#define STATUS_OVERFLOW 2 /* triangle slots or scratch memory ran out */
+#define STATUS_OVERFLOW 2 /* fewer than 2n - 2 slots, or no flip stack */
 
 /* Error filters of the float predicates (Shewchuk 1997, loose static form). */
 #define ORIENT_FILTER (8.0 * DBL_EPSILON)
@@ -102,25 +102,10 @@ static int ghost_slot(const int32_t *tri, int32_t inf)
     return -1;
 }
 
-/* Make room for `need` entries in a growable scratch array. */
-static int reserve(int32_t **buf, int64_t *cap, int64_t need)
+/* Slot of triangle t whose neighbour link points to triangle u. */
+static int facing(const int32_t *neigh, int32_t t, int32_t u)
 {
-    if (need <= *cap)
-        return 0;
-    int64_t grown = *cap ? *cap : 64;
-    while (grown < need)
-        grown *= 2;
-    int32_t *p = realloc(*buf, (size_t)grown * sizeof *p);
-    if (!p)
-        return -1;
-    *buf = p;
-    *cap = grown;
-    return 0;
-}
-
-static int slot_gone(const int32_t *tris, int64_t t, int32_t inf)
-{
-    return TRI(t, 0) < 0 || ghost_slot(&TRI(t, 0), inf) >= 0;
+    return NB(t, 0) == u ? 0 : NB(t, 1) == u ? 1 : 2;
 }
 
 /* Whether point a precedes point b in (x, y) order. */
@@ -129,52 +114,40 @@ static int lex_less(const double *pts, int32_t a, int32_t b)
     return PX(a) < PX(b) || (PX(a) == PX(b) && PY(a) < PY(b));
 }
 
-/* Compact the slots of hc_build in place: drop ghost and dead slots,
- * renumber the neighbours (-1 across hull edges) and rotate every triangle
- * so that its lexicographically smallest point comes first, whatever the
- * vertex ids.  Returns the number of triangles kept, or -1 when scratch
- * memory ran out. */
+/* Compact the slots of hc_build in place: drop the ghosts, renumber the
+ * neighbours (-1 across hull edges) and rotate every triangle so that its
+ * lexicographically smallest point comes first, whatever the vertex ids.
+ * Returns the number of triangles kept. */
 static int64_t compact(const double *pts, int32_t n, int32_t *tris,
                        int32_t *neigh, int64_t n_tris)
 {
-    int64_t n_gone = 0;
-    for (int64_t t = 0; t < n_tris; t++)
-        n_gone += slot_gone(tris, t, n);
-    int32_t *gone = malloc((size_t)(n_gone ? n_gone : 1) * sizeof *gone);
-    if (!gone)
-        return -1;
-    for (int64_t t = 0, g = 0; t < n_tris; t++)
-        if (slot_gone(tris, t, n))
-            gone[g++] = (int32_t)t;
-
-    /* renumber while every row is still in place: a kept slot moves down
-     * by the number of removed slots below it */
-    for (int64_t t = 0; t < n_tris; t++) {
-        if (slot_gone(tris, t, n))
-            continue;
-        for (int j = 0; j < 3; j++) {
-            int32_t nb = NB(t, j);
-            if (nb < 0 || slot_gone(tris, nb, n)) {
-                NB(t, j) = -1;
-                continue;
-            }
-            int64_t lo = 0, hi = n_gone;
-            while (lo < hi) {
-                int64_t mid = (lo + hi) / 2;
-                if (gone[mid] < nb)
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
-            NB(t, j) = (int32_t)(nb - lo);
-        }
-    }
-    free(gone);
-
     int64_t k = 0;
     for (int64_t t = 0; t < n_tris; t++) {
-        if (slot_gone(tris, t, n))
+        if (ghost_slot(&TRI(t, 0), n) >= 0)
             continue;
+        k++;
+        for (int j = 0; j < 3; j++)
+            if (ghost_slot(&TRI(NB(t, j), 0), n) >= 0)
+                NB(t, j) = -1;
+    }
+    /* move the real triangles above slot k into the ghost slots below it */
+    for (int64_t lo = 0, hi = n_tris;; lo++) {
+        while (lo < k && ghost_slot(&TRI(lo, 0), n) < 0)
+            lo++;
+        if (lo == k)
+            break;
+        do
+            hi--;
+        while (ghost_slot(&TRI(hi, 0), n) >= 0);
+        for (int j = 0; j < 3; j++) {
+            int32_t nb = NB(hi, j);
+            TRI(lo, j) = TRI(hi, j);
+            NB(lo, j) = nb;
+            if (nb >= 0)
+                NB(nb, facing(neigh, nb, (int32_t)hi)) = (int32_t)lo;
+        }
+    }
+    for (int64_t t = 0; t < k; t++) {
         int r = 0;
         if (lex_less(pts, TRI(t, 1), TRI(t, r)))
             r = 1;
@@ -186,39 +159,40 @@ static int64_t compact(const double *pts, int32_t n, int32_t *tris,
             w[j] = NB(t, (j + r) % 3);
         }
         for (int j = 0; j < 3; j++) {
-            TRI(k, j) = v[j];
-            NB(k, j) = w[j];
+            TRI(t, j) = v[j];
+            NB(t, j) = w[j];
         }
-        k++;
     }
     return k;
 }
 
-enum { S_STACK, S_BAD, S_BND_U, S_BND_V, S_BND_OUT, S_NEW, S_FREE, S_COUNT };
-
 /* Insert the points in the given order, then compact the slots.
  *
  * Triangle slots hold vertex indices, with index n standing for the infinite
- * vertex of ghost triangles (two hull vertices plus infinity), so cavity
- * search and retriangulation treat the outside uniformly; dead slots have
- * first vertex -1.  neigh[t, j] is the triangle across the edge opposite
- * vertex j.  On STATUS_OK the first *n_tris_out rows hold the real
- * triangles, compacted as above.  Any predicate the filter cannot certify
- * aborts with STATUS_UNCERTAIN and the caller falls back to an exact path.
+ * vertex of ghost triangles (two hull vertices plus infinity), so the split
+ * and the flips treat the outside uniformly.  neigh[t, j] is the triangle
+ * across the edge opposite vertex j.  Each point splits the triangle that
+ * contains it, real or ghost, into three: one keeps its slot and two take
+ * new ones, so the 2n - 2 slots of the finished triangulation are all live.
+ * Lawson flips (Guibas, Knuth and Sharir 1992) then make every edge opposite
+ * the point Delaunay; a ghost's circle is the open half-plane beyond its
+ * hull edge, and an edge whose circle test is 0 stays.  On STATUS_OK the
+ * first *n_tris_out rows hold the real triangles, compacted as above.  Any
+ * predicate the filter cannot certify aborts with STATUS_UNCERTAIN and the
+ * caller falls back to an exact path.
  */
 int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
                  int32_t *tris, int32_t *neigh, int64_t cap,
                  int64_t *n_tris_out)
 {
     const int32_t inf = n;
-    int32_t *s[S_COUNT] = {0};
-    int64_t scap[S_COUNT] = {0};
-    uint8_t *in_cavity = NULL;
-    int64_t n_tris = 0, n_free = 0;
+    int64_t n_tris = 0;
     int32_t status = STATUS_OK;
     *n_tris_out = 0;
-    if (n < 3 || cap < 4)
+    if (n < 3)
         return STATUS_UNCERTAIN;
+    if (cap < 2 * (int64_t)n - 2)
+        return STATUS_OVERFLOW;
 
     /* First triangle from the first non-collinear triple in insertion
      * order; points skipped on the way are inserted with the rest. */
@@ -238,8 +212,10 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
         b = c;
         c = tmp;
     }
-    in_cavity = calloc((size_t)cap, 1);
-    if (!in_cavity)
+    /* triangles around the point being inserted whose far edge is still to
+     * be tested; they are distinct, so there are at most n of them */
+    int32_t *stack = malloc((size_t)n * sizeof *stack);
+    if (!stack)
         return STATUS_OVERFLOW;
     const int32_t first[4][3] = {{a, b, c}, {c, b, inf}, {a, c, inf}, {b, a, inf}};
     /* ghost (c,b,inf): edge opposite c is (b,inf), shared with the ghost of
@@ -260,7 +236,7 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
         const int32_t p = order[idx];
         const double px = PX(p), py = PY(p);
 
-        /* -- locate: walk from the last created triangle ---------------- */
+        /* -- locate: walk from a triangle around the last point --------- */
         int64_t t = last;
         int64_t guard = 0;
         const int64_t max_guard = 4 * n_tris + 64;
@@ -301,136 +277,69 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
                 break; /* t strictly contains p */
         }
 
-        /* -- cavity: all triangles whose circle contains p -------------- */
-        int64_t n_bad = 0, n_stack = 0;
-        if (reserve(&s[S_STACK], &scap[S_STACK], 1)) {
-            status = STATUS_OVERFLOW;
-            goto done;
+        /* -- split: (p, v[j+1], v[j+2]) in slot s[j], across v[j]'s edge - */
+        const int32_t s[3] = {(int32_t)t, (int32_t)n_tris, (int32_t)n_tris + 1};
+        int32_t v[3], out[3];
+        for (int j = 0; j < 3; j++) {
+            v[j] = TRI(t, j);
+            out[j] = NB(t, j);
         }
-        s[S_STACK][n_stack++] = (int32_t)t;
-        in_cavity[t] = 1;
+        for (int j = 0; j < 3; j++) {
+            TRI(s[j], 0) = p;
+            TRI(s[j], 1) = v[(j + 1) % 3];
+            TRI(s[j], 2) = v[(j + 2) % 3];
+            NB(s[j], 0) = out[j];
+            NB(s[j], 1) = s[(j + 1) % 3];
+            NB(s[j], 2) = s[(j + 2) % 3];
+            NB(out[j], facing(neigh, out[j], (int32_t)t)) = s[j];
+            stack[j] = s[j];
+        }
+        n_tris += 2;
+
+        /* -- flip: (p, u, w) and (q, w, u) become (p, u, q) and (p, q, w)
+         * while q's triangle has p in its circle --------------------------- */
+        int64_t n_stack = 3;
         while (n_stack > 0) {
-            int32_t q = s[S_STACK][--n_stack];
-            if (reserve(&s[S_BAD], &scap[S_BAD], n_bad + 1)
-                || reserve(&s[S_STACK], &scap[S_STACK], n_stack + 3)) {
-                status = STATUS_OVERFLOW;
+            const int32_t r = stack[--n_stack], o = NB(r, 0);
+            const int f = facing(neigh, o, r);
+            int g = ghost_slot(&TRI(o, 0), inf);
+            if (g >= 0) {
+                int32_t x = TRI(o, (g + 1) % 3), y = TRI(o, (g + 2) % 3);
+                sgn = orient(PX(x), PY(x), PX(y), PY(y), px, py);
+            } else {
+                int32_t w0 = TRI(o, 0), w1 = TRI(o, 1), w2 = TRI(o, 2);
+                sgn = incircle(PX(w0), PY(w0), PX(w1), PY(w1), PX(w2), PY(w2),
+                               px, py);
+            }
+            if (sgn == UNCERTAIN) {
+                status = STATUS_UNCERTAIN;
                 goto done;
             }
-            s[S_BAD][n_bad++] = q;
+            if (sgn <= 0)
+                continue;
+            const int32_t u = TRI(r, 1), w = TRI(r, 2), q = TRI(o, f);
+            const int32_t ru = NB(r, 2), rw = NB(r, 1);
+            const int32_t ou = NB(o, (f + 1) % 3), ow = NB(o, (f + 2) % 3);
+            NB(ou, facing(neigh, ou, o)) = r;
+            NB(rw, facing(neigh, rw, r)) = o;
+            const int32_t new_r[3] = {p, u, q}, new_r_nb[3] = {ou, o, ru};
+            const int32_t new_o[3] = {p, q, w}, new_o_nb[3] = {ow, rw, r};
             for (int j = 0; j < 3; j++) {
-                int32_t nb = NB(q, j);
-                if (nb < 0 || in_cavity[nb])
-                    continue;
-                int g = ghost_slot(&TRI(nb, 0), inf);
-                if (g >= 0) {
-                    int32_t x = TRI(nb, (g + 1) % 3), y = TRI(nb, (g + 2) % 3);
-                    sgn = orient(PX(x), PY(x), PX(y), PY(y), px, py);
-                } else {
-                    int32_t w0 = TRI(nb, 0), w1 = TRI(nb, 1), w2 = TRI(nb, 2);
-                    sgn = incircle(PX(w0), PY(w0), PX(w1), PY(w1), PX(w2),
-                                   PY(w2), px, py);
-                }
-                if (sgn == UNCERTAIN) {
-                    status = STATUS_UNCERTAIN;
-                    goto done;
-                }
-                if (sgn > 0) {
-                    in_cavity[nb] = 1;
-                    s[S_STACK][n_stack++] = nb;
-                }
+                TRI(r, j) = new_r[j];
+                NB(r, j) = new_r_nb[j];
+                TRI(o, j) = new_o[j];
+                NB(o, j) = new_o_nb[j];
             }
+            stack[n_stack++] = r;
+            stack[n_stack++] = o;
         }
-
-        /* -- boundary edges, CCW around the cavity ---------------------- */
-        int64_t n_bnd = 0;
-        for (int64_t m = 0; m < n_bad; m++) {
-            int32_t q = s[S_BAD][m];
-            for (int j = 0; j < 3; j++) {
-                int32_t nb = NB(q, j);
-                if (nb >= 0 && in_cavity[nb])
-                    continue;
-                if (reserve(&s[S_BND_U], &scap[S_BND_U], n_bnd + 1)
-                    || reserve(&s[S_BND_V], &scap[S_BND_V], n_bnd + 1)
-                    || reserve(&s[S_BND_OUT], &scap[S_BND_OUT], n_bnd + 1)
-                    || reserve(&s[S_NEW], &scap[S_NEW], n_bnd + 1)) {
-                    status = STATUS_OVERFLOW;
-                    goto done;
-                }
-                s[S_BND_U][n_bnd] = TRI(q, (j + 1) % 3);
-                s[S_BND_V][n_bnd] = TRI(q, (j + 2) % 3);
-                s[S_BND_OUT][n_bnd] = nb;
-                n_bnd++;
-            }
-        }
-
-        /* -- retriangulate: fan of (u, v, p) over boundary edges -------- */
-        if (reserve(&s[S_FREE], &scap[S_FREE], n_free + n_bad)) {
-            status = STATUS_OVERFLOW;
-            goto done;
-        }
-        for (int64_t m = 0; m < n_bad; m++) {
-            int32_t q = s[S_BAD][m];
-            TRI(q, 0) = -1;
-            in_cavity[q] = 0;
-            s[S_FREE][n_free++] = q;
-        }
-        const int32_t *bnd_u = s[S_BND_U], *bnd_v = s[S_BND_V];
-        int32_t *new_tri = s[S_NEW];
-        for (int64_t m = 0; m < n_bnd; m++) {
-            int64_t slot;
-            if (n_free > 0) {
-                slot = s[S_FREE][--n_free];
-            } else {
-                if (n_tris >= cap) {
-                    status = STATUS_OVERFLOW;
-                    goto done;
-                }
-                slot = n_tris++;
-            }
-            TRI(slot, 0) = bnd_u[m];
-            TRI(slot, 1) = bnd_v[m];
-            TRI(slot, 2) = p;
-            new_tri[m] = (int32_t)slot;
-        }
-        for (int64_t m = 0; m < n_bnd; m++) {
-            int32_t slot = new_tri[m];
-            int32_t out = s[S_BND_OUT][m];
-            NB(slot, 2) = out;
-            if (out >= 0) {
-                /* relink the outer triangle: it sees the edge reversed */
-                for (int j = 0; j < 3; j++) {
-                    if (TRI(out, (j + 1) % 3) == bnd_v[m]
-                        && TRI(out, (j + 2) % 3) == bnd_u[m]) {
-                        NB(out, j) = slot;
-                        break;
-                    }
-                }
-            }
-            /* new neighbours around p: the triangle whose boundary edge
-             * starts at this edge's end shares edge (v, p); symmetric for
-             * (p, u) */
-            for (int64_t m2 = 0; m2 < n_bnd; m2++) {
-                if (bnd_u[m2] == bnd_v[m])
-                    NB(slot, 0) = new_tri[m2]; /* across (v, p) */
-                if (bnd_v[m2] == bnd_u[m])
-                    NB(slot, 1) = new_tri[m2]; /* across (p, u) */
-            }
-            last = slot;
-        }
+        last = t;
     }
 
 done:
-    for (int i = 0; i < S_COUNT; i++)
-        free(s[i]);
-    free(in_cavity);
-    if (status == STATUS_OK) {
-        n_tris = compact(pts, n, tris, neigh, n_tris);
-        if (n_tris < 0) {
-            n_tris = 0;
-            status = STATUS_OVERFLOW;
-        }
-    }
-    *n_tris_out = n_tris;
+    free(stack);
+    if (status == STATUS_OK)
+        *n_tris_out = compact(pts, n, tris, neigh, n_tris);
     return status;
 }
 

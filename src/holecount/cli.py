@@ -129,8 +129,8 @@ def save_cloud_csv(path, cloud: Cloud, comment: str = "") -> None:
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        for x, y in cloud.points:
-            fh.write(f"{x:.15g},{y:.15g}\n")
+        # repr is the shortest text that reads back as the same double
+        fh.writelines(f"{x!r},{y!r}\n" for x, y in cloud.points.tolist())
 
 
 def load_pairs_csv(path) -> Diagram:
@@ -145,10 +145,8 @@ def load_pairs_csv(path) -> Diagram:
 
 
 def pairs_to_csv(diagram: Diagram) -> str:
-    lines = ["birth,death"]
-    for birth, death in diagram.pairs:
-        lines.append(f"{birth:.15g},{death:.15g}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{birth!r},{death!r}\n" for birth, death in diagram.pairs.tolist())
+    return "birth,death\n" + "".join(rows)
 
 
 @dataclass(frozen=True)

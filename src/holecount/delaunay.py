@@ -136,8 +136,9 @@ def triangulate(cloud: Cloud) -> Triangulation:
 
     The incremental builder handles the common case; inputs with degenerate
     or near-degenerate predicates (exactly cocircular points, points on a
-    shared line) fall back to Qhull, which resolves them symbolically.
-    Raises TooFewPointsError / AllCollinearError on degenerate input.
+    shared line) fall back to Qhull.  Qhull may leave points out, and then
+    warns with DroppedPointsWarning.  Raises TooFewPointsError /
+    AllCollinearError on degenerate input.
     """
     pts = cloud.points
     if len(pts) < 3:

@@ -42,6 +42,14 @@ def random_cloud(seed, n, span=1.0):
     return Cloud.from_points(span * rng.random((n, 2)))
 
 
+def parabola_cloud(seed, n):
+    """Points on y = x^2, |x| < 10: in convex position, so each one an
+    incremental builder inserts lands outside the hull built so far, and
+    the arms lie close enough for acute triangles and holes."""
+    x = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
+    return Cloud.from_points(np.stack([x, x * x], axis=1))
+
+
 def fraction_acute(p, q, r):
     """Strict acuteness of one triangle, decided in Fraction: the longest
     squared side is less than the sum of the other two."""

@@ -38,7 +38,10 @@ def square_csv(tmp_path):
 
 class TestCloudCsv:
     def test_round_trip(self, tmp_path):
-        cloud = Cloud.from_points([(0.1, 0.2), (1.5, -0.25), (3, 4)])
+        rng = np.random.default_rng(0)
+        wide = rng.random((100, 2)) * 10.0 ** rng.integers(-300, 300, size=(100, 1))
+        cloud = Cloud.from_points(np.vstack([[(0.1, 0.2), (1.5, -0.25), (3, 4)],
+                                             rng.random((500, 2)), wide]))
         path = tmp_path / "cloud.csv"
         save_cloud_csv(path, cloud, comment="three points")
         loaded = load_cloud_csv(path)
@@ -162,8 +165,7 @@ class TestPairsCsv:
         path = tmp_path / "pairs.csv"
         path.write_text(pairs_to_csv(d))
         loaded = load_pairs_csv(path)
-        # the format fixes 15 significant digits, one short of bit-exact
-        assert np.allclose(loaded.pairs, d.pairs, rtol=0, atol=1e-12)
+        assert np.array_equal(loaded.pairs, d.pairs)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "pairs.csv"

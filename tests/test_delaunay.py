@@ -25,7 +25,21 @@ from holecount._fastdel import build_triangulation
 from holecount.oracles import incircle_exact
 from holecount.samplers import ShapeSpec, sample_shape
 
-from conftest import random_cloud
+from conftest import parabola_cloud, random_cloud
+
+
+def adjacency(tris, neigh):
+    """Each edge's two sides, as the vertex sets of its triangles and -1
+    for the outside.  Every link is read from both of its triangles, so a
+    link that is not mutual fails here."""
+    faces = [frozenset(row) for row in tris.tolist()]
+    sides_of = {}
+    for face, row, links in zip(faces, tris.tolist(), neigh.tolist()):
+        for j, nb in enumerate(links):
+            edge = frozenset((row[(j + 1) % 3], row[(j + 2) % 3]))
+            sides = frozenset((face, faces[nb] if nb >= 0 else -1))
+            assert sides_of.setdefault(edge, sides) == sides, edge
+    return sides_of
 
 
 class TestCloud:
@@ -130,13 +144,19 @@ class TestTriangulate:
                         reason="compiled kernels unavailable (no C compiler)")
     @pytest.mark.parametrize("seed", range(10))
     def test_incremental_matches_qhull(self, seed):
-        cloud = random_cloud(seed, 250)
-        fast = build_triangulation(cloud.points)
-        assert fast is not None, "incremental builder fell back on a random cloud"
-        tris, _ = fast
-        ref, _ = _qhull_triangles(cloud.points)
-        canon = lambda t: {tuple(sorted(row)) for row in t}
-        assert canon(tris) == canon(ref)
+        # besides a uniform cloud, clouds whose insertions flip across ghost
+        # edges: convex position, a thin strip, extreme magnitudes
+        rng = np.random.default_rng(seed)
+        clouds = {
+            "uniform": random_cloud(seed, 250).points,
+            "parabola": parabola_cloud(seed, 250).points,
+            "strip": rng.random((250, 2)) * [1.0, 1e-3],
+            "scaled": rng.random((250, 2)) * 2.0 ** (200 if seed % 2 else -200),
+        }
+        for kind, pts in clouds.items():
+            fast = build_triangulation(pts)
+            assert fast is not None, f"incremental builder fell back on {kind}"
+            assert adjacency(*fast) == adjacency(*_qhull_triangles(pts)), kind
 
     def test_collinear_start_keeps_every_vertex(self):
         # the first points in insertion order lie on one line; none of them

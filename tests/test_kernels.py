@@ -14,7 +14,7 @@ import holecount
 from holecount import Cloud, _fastdel
 from holecount.forest import hole_persistence_stats
 
-from conftest import random_cloud
+from conftest import parabola_cloud, random_cloud
 
 needs_kernels = pytest.mark.skipif(
     _fastdel.KERNELS is None, reason="compiled kernels unavailable (no C compiler)"
@@ -41,9 +41,14 @@ def test_fallback_identical_on_fixtures(fixture, request, monkeypatch):
 
 
 @needs_kernels
-@pytest.mark.parametrize("seed,n", [(0, 40), (1, 300), (2, 3000)])
-def test_fallback_identical_on_random_clouds(seed, n, monkeypatch):
-    cloud = random_cloud(seed, n)
+@pytest.mark.parametrize("make,seed,n", [
+    pytest.param(random_cloud, 0, 40, id="0-40"),
+    pytest.param(random_cloud, 1, 300, id="1-300"),
+    pytest.param(random_cloud, 2, 3000, id="2-3000"),
+    pytest.param(parabola_cloud, 3, 300, id="parabola-3-300"),
+])
+def test_fallback_identical_on_random_clouds(make, seed, n, monkeypatch):
+    cloud = make(seed, n)
     assert _fastdel.build_triangulation(cloud.points) is not None
     pairs, walk = _assert_backends_agree(monkeypatch, cloud)
     assert len(pairs) > 0 and walk > 0
@@ -85,6 +90,66 @@ def test_exports_match_signatures(tmp_path):
     source = _fastdel._SOURCE.read_text()
     exported = re.findall(r"^(?!static\b)\w[\w ]*?\b(hc_\w+)\(", source, re.M)
     assert sorted(exported) == sorted(_fastdel._SIGNATURES)
+
+
+def _sanitizer_runtimes():
+    """The gcc ASan and UBSan runtime libraries, or None without them."""
+    if shutil.which("gcc") is None:
+        return None
+    paths = [subprocess.run(["gcc", f"-print-file-name={name}"], capture_output=True,
+                            text=True).stdout.strip()
+             for name in ("libasan.so", "libubsan.so")]
+    return paths if all(os.path.isabs(p) and os.path.exists(p) for p in paths) else None
+
+
+_SANITIZED_RUN = """
+import ctypes, sys
+import numpy as np
+from holecount import Cloud, _fastdel, hole_persistence
+
+lib = ctypes.CDLL(sys.argv[1])
+for name, (restype, argtypes) in _fastdel._SIGNATURES.items():
+    getattr(lib, name).restype = restype
+    getattr(lib, name).argtypes = argtypes
+_fastdel.KERNELS = lib
+
+rng = np.random.default_rng(0)
+x = rng.uniform(-10.0, 10.0, 300)
+grid = np.stack(np.meshgrid(np.arange(20), np.arange(20)), axis=-1).reshape(-1, 2)
+clouds = [
+    [(0, 0), (2, 0), (1, 2)],
+    [(0, 0), (2, 0), (2, 2), (0, 2)],
+    [(0, 0), (4, 0), (5, 3), (2, 5), (-1, 3)],
+    rng.random((100, 2)),
+    rng.random((3000, 2)),
+    np.stack([x, x * x], axis=1),
+    np.vstack([[(0.0, 0.0), (1e-3, 0.0), (2e-3, 0.0)], 0.5 + 0.5 * rng.random((50, 2))]),
+    rng.random((300, 2)) * 2.0 ** -300,
+    grid,  # Qhull, then the compiled edge table and sweep
+]
+for pts in clouds:
+    hole_persistence(Cloud.from_points(pts))
+assert _fastdel.build_triangulation(clouds[4]) is not None
+print("clean")
+"""
+
+
+@pytest.mark.skipif(_sanitizer_runtimes() is None,
+                    reason="no gcc with AddressSanitizer and UBSan runtimes")
+def test_kernels_clean_under_sanitizers(tmp_path):
+    # every kernel, the builder on its edge cases included, runs without an
+    # out-of-bounds access, use after free or undefined behaviour
+    lib = tmp_path / "k.so"
+    subprocess.run(["gcc", *_fastdel._CFLAGS, "-g", "-fsanitize=address,undefined",
+                    "-fno-sanitize-recover=undefined", "-o", str(lib),
+                    str(_fastdel._SOURCE), "-lm"], check=True)
+    env = dict(os.environ, LD_PRELOAD=" ".join(_sanitizer_runtimes()),
+               ASAN_OPTIONS="detect_leaks=0",
+               PYTHONPATH=str(Path(holecount.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _SANITIZED_RUN, str(lib)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr[-3000:]
+    assert out.stdout.strip() == "clean"
 
 
 def test_import_leaves_out_cli_and_oracles():

@@ -3,13 +3,14 @@
 ``_kernels.c`` exports one function per layer, each called once: the
 incremental Delaunay builder ``hc_build`` (triangle split and Lawson flips
 in Morton order, with filtered predicates and ghost triangles, compacted in
-place), ``hc_edge_table``, ``hc_edge_lengths``, ``hc_births`` and the sweep
-``hc_sweep``; the edge sort between them is numpy's.  On first import it is
-compiled with the system ``gcc`` into ``__pycache__`` next to this file,
-under a name keyed by a hash of the source and the flags, so later imports
-only load it.  When there is no compiler or the build fails, ``KERNELS`` is
-None and every caller takes the Qhull / numpy / ``DualForest`` reference
-path instead; the reason is logged at DEBUG level.
+place), the edge table ``hc_edge_table`` (each edge's two faces and squared
+length), ``hc_births`` and the sweep ``hc_sweep``; the edge sort between them
+is numpy's.  On first import it is compiled with the system ``gcc`` into
+``__pycache__`` next to this file, under a name keyed by a hash of the
+source and the flags, so later imports only load it.  When there is no
+compiler or the build fails, ``KERNELS`` is None and every caller takes the
+Qhull / numpy / ``DualForest`` reference path instead; the reason is logged
+at DEBUG level.
 
 Every kernel writes into arrays allocated here and allocates only small
 scratch space itself, which keeps the peak memory of a pipeline run within
@@ -53,8 +54,7 @@ _p_i64 = ctypes.POINTER(ctypes.c_int64)
 
 _SIGNATURES = {
     "hc_build": (_c_i32, [_F64, _c_i32, _I32, _I32, _I32, _c_i64, _p_i64]),
-    "hc_edge_table": (_c_i64, [_c_i64, _I32, _I32, _c_i64, _I32, _I32]),
-    "hc_edge_lengths": (None, [_F64, _c_i64, _I32, _F64]),
+    "hc_edge_table": (_c_i64, [_F64, _c_i64, _I32, _I32, _c_i64, _I32, _F64]),
     "hc_births": (None, [_F64, _c_i64, _I32, _c_f64, _F64]),
     "hc_sweep": (_c_i64, [_c_i64, _I32, _I32, _F64, _c_i32, _I32, _I32, _F64,
                           _F64, _p_i64]),
@@ -150,26 +150,20 @@ def build_triangulation(points: np.ndarray):
     return None
 
 
-def edge_table(triangles: np.ndarray, neighbors: np.ndarray) -> tuple:
-    """(edge_vertices, edge_faces) of a compact triangulation, one row per
+def edge_table(points: np.ndarray, triangles: np.ndarray,
+               neighbors: np.ndarray) -> tuple:
+    """(edge_faces, edge_length_sq) of a compact triangulation, one row per
     undirected edge, in the order of the numpy edge table.  Every interior
     edge borders two triangles and every hull edge one, so k triangles with
     h hull slots (-1 neighbours) have (3k + h) / 2 edges."""
     k = len(triangles)
     m = (3 * k + int(np.count_nonzero(neighbors < 0))) // 2
-    edge_vertices = np.empty((m, 2), dtype=np.int32)
     edge_faces = np.empty((m, 2), dtype=np.int32)
-    if KERNELS.hc_edge_table(k, triangles, neighbors, m, edge_vertices,
-                             edge_faces) != m:
+    length_sq = np.empty(m)
+    if KERNELS.hc_edge_table(points, k, triangles, neighbors, m, edge_faces,
+                             length_sq) != m:
         raise ValueError("neighbour links of the triangulation are not mutual")
-    return edge_vertices, edge_faces
-
-
-def edge_lengths(points: np.ndarray, edge_vertices: np.ndarray) -> np.ndarray:
-    """Squared length of every edge."""
-    length_sq = np.empty(len(edge_vertices))
-    KERNELS.hc_edge_lengths(points, len(edge_vertices), edge_vertices, length_sq)
-    return length_sq
+    return edge_faces, length_sq
 
 
 def triangle_births(points: np.ndarray, triangles: np.ndarray, band: float) -> np.ndarray:

@@ -2,14 +2,13 @@
  *
  *   hc_build        incremental Delaunay triangulation (triangle split and
  *                   Lawson flips), compacted in place
- *   hc_edge_table   the flat edge table of a compact triangulation
- *   hc_edge_lengths squared length of every edge
+ *   hc_edge_table   each edge's two faces and squared length
  *   hc_births       per-triangle birth scales
  *   hc_sweep        the descending elder-rule union-find sweep
  *
  * Arrays are C-contiguous: points (n, 2) float64, triangles and neighbours
- * (k, 3) int32, edge endpoints and faces (E, 2) int32.  Every kernel writes
- * only into buffers the caller allocated, apart from small scratch space.
+ * (k, 3) int32, edge faces (E, 2) int32.  Every kernel writes only into
+ * buffers the caller allocated, apart from small scratch space.
  *
  * Build with -ffp-contract=off and without -ffast-math: the births and the
  * edge lengths must round exactly as the numpy fallback in forest.py and
@@ -345,11 +344,13 @@ done:
 
 /* One row per undirected edge, contributed by the incident triangle with
  * the smaller id (hull edges by their only triangle, second face -1), in
- * the same order as the numpy edge table in delaunay.py.  Writes at most
- * `cap` rows and returns how many edges there are in all: (3k + h) / 2 for
- * h hull edges when every neighbour link is mutual. */
-int64_t hc_edge_table(int64_t k, const int32_t *tris, const int32_t *neigh,
-                      int64_t cap, int32_t *edge_vertices, int32_t *edge_faces)
+ * the same order as the numpy edge table in delaunay.py: its two faces and
+ * its squared length.  Writes at most `cap` rows and returns how many edges
+ * there are in all: (3k + h) / 2 for h hull edges when every neighbour link
+ * is mutual. */
+int64_t hc_edge_table(const double *pts, int64_t k, const int32_t *tris,
+                      const int32_t *neigh, int64_t cap, int32_t *edge_faces,
+                      double *length_sq)
 {
     int64_t e = 0;
     for (int64_t t = 0; t < k; t++) {
@@ -359,26 +360,16 @@ int64_t hc_edge_table(int64_t k, const int32_t *tris, const int32_t *neigh,
                 continue;
             if (e < cap) {
                 int32_t u = TRI(t, (j + 1) % 3), v = TRI(t, (j + 2) % 3);
-                edge_vertices[2 * e] = u < v ? u : v;
-                edge_vertices[2 * e + 1] = u < v ? v : u;
+                double dx = PX(v) - PX(u);
+                double dy = PY(v) - PY(u);
                 edge_faces[2 * e] = (int32_t)t;
                 edge_faces[2 * e + 1] = nb < 0 ? -1 : nb;
+                length_sq[e] = dx * dx + dy * dy;
             }
             e++;
         }
     }
     return e;
-}
-
-void hc_edge_lengths(const double *pts, int64_t m,
-                     const int32_t *edge_vertices, double *length_sq)
-{
-    for (int64_t e = 0; e < m; e++) {
-        int32_t u = edge_vertices[2 * e], v = edge_vertices[2 * e + 1];
-        double dx = PX(v) - PX(u);
-        double dy = PY(v) - PY(u);
-        length_sq[e] = dx * dx + dy * dy;
-    }
 }
 
 /* Per-triangle birth scale: circumradius if acute, 0 otherwise.  Triangles

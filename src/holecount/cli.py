@@ -26,7 +26,7 @@ from .diagrams import (
     hole_probabilities,
     infer_hole_count,
 )
-from .forest import hole_persistence_stats
+from .forest import hole_persistence, hole_persistence_stats
 from .oracles import verify_equivalence
 from .plots import render_plots
 from .samplers import ShapeSpec, sample_shape
@@ -277,6 +277,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise CloudFormatError("--trials must be at least 1")
+    if args.n < 3:
+        raise CloudFormatError("--n must be at least 3")
     rng = np.random.default_rng(args.seed)
     passed = 0
     for _ in range(args.trials):
@@ -288,10 +292,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    cloud = load_cloud_csv(args.cloud)
-    report = compute_report(cloud, source=str(args.cloud))
-    print(f"inferred hole count: {report.inferred_count}"
-          f" (gap {report.inferred_gap:.15g})")
+    count, gap = infer_hole_count(hole_persistence(load_cloud_csv(args.cloud)))
+    print(f"inferred hole count: {count} (gap {gap:.15g})")
     return 0
 
 

@@ -71,10 +71,11 @@ class Cloud:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Delaunay triangulation: the triangles plus a flat edge table."""
+    """Delaunay triangulation: the triangles plus a flat edge table, which
+    keeps each edge's two faces and squared length but not its endpoints
+    (the sweep never reads them)."""
 
     points: np.ndarray       # (n, 2)
-    edge_vertices: np.ndarray  # (E, 2) canonical (min, max) endpoint indices
     edge_faces: np.ndarray     # (E, 2) triangle ids; EXTERNAL for hull edges
     edge_length_sq: np.ndarray  # (E,) float64
     triangles: np.ndarray    # (k, 3) vertex indices, CCW, least (x, y) first
@@ -85,7 +86,7 @@ class Triangulation:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_vertices)
+        return len(self.edge_faces)
 
     @property
     def hull_edge_count(self) -> int:
@@ -146,34 +147,24 @@ def triangulate(cloud: Cloud) -> Triangulation:
     tris, neigh = _fastdel.build_triangulation(pts) or _qhull_triangles(pts)
 
     if _fastdel.KERNELS is not None:
-        edge_vertices, edge_faces = _fastdel.edge_table(tris, neigh)
-        # Free the neighbors before the lengths: the triangles, neighbors
-        # and full edge table together are the pipeline's memory peak.
-        del neigh
-        edge_length_sq = _fastdel.edge_lengths(pts, edge_vertices)
+        edge_faces, edge_length_sq = _fastdel.edge_table(pts, tris, neigh)
     else:
         # Each triangle contributes the edge opposite each of its vertices;
         # keep one copy per edge (the one seen from the lower face id).
         k = len(tris)
         face_ids = np.repeat(np.arange(k, dtype=np.int32), 3)
         opp = neigh.reshape(-1)  # neighbor across the edge opposite vertex j
-        e0 = tris[:, [1, 2, 0]].reshape(-1)
-        e1 = tris[:, [2, 0, 1]].reshape(-1)
         keep = (opp == -1) | (opp > face_ids)
-
-        v0, v1 = e0[keep], e1[keep]
-        lo = np.minimum(v0, v1)
-        hi = np.maximum(v0, v1)
-        edge_vertices = np.stack([lo, hi], axis=1)
         edge_faces = np.stack([face_ids[keep], opp[keep]], axis=1)
 
-        d = pts[hi] - pts[lo]
+        e0 = tris[:, [1, 2, 0]].reshape(-1)[keep]
+        e1 = tris[:, [2, 0, 1]].reshape(-1)[keep]
+        d = pts[e1] - pts[e0]
         edge_length_sq = d[:, 0] ** 2 + d[:, 1] ** 2
 
     return Triangulation(
         points=pts,
         triangles=tris,
-        edge_vertices=edge_vertices,
         edge_faces=edge_faces,
         edge_length_sq=edge_length_sq,
     )

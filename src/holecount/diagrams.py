@@ -101,12 +101,10 @@ def staircase(diagram: Diagram) -> Staircase:
     pairs = diagram.off_diagonal()
     if not len(pairs):
         return Staircase(breakpoints=np.empty(0), counts=np.empty(0, dtype=np.int64))
-    points = np.unique(pairs)
-    deltas = np.zeros(len(points), dtype=np.int64)
-    births = np.searchsorted(points, pairs[:, 0])
-    deaths = np.searchsorted(points, pairs[:, 1])
-    np.add.at(deltas, births, 1)
-    np.add.at(deltas, deaths, -1)
+    points, rank = np.unique(pairs, return_inverse=True)
+    rank = rank.reshape(pairs.shape)
+    deltas = (np.bincount(rank[:, 0], minlength=len(points))
+              - np.bincount(rank[:, 1], minlength=len(points)))
     counts = np.cumsum(deltas)[:-1]
     return Staircase(breakpoints=points, counts=counts)
 

@@ -328,10 +328,9 @@ def hole_persistence_stats(cloud: Cloud, track_depth: bool = False,
     "sort" and "sweep" (births included) stages.
 
     Each array is released as soon as no later stage reads it: the
-    triangles and the edge endpoints once the births are known, and the
-    rest of the edge table before the diagram is built.  That keeps the
-    peak at the triangulation plus the births, about 130 bytes per point
-    with the compiled kernels.
+    triangles once the births are known, and the edge table before the
+    diagram is built.  That keeps the peak at the triangulation plus the
+    births, about 130 bytes per point with the compiled kernels.
     """
     t0 = time.perf_counter()
     tri = triangulate(cloud)

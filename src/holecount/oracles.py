@@ -3,8 +3,9 @@
 Two routes:
   * explicit filtration of the Delaunay complex reduced over Z/2 with the
     textbook column algorithm (columns as integer bitsets), which reads the
-    pipeline's triangulation and its `triangle_births`, so it checks the
-    sort and the sweep; and
+    pipeline's triangles and their `triangle_births` but derives its own
+    edges and edge values, so it checks the edge table, the sort and the
+    sweep; and
   * rasterization of the union of disks with a flood fill of the complement.
 
 Plus the dense bottleneck distance, the reference for the sparse one in
@@ -69,14 +70,18 @@ class AlphaFiltration:
 
 def alpha_filtration(cloud: Cloud) -> AlphaFiltration:
     tri = triangulate(cloud)
+    pts = tri.points
     simplices = [(0, (int(i),), 0.0) for i in range(tri.n)]
 
-    edge_values = 0.5 * np.sqrt(tri.edge_length_sq)
-    for (v0, v1), value in zip(tri.edge_vertices, edge_values):
+    # each side of each triangle as a sorted vertex pair, once
+    sides = np.sort(tri.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges = np.unique(sides, axis=0)
+    d = pts[edges[:, 1]] - pts[edges[:, 0]]
+    edge_values = 0.5 * np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
+    for (v0, v1), value in zip(edges, edge_values):
         simplices.append((1, (int(v0), int(v1)), float(value)))
 
     births = triangle_births(tri)  # circumradius for acute, 0 otherwise
-    pts = tri.points
     for t, verts in enumerate(tri.triangles):
         i, j, k = (int(v) for v in verts)
         d2 = max(

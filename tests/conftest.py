@@ -1,5 +1,6 @@
-"""Shared fixtures: small analytic clouds with known persistence, and the
-per-triangle references that births are checked against."""
+"""Shared fixtures: small analytic clouds with known persistence, the edge
+table's endpoints, and the per-triangle references that births are checked
+against."""
 
 import math
 from fractions import Fraction
@@ -48,6 +49,17 @@ def parabola_cloud(seed, n):
     the arms lie close enough for acute triangles and holes."""
     x = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
     return Cloud.from_points(np.stack([x, x * x], axis=1))
+
+
+def edge_vertices(tri):
+    """(E, 2) sorted endpoints of the edge table's rows.  The table keeps
+    each edge where it first occurs among the 3k triangle sides (side j of
+    triangle t joins its vertices j + 1 and j + 2), so the first occurrence
+    of each sorted pair, in side order, gives the row order."""
+    sides = np.sort(tri.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
+    keys = sides[:, 0].astype(np.int64) * tri.n + sides[:, 1]
+    _, first = np.unique(keys, return_index=True)
+    return sides[np.sort(first)]
 
 
 def fraction_acute(p, q, r):

@@ -21,7 +21,7 @@ from holecount import Diagram, _fastdel, hole_persistence
 from holecount.delaunay import Cloud, Triangulation, edges_sorted_desc, triangulate
 from holecount.forest import sweep_pairs, triangle_births
 
-from conftest import float_circumradius, fraction_acute
+from conftest import edge_vertices, float_circumradius, fraction_acute
 
 ACUTE_BAND = 1e-12
 
@@ -90,9 +90,10 @@ def reference_order(tri):
     sorted_len = len_sq[order]
     breaks = np.flatnonzero(sorted_len[:-1] != sorted_len[1:]) + 1
     bounds = np.concatenate(([0], breaks, [len(order)]))
+    ends = edge_vertices(tri)
 
     def key(i):
-        v0, v1 = (int(v) for v in tri.edge_vertices[i])
+        v0, v1 = (int(v) for v in ends[i])
         dx = Fraction(float(tri.points[v1, 0])) - Fraction(float(tri.points[v0, 0]))
         dy = Fraction(float(tri.points[v1, 1])) - Fraction(float(tri.points[v0, 1]))
         return (-(dx * dx + dy * dy), v0, v1)
@@ -124,9 +125,9 @@ def scaled(tri, k):
     """The triangulation with its points scaled by 2**k, exact for the
     exponents used here; the triangles stay Delaunay."""
     pts = np.ldexp(tri.points, k)
-    d = pts[tri.edge_vertices[:, 1]] - pts[tri.edge_vertices[:, 0]]
-    return Triangulation(points=pts, edge_vertices=tri.edge_vertices,
-                         edge_faces=tri.edge_faces,
+    ends = edge_vertices(tri)
+    d = pts[ends[:, 1]] - pts[ends[:, 0]]
+    return Triangulation(points=pts, edge_faces=tri.edge_faces,
                          edge_length_sq=d[:, 0] ** 2 + d[:, 1] ** 2,
                          triangles=tri.triangles)
 

@@ -338,6 +338,16 @@ class TestVerifyCommand:
         assert cli_main(["verify", "--n", "20", "--trials", "3", "--seed", "1"]) == 0
         assert "3/3 oracle-equal" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_refused(self, trials, capsys):
+        # an input error, not a failed verification (exit 2)
+        assert cli_main(["verify", "--trials", trials]) == 1
+        assert "--trials must be at least 1" in capsys.readouterr().err
+
+    def test_fewer_than_three_points_refused(self, capsys):
+        assert cli_main(["verify", "--n", "2", "--trials", "1"]) == 1
+        assert "--n must be at least 3" in capsys.readouterr().err
+
 
 class TestInferCommand:
     def test_square(self, square_csv, capsys):

@@ -25,7 +25,7 @@ from holecount._fastdel import build_triangulation
 from holecount.oracles import incircle_exact
 from holecount.samplers import ShapeSpec, sample_shape
 
-from conftest import parabola_cloud, random_cloud
+from conftest import edge_vertices, parabola_cloud, random_cloud
 
 
 def adjacency(tris, neigh):
@@ -124,12 +124,38 @@ class TestTriangulate:
         assert (internal[:, 0] != internal[:, 1]).all()
         assert (internal >= 0).all()
 
-    def test_edge_endpoints_canonical(self):
-        tri = triangulate(random_cloud(9, 60))
-        assert (tri.edge_vertices[:, 0] < tri.edge_vertices[:, 1]).all()
-        # no duplicate edges
-        keys = tri.edge_vertices[:, 0].astype(np.int64) * tri.n + tri.edge_vertices[:, 1]
-        assert len(np.unique(keys)) == len(keys)
+    @pytest.mark.parametrize("backend", ["kernels", "fallback"])
+    @pytest.mark.parametrize("shape", ["random", "parabola", "lattice"])
+    def test_edge_table_matches_triangles(self, backend, shape, monkeypatch):
+        # the lattice is cocircular everywhere, so Qhull triangulates it and
+        # the compiled table reads Qhull's triangles
+        if backend == "fallback":
+            monkeypatch.setattr(_fastdel, "KERNELS", None)
+        elif _fastdel.KERNELS is None:
+            pytest.skip("compiled kernels unavailable (no C compiler)")
+        grid = np.stack(np.meshgrid(np.arange(20), np.arange(20)), axis=-1).reshape(-1, 2)
+        cloud = {"random": lambda: random_cloud(9, 60),
+                 "parabola": lambda: parabola_cloud(3, 300),
+                 "lattice": lambda: Cloud.from_points(grid)}[shape]()
+        tri = triangulate(cloud)
+        pts, k = tri.points, tri.num_triangles
+        # Euler: k triangles on all n points leave h = 2n - 2 - k hull edges
+        h = 2 * tri.n - 2 - k
+        assert tri.num_edges == (3 * k + h) // 2
+        ends = edge_vertices(tri)
+        assert len(ends) == tri.num_edges and (ends[:, 0] < ends[:, 1]).all()
+        keys = ends[:, 0].astype(np.int64) * tri.n + ends[:, 1]
+        assert len(np.unique(keys)) == len(keys)  # no edge repeats
+
+        faces_of = [set() for _ in range(tri.n)]
+        for t, verts in enumerate(tri.triangles.tolist()):
+            for v in verts:
+                faces_of[v].add(t)
+        for (u, v), faces in zip(ends.tolist(), tri.edge_faces.tolist()):
+            both = sorted(faces_of[u] & faces_of[v])
+            assert faces == (both if len(both) == 2 else both + [EXTERNAL])
+        d = pts[ends[:, 1]] - pts[ends[:, 0]]
+        assert tri.edge_length_sq.tobytes() == (d ** 2).sum(axis=1).tobytes()
 
     @pytest.mark.parametrize("seed", [1, 4, 12])
     def test_shuffle_preserves_edge_length_multiset(self, seed):
@@ -235,9 +261,10 @@ class TestEdgeSort:
         cloud = random_cloud(seed, 100)
         tri = triangulate(cloud)
         order = edges_sorted_desc(tri.edge_length_sq)
+        ends = edge_vertices(tri)
 
         def exact_sq(i):
-            v0, v1 = tri.edge_vertices[i]
+            v0, v1 = ends[i]
             dx = Fraction(float(tri.points[v1, 0])) - Fraction(float(tri.points[v0, 0]))
             dy = Fraction(float(tri.points[v1, 1])) - Fraction(float(tri.points[v0, 1]))
             return dx * dx + dy * dy
@@ -246,8 +273,8 @@ class TestEdgeSort:
             range(tri.num_edges),
             key=lambda i: (
                 exact_sq(i) * -1,
-                int(tri.edge_vertices[i, 0]),
-                int(tri.edge_vertices[i, 1]),
+                int(ends[i, 0]),
+                int(ends[i, 1]),
             ),
         )
         assert order.tolist() == naive

@@ -1,5 +1,6 @@
 """The compiled kernels against the Python fallback, and the fallback alone."""
 
+import ctypes
 import os
 import re
 import shutil
@@ -72,24 +73,34 @@ def test_edge_table_rejects_one_sided_neighbour_links():
     # there is one edge more than (3k + h) / 2 rows: refused, not overrun
     tris = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int32)
     neigh = np.array([[-1, 1, -1], [-1, -1, 0]], dtype=np.int32)
-    assert len(_fastdel.edge_table(tris, neigh)[0]) == 5
+    pts = np.array([(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)])
+    assert len(_fastdel.edge_table(pts, tris, neigh)[0]) == 5
     neigh[1, 2] = -1
     with pytest.raises(ValueError, match="not mutual"):
-        _fastdel.edge_table(tris, neigh)
+        _fastdel.edge_table(pts, tris, neigh)
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
 def test_exports_match_signatures(tmp_path):
-    # the source builds without warnings, and every exported hc_* function
-    # has a ctypes signature and vice versa
+    # the source builds without warnings, every exported hc_* function has a
+    # ctypes signature and vice versa, and each signature declares the C
+    # prototype's return type and parameters, one for one and kind for kind
     out = subprocess.run(
         ["gcc", *_fastdel._CFLAGS, "-Wall", "-Wextra", "-Werror",
          "-o", str(tmp_path / "k.so"), str(_fastdel._SOURCE), "-lm"],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     source = _fastdel._SOURCE.read_text()
-    exported = re.findall(r"^(?!static\b)\w[\w ]*?\b(hc_\w+)\(", source, re.M)
-    assert sorted(exported) == sorted(_fastdel._SIGNATURES)
+    exported = re.findall(r"^(?!static\b)(\w+) (hc_\w+)\(([^)]*)\)", source, re.M)
+    assert sorted(name for _, name, _ in exported) == sorted(_fastdel._SIGNATURES)
+    kinds = {"void": None, "double *": _fastdel._F64, "int32_t *": _fastdel._I32,
+             "int64_t *": _fastdel._p_i64, "int32_t": ctypes.c_int32,
+             "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    for restype, name, params in exported:
+        declared = [re.fullmatch(r"(?:const )?(\w+) (\*?)\w+", p.strip()).expand(r"\1 \2")
+                    .strip() for p in params.split(",")]
+        assert _fastdel._SIGNATURES[name] == (
+            kinds[restype], [kinds[kind] for kind in declared]), name
 
 
 def _sanitizer_runtimes():

@@ -1,13 +1,14 @@
 """Compiled kernels for the large-cloud pipeline, loaded through ctypes.
 
 ``_kernels.c`` exports one function per layer, each called once: the
-incremental Delaunay builder ``hc_build`` (triangle split and Lawson flips
-in Morton order, with filtered predicates and ghost triangles, compacted in
-place), the edge table ``hc_edge_table`` (each edge's two faces and squared
-length), ``hc_births`` and the sweep ``hc_sweep``; the edge sort between them
-is numpy's.  On first import it is compiled with the system ``gcc`` into
-``__pycache__`` next to this file, under a name keyed by a hash of the
-source and the flags, so later imports only load it.  When there is no
+incremental Delaunay builder ``hc_build`` (triangle and edge splits and
+Lawson flips in Morton order, with exact predicates, symbolic in-circle
+ties and ghost triangles, compacted in place), the edge table
+``hc_edge_table`` (each edge's two faces and squared length), ``hc_births``
+and the sweep ``hc_sweep``; the edge sort between them is numpy's.  On
+first import it is compiled with the system ``gcc`` into ``__pycache__``
+next to this file, under a name keyed by a hash of the source and the
+flags, so later imports only load it.  When there is no
 compiler or the build fails, ``KERNELS`` is None and every caller takes the
 Qhull / numpy / ``DualForest`` reference path instead; the reason is logged
 at DEBUG level.
@@ -31,9 +32,11 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+# hc_build's outcomes; every status but OK hands the cloud to Qhull.
 STATUS_OK = 0
-STATUS_UNCERTAIN = 1
-STATUS_OVERFLOW = 2
+STATUS_UNCERTAIN = 1  # a coordinate beyond 2^±200 where long double is double
+STATUS_OVERFLOW = 2  # too few triangle slots, or no memory for the flip stack
+STATUS_DEGENERATE = 3  # every point on one line, or a point repeated
 
 # Vertex, triangle (about 2n) and edge (about 3n) ids must fit in int32.
 _MAX_POINTS = 2 ** 29
@@ -53,7 +56,8 @@ _c_i32, _c_i64, _c_f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
 _p_i64 = ctypes.POINTER(ctypes.c_int64)
 
 _SIGNATURES = {
-    "hc_build": (_c_i32, [_F64, _c_i32, _I32, _I32, _I32, _c_i64, _p_i64]),
+    "hc_build": (_c_i32, [_F64, _c_i32, _I32, _I32, _I32, _c_i64, _p_i64,
+                          _p_i64]),
     "hc_edge_table": (_c_i64, [_F64, _c_i64, _I32, _I32, _c_i64, _I32, _F64]),
     "hc_births": (None, [_F64, _c_i64, _I32, _c_f64, _F64]),
     "hc_sweep": (_c_i64, [_c_i64, _I32, _I32, _F64, _c_i32, _I32, _I32, _F64,
@@ -128,8 +132,13 @@ def morton_argsort(points: np.ndarray) -> np.ndarray:
 def build_triangulation(points: np.ndarray):
     """Triangulate incrementally; returns (triangles, neighbors) in the
     layout of the Qhull path (CCW, lexicographically smallest point first,
-    -1 across hull edges), or None when the kernels are not loaded or a
-    predicate could not be certified in floating point."""
+    -1 across hull edges), or None when the kernels are not loaded, a
+    coordinate lies beyond the range the exact predicates handle, or no
+    triangulation on all points exists (all on one line, a point repeated).
+
+    Exactly cocircular points get the triangulation of a symbolic
+    perturbation keyed on their (x, y) order, so the triangles do not
+    depend on the input order."""
     n = len(points)
     if KERNELS is None or not 3 <= n <= _MAX_POINTS:
         return None
@@ -141,8 +150,11 @@ def build_triangulation(points: np.ndarray):
     tris = np.empty((cap, 3), dtype=np.int32)
     neigh = np.empty((cap, 3), dtype=np.int32)
     n_tris = ctypes.c_int64()
+    counts = (ctypes.c_int64 * 2)()
     status = KERNELS.hc_build(points, n, order, tris, neigh, cap,
-                              ctypes.byref(n_tris))
+                              ctypes.byref(n_tris), counts)
+    log.debug("builder: %d predicates decided by the exact stage, "
+              "%d in-circle ties broken by the perturbation", counts[0], counts[1])
     if status == STATUS_OK:
         return tris[:n_tris.value], neigh[:n_tris.value]
     log.debug("incremental builder stopped with status %d on %d points; "

@@ -1,7 +1,7 @@
 /* Compiled kernels of holecount, loaded through ctypes by _fastdel.py.
  *
- *   hc_build        incremental Delaunay triangulation (triangle split and
- *                   Lawson flips), compacted in place
+ *   hc_build        incremental Delaunay triangulation (triangle and edge
+ *                   splits, Lawson flips), compacted in place
  *   hc_edge_table   each edge's two faces and squared length
  *   hc_births       per-triangle birth scales
  *   hc_sweep        the descending elder-rule union-find sweep
@@ -10,19 +10,28 @@
  * (k, 3) int32, edge faces (E, 2) int32.  Every kernel writes only into
  * buffers the caller allocated, apart from small scratch space.
  *
- * Build with -ffp-contract=off and without -ffast-math: the births and the
- * edge lengths must round exactly as the numpy fallback in forest.py and
- * delaunay.py does, so that both paths give bit-identical diagrams.
+ * The builder's predicates are exact: a float filter decides almost every
+ * call, and Shewchuk's expansion arithmetic the rest.  Exact in-circle ties
+ * are broken by a symbolic perturbation keyed on the points' (x, y) order,
+ * so lattices, cocircular cells and points on edges are triangulated here,
+ * the same way whatever the input order.
+ *
+ * Build with -ffp-contract=off and without -ffast-math: the expansions need
+ * every operation rounded on its own, and the births and the edge lengths
+ * must round exactly as the numpy fallback in forest.py and delaunay.py
+ * does, so that both paths give bit-identical diagrams.
  */
 
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define STATUS_OK 0
-#define STATUS_UNCERTAIN 1
-#define STATUS_OVERFLOW 2 /* fewer than 2n - 2 slots, or no flip stack */
+#define STATUS_UNCERTAIN 1 /* coordinates beyond the exact stage's range */
+#define STATUS_OVERFLOW 2  /* fewer than 2n - 2 slots, or no flip stack */
+#define STATUS_DEGENERATE 3 /* every point on one line, or a point repeated */
 
 /* Error filters of the float predicates (Shewchuk 1997, loose static form). */
 #define ORIENT_FILTER (8.0 * DBL_EPSILON)
@@ -30,8 +39,24 @@
 #define UNCERTAIN (-2)
 /* The filters bound rounding, not underflow.  A nonzero coordinate
  * difference below 2^-255 could make a product of four of them subnormal,
- * so the predicates leave such inputs to the exact path. */
+ * so the filters leave such inputs to the exact stage. */
 #define MIN_DIFF 0x1p-255
+
+/* The exact stage runs in long double.  It multiplies up to four
+ * coordinate differences, each held as two parts whose lowest bits are no
+ * finer than the coordinates'.  Coordinates whose frexp exponents lie in
+ * (EXACT_MIN_EXP, EXACT_MAX_EXP) keep every such product and sum within
+ * the normal range of long double, so no expansion component underflows or
+ * overflows and the sign is exact.  With the 15-bit exponent of x86-64 and
+ * aarch64 long doubles that holds for every finite double; where long
+ * double is double, a nonzero coordinate outside [2^-199, 2^253) makes the
+ * predicate UNCERTAIN. */
+#define EXACT_MIN_EXP ((LDBL_MIN_EXP - 1) / 4 + 56)
+#define EXACT_MAX_EXP ((LDBL_MAX_EXP - 8) / 4)
+/* 2^ceil(p/2) + 1 for the p-bit long double significand (Dekker's split) */
+#define SPLITTER ((real)(1ULL << ((LDBL_MANT_DIG + 1) / 2)) + 1.0L)
+
+typedef long double real;
 
 #define PX(i) pts[2 * (int64_t)(i)]
 #define PY(i) pts[2 * (int64_t)(i) + 1]
@@ -43,53 +68,277 @@ static int tiny(double d)
     return d != 0.0 && fabs(d) < MIN_DIFF;
 }
 
-/* Sign of the CCW test, or UNCERTAIN when the filter cannot certify it. */
-static int orient(double ax, double ay, double bx, double by, double cx,
-                  double cy)
+/* -- expansion arithmetic (Shewchuk 1997) ----------------------------------
+ * An expansion is an array of nonoverlapping reals in increasing order of
+ * magnitude whose exact sum is the value; zero components are dropped, and
+ * zero itself is the one-component expansion {0}.  Its sign is the sign of
+ * its last component.  Every routine returns the length it wrote. */
+
+/* a + b == *hi + *lo exactly (Knuth's two-sum). */
+static void two_sum(real a, real b, real *hi, real *lo)
 {
-    if (tiny(ax - cx) || tiny(by - cy) || tiny(ay - cy) || tiny(bx - cx))
-        return UNCERTAIN;
-    double t1 = (ax - cx) * (by - cy);
-    double t2 = (ay - cy) * (bx - cx);
-    double det = t1 - t2;
-    double bound = ORIENT_FILTER * (fabs(t1) + fabs(t2));
-    if (det > bound)
-        return 1;
-    if (det < -bound)
-        return -1;
-    if (bound == 0.0)
-        return 0;
-    return UNCERTAIN;
+    real s = a + b, bv = s - a, av = s - bv;
+    *hi = s;
+    *lo = (a - av) + (b - bv);
 }
 
-/* Sign of the in-circumcircle test for CCW (a, b, c), filtered as above. */
-static int incircle(double ax, double ay, double bx, double by, double cx,
-                    double cy, double px, double py)
+/* a == hi + lo, each half with at most half the significand bits. */
+static void split(real a, real *hi, real *lo)
 {
-    double adx = ax - px, ady = ay - py;
-    double bdx = bx - px, bdy = by - py;
-    double cdx = cx - px, cdy = cy - py;
-    if (tiny(adx) || tiny(ady) || tiny(bdx) || tiny(bdy) || tiny(cdx)
-        || tiny(cdy))
+    real c = SPLITTER * a, big = c - a;
+    *hi = c - big;
+    *lo = a - *hi;
+}
+
+/* a * b == *hi + *lo exactly (Dekker's two-product). */
+static void two_product(real a, real b, real *hi, real *lo)
+{
+    real ahi, alo, bhi, blo, p = a * b;
+    split(a, &ahi, &alo);
+    split(b, &bhi, &blo);
+    *hi = p;
+    *lo = alo * blo - (((p - ahi * bhi) - alo * bhi) - ahi * blo);
+}
+
+/* h = e * b; h holds 2 * elen components. */
+static int scale_expansion(int elen, const real *e, real b, real *h)
+{
+    int n = 0;
+    real q, hi, lo, sum;
+    two_product(e[0], b, &q, &lo);
+    if (lo != 0.0)
+        h[n++] = lo;
+    for (int i = 1; i < elen; i++) {
+        two_product(e[i], b, &hi, &lo);
+        two_sum(q, lo, &sum, &lo);
+        if (lo != 0.0)
+            h[n++] = lo;
+        two_sum(hi, sum, &q, &lo);
+        if (lo != 0.0)
+            h[n++] = lo;
+    }
+    if (q != 0.0 || n == 0)
+        h[n++] = q;
+    return n;
+}
+
+/* h = e + f, merging the components by magnitude (fast expansion sum);
+ * h holds elen + flen components and may not overlap e or f. */
+static int expansion_sum(int elen, const real *e, int flen, const real *f,
+                         real *h)
+{
+    int i = 0, j = 0, n = 0;
+    real q = fabsl(e[0]) <= fabsl(f[0]) ? e[i++] : f[j++], lo;
+    while (i < elen || j < flen) {
+        real g = j == flen || (i < elen && fabsl(e[i]) <= fabsl(f[j]))
+                       ? e[i++] : f[j++];
+        two_sum(q, g, &q, &lo);
+        if (lo != 0.0)
+            h[n++] = lo;
+    }
+    if (q != 0.0 || n == 0)
+        h[n++] = q;
+    return n;
+}
+
+/* h = e * f; h holds 2 * elen * flen components, work 2 * elen * (flen + 1). */
+static int expansion_product(int elen, const real *e, int flen,
+                             const real *f, real *h, real *work)
+{
+    real *term = work, *acc = work + 2 * elen;
+    int n = scale_expansion(elen, e, f[0], h);
+    for (int j = 1; j < flen; j++) {
+        int m = scale_expansion(elen, e, f[j], term);
+        memcpy(acc, h, (size_t)n * sizeof *h);
+        n = expansion_sum(n, acc, m, term, h);
+    }
+    return n;
+}
+
+/* A coordinate difference, exactly, as an expansion of one or two parts. */
+typedef struct {
+    int n;
+    real c[2];
+} Diff;
+
+static Diff difference(double a, double b)
+{
+    Diff d = {0, {0.0L, 0.0L}};
+    real hi, lo;
+    two_sum(a, -(real)b, &hi, &lo);
+    if (lo != 0.0)
+        d.c[d.n++] = lo;
+    d.c[d.n++] = hi;
+    return d;
+}
+
+/* h = x * y - z * w; h holds 16 components. */
+static int cross_difference(Diff x, Diff y, Diff z, Diff w, real *h)
+{
+    real xy[8], zw[8], work[12];
+    int n = expansion_product(x.n, x.c, y.n, y.c, xy, work);
+    int m = expansion_product(z.n, z.c, w.n, w.c, zw, work);
+    for (int i = 0; i < m; i++)
+        zw[i] = -zw[i];
+    return expansion_sum(n, xy, m, zw, h);
+}
+
+static int sign_of(int n, const real *e)
+{
+    return (e[n - 1] > 0.0) - (e[n - 1] < 0.0);
+}
+
+static int exact_range(double v)
+{
+    int e;
+    frexp(v, &e);
+    return v == 0.0 || (e > EXACT_MIN_EXP && e < EXACT_MAX_EXP);
+}
+
+static int exact_point(const double *pts, int32_t i)
+{
+    return exact_range(PX(i)) && exact_range(PY(i));
+}
+
+/* Exact sign of the CCW test, or UNCERTAIN outside the exact range. */
+static int orient_exact(const double *pts, int32_t a, int32_t b, int32_t c)
+{
+    if (!exact_point(pts, a) || !exact_point(pts, b) || !exact_point(pts, c))
         return UNCERTAIN;
-    double ad = adx * adx + ady * ady;
-    double bd = bdx * bdx + bdy * bdy;
-    double cd = cdx * cdx + cdy * cdy;
-    double m1 = adx * (bdy * cd - cdy * bd);
-    double m2 = ady * (bdx * cd - cdx * bd);
-    double m3 = ad * (bdx * cdy - cdx * bdy);
-    double det = m1 - m2 + m3;
-    double mag = fabs(adx) * (fabs(bdy) * cd + fabs(cdy) * bd)
-                 + fabs(ady) * (fabs(bdx) * cd + fabs(cdx) * bd)
-                 + ad * (fabs(bdx) * fabs(cdy) + fabs(cdx) * fabs(bdy));
-    double bound = INCIRCLE_FILTER * mag;
-    if (det > bound)
-        return 1;
-    if (det < -bound)
+    real det[16];
+    int n = cross_difference(difference(PX(a), PX(c)), difference(PY(b), PY(c)),
+                             difference(PY(a), PY(c)), difference(PX(b), PX(c)),
+                             det);
+    return sign_of(n, det);
+}
+
+/* Exact sign of the in-circle test: the sum over the vertices v of CCW
+ * (a, b, c) of |v - p|^2 times the cross product of the next two
+ * vertices' offsets from p.  UNCERTAIN outside the exact range. */
+static int incircle_exact(const double *pts, int32_t a, int32_t b, int32_t c,
+                          int32_t p)
+{
+    const int32_t v[3] = {a, b, c};
+    Diff dx[3], dy[3];
+    if (!exact_point(pts, p))
+        return UNCERTAIN;
+    for (int i = 0; i < 3; i++) {
+        if (!exact_point(pts, v[i]))
+            return UNCERTAIN;
+        dx[i] = difference(PX(v[i]), PX(p));
+        dy[i] = difference(PY(v[i]), PY(p));
+    }
+    real lift[16], minor[16], term[512], work[544], acc[1024], det[1536];
+    int n = 1;
+    det[0] = 0.0L;
+    for (int i = 0; i < 3; i++) {
+        const int j = (i + 1) % 3, k = (i + 2) % 3;
+        Diff neg_dy = dy[i]; /* |v - p|^2 = dx * dx - dy * (-dy) */
+        neg_dy.c[0] = -neg_dy.c[0];
+        neg_dy.c[1] = -neg_dy.c[1];
+        int nl = cross_difference(dx[i], dx[i], dy[i], neg_dy, lift);
+        int nm = cross_difference(dx[j], dy[k], dx[k], dy[j], minor);
+        int nt = expansion_product(nl, lift, nm, minor, term, work);
+        memcpy(acc, det, (size_t)n * sizeof *det);
+        n = expansion_sum(n, acc, nt, term, det);
+    }
+    return sign_of(n, det);
+}
+
+/* Sign of the CCW test of points a, b and c: the float filter, then the
+ * exact stage, counted in counts[0]. */
+static int orient(const double *pts, int32_t a, int32_t b, int32_t c,
+                  int64_t *counts)
+{
+    const double ax = PX(a), ay = PY(a), bx = PX(b), by = PY(b);
+    const double cx = PX(c), cy = PY(c);
+    if (!(tiny(ax - cx) || tiny(by - cy) || tiny(ay - cy) || tiny(bx - cx))) {
+        double t1 = (ax - cx) * (by - cy);
+        double t2 = (ay - cy) * (bx - cx);
+        double det = t1 - t2;
+        double bound = ORIENT_FILTER * (fabs(t1) + fabs(t2));
+        if (det > bound)
+            return 1;
+        if (det < -bound)
+            return -1;
+        if (bound == 0.0)
+            return 0;
+    }
+    counts[0]++;
+    return orient_exact(pts, a, b, c);
+}
+
+/* Whether point a precedes point b in (x, y) order. */
+static int lex_less(const double *pts, int32_t a, int32_t b)
+{
+    return PX(a) < PX(b) || (PX(a) == PX(b) && PY(a) < PY(b));
+}
+
+/* incircle() where the filter found an exact 0 (sgn == 0) or could not
+ * decide (sgn == UNCERTAIN): the exact stage, counted in counts[0], then an
+ * exact tie (p on the circle, counted in counts[1]) broken by lifting each
+ * point by an infinitesimal that grows with its rank in (x, y) order
+ * (Edelsbrunner and Mücke 1990; Devillers and Teillaud 2011).  The
+ * lex-largest point then moves most: p is outside when it is that point,
+ * and otherwise inside iff (a, b, c) with that vertex replaced by p stays
+ * CCW.  No three points of a circle are collinear, so that test is never 0.
+ * Kept out of line: inlined into hc_build's flip loop, it made uniform
+ * clouds, which never get here, about 3% slower to triangulate. */
+__attribute__((noinline))
+static int incircle_slow(const double *pts, int32_t a, int32_t b, int32_t c,
+                         int32_t p, int sgn, int64_t *counts)
+{
+    if (sgn == UNCERTAIN) {
+        counts[0]++;
+        sgn = incircle_exact(pts, a, b, c, p);
+    }
+    if (sgn != 0)
+        return sgn;
+    counts[1]++;
+    int32_t top = p;
+    if (lex_less(pts, top, a))
+        top = a;
+    if (lex_less(pts, top, b))
+        top = b;
+    if (lex_less(pts, top, c))
+        top = c;
+    if (top == p)
         return -1;
-    if (bound == 0.0)
-        return 0;
-    return UNCERTAIN;
+    return orient(pts, top == a ? p : a, top == b ? p : b, top == c ? p : c,
+                  counts);
+}
+
+/* Whether p lies strictly inside the circle of CCW (a, b, c): +1 or -1, or
+ * UNCERTAIN.  Filtered like orient; see incircle_slow for the rest. */
+static int incircle(const double *pts, int32_t a, int32_t b, int32_t c,
+                    int32_t p, int64_t *counts)
+{
+    const double px = PX(p), py = PY(p);
+    const double adx = PX(a) - px, ady = PY(a) - py;
+    const double bdx = PX(b) - px, bdy = PY(b) - py;
+    const double cdx = PX(c) - px, cdy = PY(c) - py;
+    int sgn = UNCERTAIN;
+    if (!(tiny(adx) || tiny(ady) || tiny(bdx) || tiny(bdy) || tiny(cdx)
+          || tiny(cdy))) {
+        double ad = adx * adx + ady * ady;
+        double bd = bdx * bdx + bdy * bdy;
+        double cd = cdx * cdx + cdy * cdy;
+        double m1 = adx * (bdy * cd - cdy * bd);
+        double m2 = ady * (bdx * cd - cdx * bd);
+        double m3 = ad * (bdx * cdy - cdx * bdy);
+        double det = m1 - m2 + m3;
+        double mag = fabs(adx) * (fabs(bdy) * cd + fabs(cdy) * bd)
+                     + fabs(ady) * (fabs(bdx) * cd + fabs(cdx) * bd)
+                     + ad * (fabs(bdx) * fabs(cdy) + fabs(cdx) * fabs(bdy));
+        double bound = INCIRCLE_FILTER * mag;
+        if (det > bound)
+            return 1;
+        if (det < -bound)
+            return -1;
+        if (bound == 0.0)
+            sgn = 0;
+    }
+    return incircle_slow(pts, a, b, c, p, sgn, counts);
 }
 
 /* Slot of the infinite vertex in a ghost triangle, or -1 for a real one. */
@@ -105,12 +354,6 @@ static int ghost_slot(const int32_t *tri, int32_t inf)
 static int facing(const int32_t *neigh, int32_t t, int32_t u)
 {
     return NB(t, 0) == u ? 0 : NB(t, 1) == u ? 1 : 2;
-}
-
-/* Whether point a precedes point b in (x, y) order. */
-static int lex_less(const double *pts, int32_t a, int32_t b)
-{
-    return PX(a) < PX(b) || (PX(a) == PX(b) && PY(a) < PY(b));
 }
 
 /* Compact the slots of hc_build in place: drop the ghosts, renumber the
@@ -165,31 +408,54 @@ static int64_t compact(const double *pts, int32_t n, int32_t *tris,
     return k;
 }
 
+/* Whether p lies strictly between a and b; the three are collinear, so
+ * (x, y) order is their order along the line. */
+static int between(const double *pts, int32_t a, int32_t p, int32_t b)
+{
+    return lex_less(pts, a, b) ? lex_less(pts, a, p) && lex_less(pts, p, b)
+                               : lex_less(pts, b, p) && lex_less(pts, p, a);
+}
+
+static int same_point(const double *pts, int32_t a, int32_t b)
+{
+    return PX(a) == PX(b) && PY(a) == PY(b);
+}
+
 /* Insert the points in the given order, then compact the slots.
  *
  * Triangle slots hold vertex indices, with index n standing for the infinite
- * vertex of ghost triangles (two hull vertices plus infinity), so the split
+ * vertex of ghost triangles (two hull vertices plus infinity), so the splits
  * and the flips treat the outside uniformly.  neigh[t, j] is the triangle
- * across the edge opposite vertex j.  Each point splits the triangle that
- * contains it, real or ghost, into three: one keeps its slot and two take
- * new ones, so the 2n - 2 slots of the finished triangulation are all live.
- * Lawson flips (Guibas, Knuth and Sharir 1992) then make every edge opposite
- * the point Delaunay; a ghost's circle is the open half-plane beyond its
- * hull edge, and an edge whose circle test is 0 stays.  On STATUS_OK the
- * first *n_tris_out rows hold the real triangles, compacted as above.  Any
- * predicate the filter cannot certify aborts with STATUS_UNCERTAIN and the
- * caller falls back to an exact path.
+ * across the edge opposite vertex j.  A point strictly inside a triangle,
+ * real or ghost, splits it into three: one keeps its slot and two take new
+ * ones.  A point exactly on an edge splits the edge's two triangles into
+ * four (on a hull edge, the real triangle and the ghost), again two new
+ * slots, so the 2n - 2 slots of the finished triangulation are all live.  A
+ * point on the line of a hull edge but beyond its ends is located by
+ * walking along the hull to a ghost it lies strictly beyond.  Lawson flips
+ * (Guibas, Knuth and Sharir 1992) then make every edge opposite the point
+ * Delaunay; a ghost's circle is the open half-plane beyond its hull edge,
+ * so points on a hull edge's line stay on the hull, and in-circle ties are
+ * broken by the perturbation in incircle().  The result is the Delaunay
+ * triangulation of the perturbed points, whatever the insertion order.
+ *
+ * On STATUS_OK the first *n_tris_out rows hold the real triangles,
+ * compacted as above.  counts[0] receives the number of predicates the
+ * float filter left to the exact stage and counts[1] the number of
+ * in-circle ties the perturbation broke.  STATUS_UNCERTAIN means a
+ * predicate met coordinates beyond the exact stage's range.
  */
 int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
                  int32_t *tris, int32_t *neigh, int64_t cap,
-                 int64_t *n_tris_out)
+                 int64_t *n_tris_out, int64_t *counts)
 {
     const int32_t inf = n;
     int64_t n_tris = 0;
     int32_t status = STATUS_OK;
     *n_tris_out = 0;
+    counts[0] = counts[1] = 0;
     if (n < 3)
-        return STATUS_UNCERTAIN;
+        return STATUS_DEGENERATE;
     if (cap < 2 * (int64_t)n - 2)
         return STATUS_OVERFLOW;
 
@@ -200,11 +466,13 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
     int sgn = 0;
     for (; third < n; third++) {
         c = order[third];
-        sgn = orient(PX(a), PY(a), PX(b), PY(b), PX(c), PY(c));
+        sgn = orient(pts, a, b, c, counts);
         if (sgn != 0)
             break;
     }
-    if (third >= n || sgn == UNCERTAIN)
+    if (third >= n)
+        return STATUS_DEGENERATE;
+    if (sgn == UNCERTAIN)
         return STATUS_UNCERTAIN;
     if (sgn < 0) {
         int32_t tmp = b;
@@ -233,36 +501,53 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
         if (idx == third)
             continue;
         const int32_t p = order[idx];
-        const double px = PX(p), py = PY(p);
 
-        /* -- locate: walk from a triangle around the last point --------- */
+        /* -- locate: walk from a triangle around the last point to one that
+         * contains p, strictly (on = -1) or on its edge opposite slot on */
         int64_t t = last;
+        int on = -1;
         int64_t guard = 0;
         const int64_t max_guard = 4 * n_tris + 64;
         for (;;) {
+            /* exact predicates cannot make the walk cycle; a guard anyway */
             if (++guard > max_guard) {
                 status = STATUS_UNCERTAIN;
                 goto done;
             }
+            on = -1;
             int g = ghost_slot(&TRI(t, 0), inf);
             if (g >= 0) {
                 /* in this ghost's outer wedge iff left of its hull edge */
                 int32_t x = TRI(t, (g + 1) % 3), y = TRI(t, (g + 2) % 3);
-                sgn = orient(PX(x), PY(x), PX(y), PY(y), px, py);
-                if (sgn == UNCERTAIN || sgn == 0) {
+                sgn = orient(pts, x, y, p, counts);
+                if (sgn == UNCERTAIN) {
                     status = STATUS_UNCERTAIN;
                     goto done;
                 }
                 if (sgn > 0)
                     break;
-                t = NB(t, g); /* step back inside across the finite edge */
+                if (sgn < 0) {
+                    t = NB(t, g); /* step back inside across the finite edge */
+                    continue;
+                }
+                if (same_point(pts, p, x) || same_point(pts, p, y)) {
+                    status = STATUS_DEGENERATE;
+                    goto done;
+                }
+                if (between(pts, x, p, y)) {
+                    on = g;
+                    break;
+                }
+                /* on the edge's line beyond one end: to the next hull edge
+                 * at that end, across the ghost edge (end, inf) */
+                t = between(pts, x, y, p) ? NB(t, (g + 1) % 3) : NB(t, (g + 2) % 3);
                 continue;
             }
-            int moved = 0;
+            int moved = 0, zeros = 0;
             for (int j = 0; j < 3; j++) {
                 int32_t u = TRI(t, (j + 1) % 3), w = TRI(t, (j + 2) % 3);
-                sgn = orient(PX(u), PY(u), PX(w), PY(w), px, py);
-                if (sgn == UNCERTAIN || sgn == 0) {
+                sgn = orient(pts, u, w, p, counts);
+                if (sgn == UNCERTAIN) {
                     status = STATUS_UNCERTAIN;
                     goto done;
                 }
@@ -271,45 +556,79 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
                     moved = 1;
                     break;
                 }
+                if (sgn == 0) {
+                    on = j;
+                    zeros++;
+                }
             }
-            if (!moved)
-                break; /* t strictly contains p */
+            if (moved)
+                continue;
+            if (zeros > 1) { /* p is a vertex of t */
+                status = STATUS_DEGENERATE;
+                goto done;
+            }
+            break;
         }
 
-        /* -- split: (p, v[j+1], v[j+2]) in slot s[j], across v[j]'s edge - */
-        const int32_t s[3] = {(int32_t)t, (int32_t)n_tris, (int32_t)n_tris + 1};
-        int32_t v[3], out[3];
-        for (int j = 0; j < 3; j++) {
-            v[j] = TRI(t, j);
-            out[j] = NB(t, j);
+        /* -- split: (p, ring[i], ring[i+1]) in slot[i], across the ring edge
+         * from out[i], whose link back is neigh[out[i], back[i]] ---------- */
+        int32_t ring[4], out[4], slot[4], back[4];
+        int len;
+        if (on < 0) {
+            len = 3;
+            for (int j = 0; j < 3; j++) {
+                ring[j] = TRI(t, (j + 1) % 3);
+                out[j] = NB(t, j);
+                back[j] = facing(neigh, out[j], (int32_t)t);
+            }
+            slot[0] = (int32_t)t;
+            slot[1] = (int32_t)n_tris;
+            slot[2] = (int32_t)n_tris + 1;
+        } else {
+            /* t = (r0, r1, r3) and o = (r2, r3, r1) share the edge (r1, r3) */
+            const int32_t o = NB(t, on);
+            const int f = facing(neigh, o, (int32_t)t);
+            const int32_t owner[4] = {(int32_t)t, o, o, (int32_t)t};
+            len = 4;
+            ring[0] = TRI(t, on);
+            ring[1] = TRI(t, (on + 1) % 3);
+            ring[2] = TRI(o, f);
+            ring[3] = TRI(t, (on + 2) % 3);
+            out[0] = NB(t, (on + 2) % 3);
+            out[1] = NB(o, (f + 1) % 3);
+            out[2] = NB(o, (f + 2) % 3);
+            out[3] = NB(t, (on + 1) % 3);
+            for (int i = 0; i < 4; i++)
+                back[i] = facing(neigh, out[i], owner[i]);
+            slot[0] = (int32_t)t;
+            slot[1] = (int32_t)n_tris;
+            slot[2] = o;
+            slot[3] = (int32_t)n_tris + 1;
         }
-        for (int j = 0; j < 3; j++) {
-            TRI(s[j], 0) = p;
-            TRI(s[j], 1) = v[(j + 1) % 3];
-            TRI(s[j], 2) = v[(j + 2) % 3];
-            NB(s[j], 0) = out[j];
-            NB(s[j], 1) = s[(j + 1) % 3];
-            NB(s[j], 2) = s[(j + 2) % 3];
-            NB(out[j], facing(neigh, out[j], (int32_t)t)) = s[j];
-            stack[j] = s[j];
+        for (int i = 0; i < len; i++) {
+            TRI(slot[i], 0) = p;
+            TRI(slot[i], 1) = ring[i];
+            TRI(slot[i], 2) = ring[(i + 1) % len];
+            NB(slot[i], 0) = out[i];
+            NB(slot[i], 1) = slot[(i + 1) % len];
+            NB(slot[i], 2) = slot[(i + len - 1) % len];
+            NB(out[i], back[i]) = slot[i];
+            stack[i] = slot[i];
         }
         n_tris += 2;
 
         /* -- flip: (p, u, w) and (q, w, u) become (p, u, q) and (p, q, w)
          * while q's triangle has p in its circle --------------------------- */
-        int64_t n_stack = 3;
+        int64_t n_stack = len;
         while (n_stack > 0) {
             const int32_t r = stack[--n_stack], o = NB(r, 0);
             const int f = facing(neigh, o, r);
             int g = ghost_slot(&TRI(o, 0), inf);
-            if (g >= 0) {
-                int32_t x = TRI(o, (g + 1) % 3), y = TRI(o, (g + 2) % 3);
-                sgn = orient(PX(x), PY(x), PX(y), PY(y), px, py);
-            } else {
-                int32_t w0 = TRI(o, 0), w1 = TRI(o, 1), w2 = TRI(o, 2);
-                sgn = incircle(PX(w0), PY(w0), PX(w1), PY(w1), PX(w2), PY(w2),
-                               px, py);
-            }
+            if (g >= 0)
+                sgn = orient(pts, TRI(o, (g + 1) % 3), TRI(o, (g + 2) % 3), p,
+                             counts);
+            else
+                sgn = incircle(pts, TRI(o, 0), TRI(o, 1), TRI(o, 2), p, counts);
             if (sgn == UNCERTAIN) {
                 status = STATUS_UNCERTAIN;
                 goto done;

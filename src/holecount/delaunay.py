@@ -1,8 +1,10 @@
 """Delaunay triangulation of a planar cloud with edge/face adjacency.
 
-The compiled incremental builder in ``_fastdel`` triangulates when it can
-certify every predicate; otherwise, and when the kernels are not loaded,
-Qhull (scipy.spatial.Delaunay) does.  On top of it we build a flat edge
+The compiled incremental builder in ``_fastdel`` triangulates with exact
+predicates, cutting cocircular cells by a symbolic perturbation keyed on the
+points' (x, y) order; Qhull (scipy.spatial.Delaunay) triangulates when the
+kernels are not loaded and in the few cases the builder declines (see
+`_fastdel.build_triangulation`).  On top of it we build a flat edge
 table in which every edge knows its two incident faces; hull edges carry
 the EXTERNAL sentinel as their second face, so the unbounded region behaves
 like one more triangle everywhere downstream.
@@ -98,7 +100,7 @@ class Triangulation:
 
 
 def _qhull_triangles(pts: np.ndarray):
-    """Qhull triangulation, CCW-normalized; exact fallback path."""
+    """Qhull triangulation, CCW-normalized; the path without the kernels."""
     try:
         dt = _SciPyDelaunay(pts)
     except QhullError as exc:
@@ -135,11 +137,12 @@ def _qhull_triangles(pts: np.ndarray):
 def triangulate(cloud: Cloud) -> Triangulation:
     """Build the Delaunay triangulation of the cloud.
 
-    The incremental builder handles the common case; inputs with degenerate
-    or near-degenerate predicates (exactly cocircular points, points on a
-    shared line) fall back to Qhull.  Qhull may leave points out, and then
-    warns with DroppedPointsWarning.  Raises TooFewPointsError /
-    AllCollinearError on degenerate input.
+    The compiled builder triangulates every input it can, cocircular and
+    collinear points included, with every point a vertex and the same
+    triangles whatever the input order.  Otherwise, and without the
+    kernels, Qhull does; it may cut cocircular cells by the input order or
+    leave points out, and then warns with DroppedPointsWarning.  Raises
+    TooFewPointsError / AllCollinearError on degenerate input.
     """
     pts = cloud.points
     if len(pts) < 3:

@@ -22,7 +22,8 @@ from holecount.delaunay import (
 )
 from holecount import _fastdel
 from holecount._fastdel import build_triangulation
-from holecount.oracles import incircle_exact
+from holecount.forest import hole_persistence
+from holecount.oracles import incircle_exact, orient_exact
 from holecount.samplers import ShapeSpec, sample_shape
 
 from conftest import edge_vertices, parabola_cloud, random_cloud
@@ -63,6 +64,66 @@ class TestCloud:
             warnings.simplefilter("ignore")
             cloud = Cloud.from_points([(5, 5), (1, 0), (5, 5), (0, 1)])
         assert cloud.points.tolist() == [[5, 5], [1, 0], [0, 1]]
+
+
+def _lattice(m):
+    return np.stack(np.meshgrid(np.arange(m), np.arange(m)), axis=-1).reshape(-1, 2) * 1.0
+
+
+def _hex_lattice(m):
+    i, j = (g.ravel() for g in np.meshgrid(np.arange(m), np.arange(m)))
+    return np.stack([i + 0.5 * (j % 2), j * (np.sqrt(3.0) / 2.0)], axis=1)
+
+
+def _pythagorean_circles():
+    # every integer point on the circles of radius 5, 13 and 25, and the centre
+    r = np.arange(-25, 26)
+    x, y = (g.ravel() for g in np.meshgrid(r, r))
+    on = np.isin(x * x + y * y, [0, 25, 169, 625])
+    return np.stack([x[on], y[on]], axis=1) * 1.0
+
+
+def _regular_gon(m):
+    angle = 2.0 * np.pi * np.arange(m) / m
+    return np.vstack([np.stack([np.cos(angle), np.sin(angle)], axis=1), [(0.0, 0.0)]])
+
+
+def _collinear_runs():
+    # runs on all three sides of a right triangle, and two inside it
+    i = np.arange(13.0)
+    return np.vstack([np.stack([i, np.zeros(13)], axis=1),
+                      np.stack([np.zeros(12), i[1:]], axis=1),
+                      np.stack([i[1:-1], 12.0 - i[1:-1]], axis=1),
+                      np.stack([i[1:9], np.full(8, 3.0)], axis=1),
+                      np.stack([i[1:5], i[1:5] + 3.0], axis=1)])
+
+
+def perturbed_incircle(p, a, b, c, d):
+    """incircle_exact of point d against CCW triangle (a, b, c) of the
+    points p, with a tie broken by lifting the points by infinitesimals that
+    grow with their (x, y) order: +1 inside, -1 outside."""
+    sign = incircle_exact(p[a], p[b], p[c], p[d])
+    if sign:
+        return sign
+    top = max((a, b, c, d), key=lambda v: tuple(p[v]))
+    if top == d:
+        return -1
+    return orient_exact(*(p[d] if v == top else p[v] for v in (a, b, c)))
+
+
+DEGENERATE_CLOUDS = {
+    "lattice-20": lambda: _lattice(20),
+    "lattice-50-permuted": lambda: np.random.default_rng(1).permutation(_lattice(50)),
+    "hex": lambda: _hex_lattice(12),
+    "12-gon-centre": lambda: _regular_gon(12),
+    "pythagorean": _pythagorean_circles,
+    "rounded-1/20": lambda: np.random.default_rng(2).permutation(
+        np.unique(np.round(20.0 * np.random.default_rng(2).random((200, 2))) / 20.0, axis=0)),
+    "lattice-offset-1e8": lambda: _lattice(6) + 1e8,
+    "line-and-one-point": lambda: np.vstack([np.stack([np.arange(30.0), 0.5 * np.arange(30.0)],
+                                                      axis=1), [(3.0, 7.0)]]),
+    "collinear-runs": _collinear_runs,
+}
 
 
 class TestTriangulate:
@@ -127,8 +188,9 @@ class TestTriangulate:
     @pytest.mark.parametrize("backend", ["kernels", "fallback"])
     @pytest.mark.parametrize("shape", ["random", "parabola", "lattice"])
     def test_edge_table_matches_triangles(self, backend, shape, monkeypatch):
-        # the lattice is cocircular everywhere, so Qhull triangulates it and
-        # the compiled table reads Qhull's triangles
+        # the lattice is cocircular everywhere: the builder cuts its cells by
+        # the perturbation, Qhull by its own rule, and each table reads the
+        # triangles of its path
         if backend == "fallback":
             monkeypatch.setattr(_fastdel, "KERNELS", None)
         elif _fastdel.KERNELS is None:
@@ -202,11 +264,27 @@ class TestTriangulate:
         canon = lambda t: {tuple(sorted(row)) for row in t.tolist()}
         assert canon(triangulate(scaled).triangles) == canon(triangulate(cloud).triangles)
 
-    def test_qhull_dropping_points_warns(self):
+    def test_qhull_dropping_points_warns(self, monkeypatch):
         # offset by 10**8, Qhull keeps 4 of a 6x6 lattice's 36 points
+        monkeypatch.setattr(_fastdel, "KERNELS", None)
         grid = np.stack(np.meshgrid(np.arange(6), np.arange(6)), axis=-1).reshape(-1, 2)
         with pytest.warns(DroppedPointsWarning, match="32 of 36"):
             triangulate(Cloud.from_points(grid + 1e8))
+
+    @pytest.mark.skipif(_fastdel.KERNELS is None,
+                        reason="compiled kernels unavailable (no C compiler)")
+    def test_builder_keeps_offset_lattice(self):
+        # the lattice Qhull cuts down to 4 points keeps all 36 in the
+        # builder, and each of its 25 cells holds one hole
+        grid = np.stack(np.meshgrid(np.arange(6), np.arange(6)), axis=-1).reshape(-1, 2)
+        cloud = Cloud.from_points(grid + 1e8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DroppedPointsWarning)
+            tri = triangulate(cloud)
+            pairs = hole_persistence(cloud).pairs
+        assert len(np.unique(tri.triangles)) == 36
+        assert len(pairs) == 25
+        assert np.abs(pairs - [0.5, np.sqrt(2.0) / 2.0]).max() <= 1e-12
 
     @pytest.mark.parametrize("shape", ["lattice", "wheel"])
     def test_qhull_keeping_every_point_is_silent(self, shape):
@@ -218,6 +296,51 @@ class TestTriangulate:
             warnings.simplefilter("error", DroppedPointsWarning)
             tris, _ = _qhull_triangles(pts)
         assert len(np.unique(tris)) == len(pts)
+
+    @pytest.mark.skipif(_fastdel.KERNELS is None,
+                        reason="compiled kernels unavailable (no C compiler)")
+    @pytest.mark.parametrize("kind", list(DEGENERATE_CLOUDS))
+    def test_builder_certified_exactly(self, kind, monkeypatch):
+        # an exact oracle, not the kernel's predicates, certifies the
+        # builder's triangles on cocircular and collinear input: all points
+        # are vertices, the triangles are CCW, the boundary is a convex
+        # cycle, Euler's formula holds with its length, and every interior
+        # edge is locally Delaunay once in-circle ties are broken by the
+        # perturbation, so the whole is the perturbed Delaunay triangulation
+        pts = DEGENERATE_CLOUDS[kind]()
+        fast = build_triangulation(pts)
+        assert fast is not None
+        tris, neigh = fast
+        n, k, p = len(pts), len(tris), pts.tolist()
+        assert np.array_equal(np.unique(tris), np.arange(n))
+        assert all(orient_exact(p[a], p[b], p[c]) > 0 for a, b, c in tris.tolist())
+        # hull edges (u, w) in CCW order, from the triangle on their left
+        succ = {}
+        for row, links in zip(tris.tolist(), neigh.tolist()):
+            for j, nb in enumerate(links):
+                if nb < 0:
+                    succ[row[(j + 1) % 3]] = row[(j + 2) % 3]
+        h = int(np.count_nonzero(neigh < 0))
+        assert len(succ) == h
+        start = u = next(iter(succ))
+        for _ in range(h):
+            w = succ[u]
+            assert orient_exact(p[u], p[w], p[succ[w]]) >= 0
+            u = w
+        assert u == start
+        assert k == 2 * n - 2 - h
+        assert len(adjacency(tris, neigh)) == 3 * n - 3 - h
+        for t, (row, links) in enumerate(zip(tris.tolist(), neigh.tolist())):
+            for nb in links:
+                if nb > t:
+                    far = int(tris[nb][neigh[nb].tolist().index(t)])
+                    assert not perturbed_incircle(p, *row, far) > 0
+        # the same triangles whatever the insertion order
+        canon = lambda t: sorted(map(tuple, np.sort(t, axis=1).tolist()))
+        for seed in range(2):
+            order = np.random.default_rng(seed).permutation(n)
+            monkeypatch.setattr(_fastdel, "morton_argsort", lambda _: order)
+            assert canon(build_triangulation(pts)[0]) == canon(tris)
 
     def test_cocircular_grid_handled(self):
         # a 3x3 integer grid is full of cocircular 4-tuples; the builder must

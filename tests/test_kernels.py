@@ -1,6 +1,7 @@
 """The compiled kernels against the Python fallback, and the fallback alone."""
 
 import ctypes
+import logging
 import os
 import re
 import shutil
@@ -13,7 +14,8 @@ import pytest
 
 import holecount
 from holecount import Cloud, _fastdel
-from holecount.forest import hole_persistence_stats
+from holecount.delaunay import edges_sorted_desc, triangulate
+from holecount.forest import hole_persistence_stats, init_forest, iter_events
 
 from conftest import parabola_cloud, random_cloud
 
@@ -23,16 +25,26 @@ needs_kernels = pytest.mark.skipif(
 
 
 def _assert_backends_agree(monkeypatch, cloud):
-    """Same pairs, bit for bit, and the same deepest root walk with the
-    kernels loaded and unloaded; returns the pairs and the walk."""
+    """Same pairs, bit for bit, and the same triangle count with the kernels
+    loaded and unloaded, and the same deepest root walk from the compiled
+    sweep as from the DualForest reference over the same triangles; returns
+    the pairs, the walk and the fallback's walk.  The walks of the two
+    backends agree only where the triangles are unique: the builder and
+    Qhull may cut a cocircular cell along different diagonals."""
     compiled, walk, k = hole_persistence_stats(cloud, track_depth=True)
+    tri = triangulate(cloud)
+    forest = init_forest(tri)
+    for _ in iter_events(forest, tri.edge_faces, tri.edge_length_sq,
+                         edges_sorted_desc(tri.edge_length_sq)):
+        pass
+    assert walk == forest.max_find_steps
     with monkeypatch.context() as patch:
         patch.setattr(_fastdel, "KERNELS", None)
         fallback, fallback_walk, fallback_k = hole_persistence_stats(
             cloud, track_depth=True)
     assert np.array_equal(compiled.pairs, fallback.pairs)
-    assert (walk, k) == (fallback_walk, fallback_k)
-    return compiled.pairs, walk
+    assert k == fallback_k
+    return compiled.pairs, walk, fallback_walk
 
 
 @needs_kernels
@@ -51,20 +63,39 @@ def test_fallback_identical_on_fixtures(fixture, request, monkeypatch):
 def test_fallback_identical_on_random_clouds(make, seed, n, monkeypatch):
     cloud = make(seed, n)
     assert _fastdel.build_triangulation(cloud.points) is not None
-    pairs, walk = _assert_backends_agree(monkeypatch, cloud)
-    assert len(pairs) > 0 and walk > 0
+    pairs, walk, fallback_walk = _assert_backends_agree(monkeypatch, cloud)
+    assert len(pairs) > 0 and walk == fallback_walk > 0
 
 
 @needs_kernels
 def test_fallback_identical_on_lattice(monkeypatch):
-    # every cell is a cocircular square: Qhull triangulates it on both
-    # paths, and each cell's two right triangles meet in Case 3
+    # every cell is a cocircular square, cut by the builder's perturbation
+    # on one path and by Qhull on the other; either way each cell's two
+    # right triangles meet in Case 3
     m = 20
     grid = np.stack(np.meshgrid(np.arange(m), np.arange(m)), axis=-1).reshape(-1, 2)
     cloud = Cloud.from_points(np.random.default_rng(5).permutation(grid))
-    assert _fastdel.build_triangulation(cloud.points) is None
-    pairs, walk = _assert_backends_agree(monkeypatch, cloud)
+    assert _fastdel.build_triangulation(cloud.points) is not None
+    pairs, walk, _ = _assert_backends_agree(monkeypatch, cloud)
     assert len(pairs) == (m - 1) ** 2 and walk > 0
+
+
+@needs_kernels
+def test_builder_counts_exact_stage_and_ties(caplog):
+    # a uniform cloud never leaves the float filter; a lattice needs the
+    # exact stage on every cocircular cell and breaks each such tie
+    caplog.set_level(logging.DEBUG, logger=_fastdel.__name__)
+
+    def counts(pts):
+        caplog.clear()
+        assert _fastdel.build_triangulation(pts) is not None
+        (record,) = [r for r in caplog.records if r.name == _fastdel.__name__]
+        return record.args
+
+    assert counts(random_cloud(0, 3000).points) == (0, 0)
+    grid = np.stack(np.meshgrid(np.arange(20), np.arange(20)), axis=-1).reshape(-1, 2)
+    exact, ties = counts(grid.astype(np.float64))
+    assert exact > 0 and ties > 0
 
 
 @needs_kernels
@@ -127,6 +158,9 @@ _fastdel.KERNELS = lib
 rng = np.random.default_rng(0)
 x = rng.uniform(-10.0, 10.0, 300)
 grid = np.stack(np.meshgrid(np.arange(20), np.arange(20)), axis=-1).reshape(-1, 2)
+small = np.stack(np.meshgrid(np.arange(6), np.arange(6)), axis=-1).reshape(-1, 2)
+rounded = np.round(20.0 * np.random.default_rng(1).random((200, 2))) / 20.0
+line = np.stack([np.arange(30.0), 0.5 * np.arange(30.0)], axis=1)
 clouds = [
     [(0, 0), (2, 0), (1, 2)],
     [(0, 0), (2, 0), (2, 2), (0, 2)],
@@ -136,11 +170,17 @@ clouds = [
     np.stack([x, x * x], axis=1),
     np.vstack([[(0.0, 0.0), (1e-3, 0.0), (2e-3, 0.0)], 0.5 + 0.5 * rng.random((50, 2))]),
     rng.random((300, 2)) * 2.0 ** -300,
-    grid,  # Qhull, then the compiled edge table and sweep
+    # cocircular cells and points on edges: the exact stage, the
+    # perturbation and the edge splits
+    grid,
+    np.unique(rounded, axis=0),
+    small + 1e8,
+    np.vstack([line, [(3.0, 7.0)]]),
 ]
 for pts in clouds:
     hole_persistence(Cloud.from_points(pts))
-assert _fastdel.build_triangulation(clouds[4]) is not None
+for pts in [clouds[4]] + clouds[-4:]:
+    assert _fastdel.build_triangulation(np.asarray(pts, dtype=np.float64)) is not None
 print("clean")
 """
 

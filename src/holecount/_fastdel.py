@@ -9,7 +9,8 @@ and the sweep ``hc_sweep``; the edge sort between them is numpy's.  On
 first import it is compiled with the system ``gcc`` into ``__pycache__``
 next to this file, under a name keyed by a hash of the source and the
 flags, so later imports only load it.  When there is no
-compiler or the build fails, ``KERNELS`` is None and every caller takes the
+compiler or the build fails (as it does where ``long double`` is too narrow
+for the exact predicates), ``KERNELS`` is None and every caller takes the
 Qhull / numpy / ``DualForest`` reference path instead; the reason is logged
 at DEBUG level.
 
@@ -34,9 +35,8 @@ log = logging.getLogger(__name__)
 
 # hc_build's outcomes; every status but OK hands the cloud to Qhull.
 STATUS_OK = 0
-STATUS_UNCERTAIN = 1  # a coordinate beyond 2^±200 where long double is double
+STATUS_DECLINED = 1  # every point on one line, or a point repeated
 STATUS_OVERFLOW = 2  # too few triangle slots, or no memory for the flip stack
-STATUS_DEGENERATE = 3  # every point on one line, or a point repeated
 
 # Vertex, triangle (about 2n) and edge (about 3n) ids must fit in int32.
 _MAX_POINTS = 2 ** 29
@@ -132,8 +132,7 @@ def morton_argsort(points: np.ndarray) -> np.ndarray:
 def build_triangulation(points: np.ndarray):
     """Triangulate incrementally; returns (triangles, neighbors) in the
     layout of the Qhull path (CCW, lexicographically smallest point first,
-    -1 across hull edges), or None when the kernels are not loaded, a
-    coordinate lies beyond the range the exact predicates handle, or no
+    -1 across hull edges), or None when the kernels are not loaded or no
     triangulation on all points exists (all on one line, a point repeated).
 
     Exactly cocircular points get the triangulation of a symbolic

@@ -29,14 +29,15 @@
 #include <string.h>
 
 #define STATUS_OK 0
-#define STATUS_UNCERTAIN 1 /* coordinates beyond the exact stage's range */
-#define STATUS_OVERFLOW 2  /* fewer than 2n - 2 slots, or no flip stack */
-#define STATUS_DEGENERATE 3 /* every point on one line, or a point repeated */
+/* No triangulation with every point a vertex: all the points on one line,
+ * or a point repeated (or the locate walk's guard fired). */
+#define STATUS_DECLINED 1
+#define STATUS_OVERFLOW 2 /* fewer than 2n - 2 slots, or no flip stack */
 
 /* Error filters of the float predicates (Shewchuk 1997, loose static form). */
 #define ORIENT_FILTER (8.0 * DBL_EPSILON)
 #define INCIRCLE_FILTER (32.0 * DBL_EPSILON)
-#define UNCERTAIN (-2)
+#define UNCERTAIN (-2) /* the in-circle filter could not decide */
 /* The filters bound rounding, not underflow.  A nonzero coordinate
  * difference below 2^-255 could make a product of four of them subnormal,
  * so the filters leave such inputs to the exact stage. */
@@ -44,15 +45,15 @@
 
 /* The exact stage runs in long double.  It multiplies up to four
  * coordinate differences, each held as two parts whose lowest bits are no
- * finer than the coordinates'.  Coordinates whose frexp exponents lie in
- * (EXACT_MIN_EXP, EXACT_MAX_EXP) keep every such product and sum within
- * the normal range of long double, so no expansion component underflows or
- * overflows and the sign is exact.  With the 15-bit exponent of x86-64 and
- * aarch64 long doubles that holds for every finite double; where long
- * double is double, a nonzero coordinate outside [2^-199, 2^253) makes the
- * predicate UNCERTAIN. */
-#define EXACT_MIN_EXP ((LDBL_MIN_EXP - 1) / 4 + 56)
-#define EXACT_MAX_EXP ((LDBL_MAX_EXP - 8) / 4)
+ * finer than the coordinates' (2^-1074 at worst).  With a long double
+ * exponent range of at least four times a double's, as the 15-bit exponents
+ * of x86-64 and aarch64 long doubles give, every such product and sum of
+ * finite doubles stays within the normal range, so no expansion component
+ * underflows or overflows and the sign is exact.  Where long double is
+ * narrower the build stops here and _fastdel.py takes the Python path. */
+_Static_assert(LDBL_MANT_DIG > DBL_MANT_DIG && LDBL_MAX_EXP > 4 * DBL_MAX_EXP + 8
+                   && LDBL_MIN_EXP < 4 * (DBL_MIN_EXP - DBL_MANT_DIG - 56),
+               "the exact predicates need a long double with a 15-bit exponent");
 /* 2^ceil(p/2) + 1 for the p-bit long double significand (Dekker's split) */
 #define SPLITTER ((real)(1ULL << ((LDBL_MANT_DIG + 1) / 2)) + 1.0L)
 
@@ -188,23 +189,9 @@ static int sign_of(int n, const real *e)
     return (e[n - 1] > 0.0) - (e[n - 1] < 0.0);
 }
 
-static int exact_range(double v)
-{
-    int e;
-    frexp(v, &e);
-    return v == 0.0 || (e > EXACT_MIN_EXP && e < EXACT_MAX_EXP);
-}
-
-static int exact_point(const double *pts, int32_t i)
-{
-    return exact_range(PX(i)) && exact_range(PY(i));
-}
-
-/* Exact sign of the CCW test, or UNCERTAIN outside the exact range. */
+/* Exact sign of the CCW test. */
 static int orient_exact(const double *pts, int32_t a, int32_t b, int32_t c)
 {
-    if (!exact_point(pts, a) || !exact_point(pts, b) || !exact_point(pts, c))
-        return UNCERTAIN;
     real det[16];
     int n = cross_difference(difference(PX(a), PX(c)), difference(PY(b), PY(c)),
                              difference(PY(a), PY(c)), difference(PX(b), PX(c)),
@@ -214,17 +201,13 @@ static int orient_exact(const double *pts, int32_t a, int32_t b, int32_t c)
 
 /* Exact sign of the in-circle test: the sum over the vertices v of CCW
  * (a, b, c) of |v - p|^2 times the cross product of the next two
- * vertices' offsets from p.  UNCERTAIN outside the exact range. */
+ * vertices' offsets from p. */
 static int incircle_exact(const double *pts, int32_t a, int32_t b, int32_t c,
                           int32_t p)
 {
     const int32_t v[3] = {a, b, c};
     Diff dx[3], dy[3];
-    if (!exact_point(pts, p))
-        return UNCERTAIN;
     for (int i = 0; i < 3; i++) {
-        if (!exact_point(pts, v[i]))
-            return UNCERTAIN;
         dx[i] = difference(PX(v[i]), PX(p));
         dy[i] = difference(PY(v[i]), PY(p));
     }
@@ -308,8 +291,8 @@ static int incircle_slow(const double *pts, int32_t a, int32_t b, int32_t c,
                   counts);
 }
 
-/* Whether p lies strictly inside the circle of CCW (a, b, c): +1 or -1, or
- * UNCERTAIN.  Filtered like orient; see incircle_slow for the rest. */
+/* Whether p lies strictly inside the circle of CCW (a, b, c): +1 or -1.
+ * Filtered like orient; see incircle_slow for the rest. */
 static int incircle(const double *pts, int32_t a, int32_t b, int32_t c,
                     int32_t p, int64_t *counts)
 {
@@ -442,8 +425,9 @@ static int same_point(const double *pts, int32_t a, int32_t b)
  * On STATUS_OK the first *n_tris_out rows hold the real triangles,
  * compacted as above.  counts[0] receives the number of predicates the
  * float filter left to the exact stage and counts[1] the number of
- * in-circle ties the perturbation broke.  STATUS_UNCERTAIN means a
- * predicate met coordinates beyond the exact stage's range.
+ * in-circle ties the perturbation broke.  STATUS_DECLINED means the
+ * points lie on one line or repeat a point, so no triangulation has every
+ * point a vertex.
  */
 int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
                  int32_t *tris, int32_t *neigh, int64_t cap,
@@ -455,7 +439,7 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
     *n_tris_out = 0;
     counts[0] = counts[1] = 0;
     if (n < 3)
-        return STATUS_DEGENERATE;
+        return STATUS_DECLINED;
     if (cap < 2 * (int64_t)n - 2)
         return STATUS_OVERFLOW;
 
@@ -471,9 +455,7 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
             break;
     }
     if (third >= n)
-        return STATUS_DEGENERATE;
-    if (sgn == UNCERTAIN)
-        return STATUS_UNCERTAIN;
+        return STATUS_DECLINED;
     if (sgn < 0) {
         int32_t tmp = b;
         b = c;
@@ -511,7 +493,7 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
         for (;;) {
             /* exact predicates cannot make the walk cycle; a guard anyway */
             if (++guard > max_guard) {
-                status = STATUS_UNCERTAIN;
+                status = STATUS_DECLINED;
                 goto done;
             }
             on = -1;
@@ -520,10 +502,6 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
                 /* in this ghost's outer wedge iff left of its hull edge */
                 int32_t x = TRI(t, (g + 1) % 3), y = TRI(t, (g + 2) % 3);
                 sgn = orient(pts, x, y, p, counts);
-                if (sgn == UNCERTAIN) {
-                    status = STATUS_UNCERTAIN;
-                    goto done;
-                }
                 if (sgn > 0)
                     break;
                 if (sgn < 0) {
@@ -531,7 +509,7 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
                     continue;
                 }
                 if (same_point(pts, p, x) || same_point(pts, p, y)) {
-                    status = STATUS_DEGENERATE;
+                    status = STATUS_DECLINED;
                     goto done;
                 }
                 if (between(pts, x, p, y)) {
@@ -547,10 +525,6 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
             for (int j = 0; j < 3; j++) {
                 int32_t u = TRI(t, (j + 1) % 3), w = TRI(t, (j + 2) % 3);
                 sgn = orient(pts, u, w, p, counts);
-                if (sgn == UNCERTAIN) {
-                    status = STATUS_UNCERTAIN;
-                    goto done;
-                }
                 if (sgn < 0) {
                     t = NB(t, j);
                     moved = 1;
@@ -564,7 +538,7 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
             if (moved)
                 continue;
             if (zeros > 1) { /* p is a vertex of t */
-                status = STATUS_DEGENERATE;
+                status = STATUS_DECLINED;
                 goto done;
             }
             break;
@@ -629,10 +603,6 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
                              counts);
             else
                 sgn = incircle(pts, TRI(o, 0), TRI(o, 1), TRI(o, 2), p, counts);
-            if (sgn == UNCERTAIN) {
-                status = STATUS_UNCERTAIN;
-                goto done;
-            }
             if (sgn <= 0)
                 continue;
             const int32_t u = TRI(r, 1), w = TRI(r, 2), q = TRI(o, f);

@@ -15,7 +15,9 @@ import pytest
 import holecount
 from holecount import Cloud, _fastdel
 from holecount.delaunay import edges_sorted_desc, triangulate
-from holecount.forest import hole_persistence_stats, init_forest, iter_events
+from holecount.diagrams import infer_hole_count
+from holecount.forest import (hole_persistence, hole_persistence_stats,
+                              init_forest, iter_events)
 
 from conftest import parabola_cloud, random_cloud
 
@@ -24,13 +26,13 @@ needs_kernels = pytest.mark.skipif(
 )
 
 
-def _assert_backends_agree(monkeypatch, cloud):
+def _assert_backends_agree(monkeypatch, cloud, same_walk=True):
     """Same pairs, bit for bit, and the same triangle count with the kernels
     loaded and unloaded, and the same deepest root walk from the compiled
     sweep as from the DualForest reference over the same triangles; returns
-    the pairs, the walk and the fallback's walk.  The walks of the two
-    backends agree only where the triangles are unique: the builder and
-    Qhull may cut a cocircular cell along different diagonals."""
+    the pairs and the walk.  With same_walk the fallback's walk over Qhull's
+    triangles must match too; pass False where the builder and Qhull may cut
+    a cocircular cell along different diagonals."""
     compiled, walk, k = hole_persistence_stats(cloud, track_depth=True)
     tri = triangulate(cloud)
     forest = init_forest(tri)
@@ -44,13 +46,21 @@ def _assert_backends_agree(monkeypatch, cloud):
             cloud, track_depth=True)
     assert np.array_equal(compiled.pairs, fallback.pairs)
     assert k == fallback_k
-    return compiled.pairs, walk, fallback_walk
+    if same_walk:
+        assert walk == fallback_walk
+    return compiled.pairs, walk
 
 
 @needs_kernels
-@pytest.mark.parametrize("fixture", ["square2", "equilateral2", "figure_eight"])
-def test_fallback_identical_on_fixtures(fixture, request, monkeypatch):
-    _assert_backends_agree(monkeypatch, request.getfixturevalue(fixture))
+@pytest.mark.parametrize("fixture,same_walk", [
+    pytest.param("square2", True, id="square2"),
+    pytest.param("equilateral2", True, id="equilateral2"),
+    # its cocircular trapezoids are cut along the other diagonal by Qhull:
+    # the same births, but a walk of 2 there against 1 here
+    pytest.param("figure_eight", False, id="figure_eight"),
+])
+def test_fallback_identical_on_fixtures(fixture, same_walk, request, monkeypatch):
+    _assert_backends_agree(monkeypatch, request.getfixturevalue(fixture), same_walk)
 
 
 @needs_kernels
@@ -63,8 +73,8 @@ def test_fallback_identical_on_fixtures(fixture, request, monkeypatch):
 def test_fallback_identical_on_random_clouds(make, seed, n, monkeypatch):
     cloud = make(seed, n)
     assert _fastdel.build_triangulation(cloud.points) is not None
-    pairs, walk, fallback_walk = _assert_backends_agree(monkeypatch, cloud)
-    assert len(pairs) > 0 and walk == fallback_walk > 0
+    pairs, walk = _assert_backends_agree(monkeypatch, cloud)
+    assert len(pairs) > 0 and walk > 0
 
 
 @needs_kernels
@@ -76,8 +86,31 @@ def test_fallback_identical_on_lattice(monkeypatch):
     grid = np.stack(np.meshgrid(np.arange(m), np.arange(m)), axis=-1).reshape(-1, 2)
     cloud = Cloud.from_points(np.random.default_rng(5).permutation(grid))
     assert _fastdel.build_triangulation(cloud.points) is not None
-    pairs, walk, _ = _assert_backends_agree(monkeypatch, cloud)
+    pairs, walk = _assert_backends_agree(monkeypatch, cloud, same_walk=False)
     assert len(pairs) == (m - 1) ** 2 and walk > 0
+
+
+@needs_kernels
+def test_backends_agree_above_rounding_on_rounded_clouds(monkeypatch):
+    # clouds rounded to 1/20 are full of cocircular cells, which the builder
+    # cuts by its perturbation and Qhull by its own rule.  The two diagrams
+    # then differ only in the last bits and in pairs of persistence near
+    # 1e-17 (seeds 11 and 17 have more of those on the Qhull path); every
+    # pair above 1e-9 and the inferred hole count are the same
+    for seed in range(20):
+        pts = np.round(20.0 * np.random.default_rng(seed).random((200, 2))) / 20.0
+        cloud = Cloud.from_points(np.unique(pts, axis=0))
+        compiled = hole_persistence(cloud)
+        with monkeypatch.context() as patch:
+            patch.setattr(_fastdel, "KERNELS", None)
+            fallback = hole_persistence(cloud)
+        kept = [d.pairs[d.pairs[:, 1] - d.pairs[:, 0] > 1e-9]
+                for d in (compiled, fallback)]
+        assert len(kept[0]) == len(kept[1]) > 0, seed
+        assert np.allclose(kept[0], kept[1], rtol=0.0, atol=1e-12), seed
+        count, gap = infer_hole_count(compiled)
+        assert count == infer_hole_count(fallback)[0], seed
+        assert gap == pytest.approx(infer_hole_count(fallback)[1], abs=1e-12)
 
 
 @needs_kernels

@@ -5,18 +5,25 @@ incremental Delaunay builder ``hc_build`` (triangle and edge splits and
 Lawson flips in Morton order, with exact predicates, symbolic in-circle
 ties and ghost triangles, compacted in place), the edge table
 ``hc_edge_table`` (each edge's two faces and squared length), ``hc_births``
-and the sweep ``hc_sweep``; the edge sort between them is numpy's.  On
-first import it is compiled with the system ``gcc`` into ``__pycache__``
-next to this file, under a name keyed by a hash of the source and the
-flags, so later imports only load it.  When there is no
-compiler or the build fails (as it does where ``long double`` is too narrow
-for the exact predicates), ``KERNELS`` is None and every caller takes the
-Qhull / numpy / ``DualForest`` reference path instead; the reason is logged
-at DEBUG level.
+and the sweep ``hc_sweep``; the edge sort between them is numpy's.
+``_text.cpp`` holds the CLI's number text, ``hc_write_rows`` (repr-identical
+rows through ``std::to_chars``) and ``hc_parse_rows`` (correctly rounded
+CSV rows through ``std::from_chars``); ``holecount.cli`` loads it, so
+``import holecount`` neither builds nor loads it.
 
-Every kernel writes into arrays allocated here and allocates only small
-scratch space itself, which keeps the peak memory of a pipeline run within
-a small constant of its output size.
+Each ``Library`` names its source, compiler (``gcc`` and ``g++``), flags
+and ctypes signatures, and ``load_library`` is the one loader: on first use
+it compiles the source into ``__pycache__`` next to this file, under a name
+keyed by a hash of the source, the compiler and the flags, so later imports
+only load it.  When there is no compiler or the build fails (as the kernels'
+does where ``long double`` is too narrow for the exact predicates), it
+returns None and every caller takes its reference path instead: Qhull,
+numpy and ``DualForest`` for the kernels, Python's ``repr`` and ``float``
+for the text; the reason is logged at DEBUG level.
+
+Every function writes into arrays its Python caller allocates; the kernels
+allocate only small scratch space and the text functions none, which keeps
+the peak memory of a run within a small constant of its output size.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,38 +49,66 @@ STATUS_OVERFLOW = 2  # too few triangle slots, or no memory for the flip stack
 # Vertex, triangle (about 2n) and edge (about 3n) ids must fit in int32.
 _MAX_POINTS = 2 ** 29
 
-_SOURCE = Path(__file__).with_name("_kernels.c")
-# No -ffast-math and no fused multiply-adds: births and edge lengths must
-# round exactly as the numpy fallback does.
-_CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
-
 
 def _array(dtype):
     return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
 
 
-_F64, _I32 = _array(np.float64), _array(np.int32)
+_F64, _I32, _U8 = _array(np.float64), _array(np.int32), _array(np.uint8)
 _c_i32, _c_i64, _c_f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
+_c_char_p = ctypes.c_char_p
 _p_i64 = ctypes.POINTER(ctypes.c_int64)
 
-_SIGNATURES = {
-    "hc_build": (_c_i32, [_F64, _c_i32, _I32, _I32, _I32, _c_i64, _p_i64,
-                          _p_i64]),
-    "hc_edge_table": (_c_i64, [_F64, _c_i64, _I32, _I32, _c_i64, _I32, _F64]),
-    "hc_births": (None, [_F64, _c_i64, _I32, _c_f64, _F64]),
-    "hc_sweep": (_c_i64, [_c_i64, _I32, _I32, _F64, _c_i32, _I32, _I32, _F64,
-                          _F64, _p_i64]),
-}
+
+class Library(NamedTuple):
+    """How to build and bind one shared library: its source next to this
+    file, the compiler and flags that build it, and the ctypes
+    (restype, argtypes) of each function it exports."""
+
+    source: Path
+    compiler: str
+    flags: tuple
+    signatures: dict
 
 
-def _compile(target: Path) -> None:
+KERNEL_LIBRARY = Library(
+    Path(__file__).with_name("_kernels.c"), "gcc",
+    # No -ffast-math and no fused multiply-adds: births and edge lengths
+    # must round exactly as the numpy fallback does.
+    ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off"),
+    {
+        "hc_build": (_c_i32, [_F64, _c_i32, _I32, _I32, _I32, _c_i64, _p_i64,
+                              _p_i64]),
+        "hc_edge_table": (_c_i64, [_F64, _c_i64, _I32, _I32, _c_i64, _I32, _F64]),
+        "hc_births": (None, [_F64, _c_i64, _I32, _c_f64, _F64]),
+        "hc_sweep": (_c_i64, [_c_i64, _I32, _I32, _F64, _c_i32, _I32, _I32, _F64,
+                              _F64, _p_i64]),
+    },
+)
+
+#: The CLI's number text (``_text.cpp``): ``hc_write_rows`` and
+#: ``hc_parse_rows``, loaded by ``holecount.cli``, not by ``import holecount``.
+TEXT_LIBRARY = Library(
+    KERNEL_LIBRARY.source.with_name("_text.cpp"), "g++",
+    ("-O2", "-std=c++17", "-fPIC", "-shared"),
+    {
+        "hc_write_rows": (_c_i64, [_F64, _c_i64, _c_i64, _c_char_p, _c_char_p, _U8,
+                                   _c_i64]),
+        "hc_parse_rows": (_c_i64, [_c_char_p, _c_i64, _F64, _c_i64]),
+        "hc_max_number_chars": (_c_i64, []),
+    },
+)
+
+
+def _compile(library: Library, target: Path) -> None:
     """Build the shared library under a temporary name, then move it into
     place, so concurrent first imports never load a half-written file."""
     target.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.stem, suffix=".tmp")
     os.close(fd)
     try:
-        subprocess.run(["gcc", *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+        subprocess.run([library.compiler, *library.flags, "-o", tmp,
+                        str(library.source), "-lm"],
                        check=True, capture_output=True, text=True)
         os.replace(tmp, target)
     finally:
@@ -80,24 +116,27 @@ def _compile(target: Path) -> None:
             os.unlink(tmp)
 
 
-def _load():
-    """The compiled kernels, or None when they cannot be built or loaded."""
+def load_library(library: Library):
+    """The built and bound library, or None when it cannot be built or
+    loaded."""
+    source = library.source
     try:
         digest = hashlib.sha256(
-            _SOURCE.read_bytes() + " ".join(_CFLAGS).encode()
+            source.read_bytes() + " ".join((library.compiler, *library.flags)).encode()
         ).hexdigest()[:16]
-        path = _SOURCE.with_name("__pycache__") / f"_kernels-{digest}.so"
+        path = source.with_name("__pycache__") / f"{source.stem}-{digest}.so"
         if not path.exists():
-            _compile(path)
+            _compile(library, path)
         lib = ctypes.CDLL(str(path))
     except subprocess.CalledProcessError as exc:
         log.debug("compiling %s failed, using the Python path: %s",
-                  _SOURCE.name, exc.stderr.strip())
+                  source.name, exc.stderr.strip())
         return None
     except OSError as exc:  # no compiler, unwritable cache, unloadable file
-        log.debug("compiled kernels unavailable, using the Python path: %s", exc)
+        log.debug("compiled kernels unavailable (%s), using the Python path: %s",
+                  source.name, exc)
         return None
-    for name, (restype, argtypes) in _SIGNATURES.items():
+    for name, (restype, argtypes) in library.signatures.items():
         fn = getattr(lib, name)
         fn.restype = restype
         fn.argtypes = argtypes
@@ -105,7 +144,7 @@ def _load():
 
 
 #: The loaded kernel library, or None when only the Python path is available.
-KERNELS = _load()
+KERNELS = load_library(KERNEL_LIBRARY)
 
 
 def morton_argsort(points: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _fastdel
 from .delaunay import Cloud
 from .diagrams import (
     Diagram,
@@ -36,9 +37,12 @@ class CloudFormatError(ValueError):
     """Malformed cloud or pair CSV; message carries the line number."""
 
 
-# numpy's number parser strips these ASCII separators around a field, but
-# Python's float() rejects them, so a text holding one skips the bulk read.
-_INFORMATION_SEPARATORS = "\x1c\x1d\x1e\x1f"
+#: The compiled number text (``_text.cpp``), or None when it cannot be built;
+#: the readers and writers below then take their Python reference paths.
+TEXT = _fastdel.load_library(_fastdel.TEXT_LIBRARY)
+
+# Rows per chunk of streamed report text.
+_CHUNK_ROWS = 2 ** 16
 
 
 def _parse_rows(path, lines, first_lineno: int, columns: str) -> np.ndarray:
@@ -71,9 +75,11 @@ def _parse_rows(path, lines, first_lineno: int, columns: str) -> np.ndarray:
 
 def _read_rows(path, fh, first_lineno: int, columns: str) -> np.ndarray:
     """The (m, 2) float64 rows of the rest of `fh`, as `_parse_rows` reads
-    them. One `np.loadtxt` call reads a well-formed file; its result is kept
-    only when it has two columns of finite values. Anything else, including
-    every file with an error, goes through `_parse_rows`."""
+    them. One `hc_parse_rows` call reads a file whose lines are blank, '#'
+    comments or rows of two decimal numbers with spaces or tabs around them,
+    each number correctly rounded as `float()` rounds it. It declines any
+    other file, every file with an error included, and so does a missing
+    library: `_parse_rows` then reads the text, or words the error."""
     pos = fh.tell() if fh.seekable() else None  # a pipe cannot seek
     try:
         text = fh.read()
@@ -84,21 +90,46 @@ def _read_rows(path, fh, first_lineno: int, columns: str) -> np.ndarray:
         # and the decoder names the byte by its offset in the same chunk
         fh.seek(pos)
         return _parse_rows(path, fh, first_lineno, columns)
-    # loadtxt refuses '#' lines and warns on text without rows, so it gets
-    # the text from the first line that is neither a comment nor blank
-    start = 0
-    while text.startswith(("#", "\n"), start):
-        start = text.find("\n", start) + 1 or len(text)
-    rows = None
-    if start < len(text) and not any(c in text for c in _INFORMATION_SEPARATORS):
-        try:
-            rows = np.loadtxt(io.StringIO(text[start:]), delimiter=",",
-                              comments=None, ndmin=2, dtype=np.float64)
-        except ValueError:
-            pass
-    if rows is None or rows.shape[1] != 2 or not np.isfinite(rows).all():
-        rows = _parse_rows(path, io.StringIO(text), first_lineno, columns)
-    return rows
+    if TEXT is not None:
+        data = text.encode()
+        rows = np.empty((data.count(b"\n") + 1, 2))
+        n = TEXT.hc_parse_rows(data, len(data), rows, len(rows))
+        if n >= 0:
+            return rows[:n]
+    return _parse_rows(path, io.StringIO(text), first_lineno, columns)
+
+
+def _rows_text(rows: np.ndarray, i0: int, i1: int, mid: str, sep: str) -> str:
+    """Rows [i0, i1) of a C-contiguous (m, 2) float64 array as text: each
+    row is the repr of its two numbers with `mid` between them, and `sep`
+    goes before every row but row 0, so consecutive chunks join into the
+    text of the whole array."""
+    if rows.shape[1:] != (2,) or not 0 <= i0 <= i1 <= len(rows):
+        raise ValueError(f"no rows [{i0}, {i1}) in an array of shape {rows.shape}")
+    if TEXT is not None:
+        # hc_write_rows declines a buffer sized below its own bound
+        cap = (i1 - i0) * (2 * TEXT.hc_max_number_chars() + len(mid) + len(sep))
+        out = np.empty(cap, dtype=np.uint8)
+        n = TEXT.hc_write_rows(rows, i0, i1, mid.encode(), sep.encode(), out, cap)
+        if n >= 0:
+            return str(out[:n], "ascii")
+    text = sep.join(f"{x!r}{mid}{y!r}" for x, y in rows[i0:i1].tolist())
+    return sep + text if i0 and i1 > i0 else text
+
+
+def _row_chunks(rows: np.ndarray, mid: str, sep: str):
+    """The `_rows_text` of all rows, in chunks of `_CHUNK_ROWS` rows."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    for i0 in range(0, len(rows), _CHUNK_ROWS):
+        yield _rows_text(rows, i0, min(i0 + _CHUNK_ROWS, len(rows)), mid, sep)
+
+
+def _csv_chunks(head: str, rows: np.ndarray):
+    """`head`, then one 'a,b' line per row, in chunks."""
+    yield head
+    yield from _row_chunks(rows, ",", "\n")
+    if len(rows):
+        yield "\n"
 
 
 def load_cloud_csv(path) -> Cloud:
@@ -127,10 +158,8 @@ def load_polyline_csv(path) -> ShapeSpec:
 
 def save_cloud_csv(path, cloud: Cloud, comment: str = "") -> None:
     with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
         # repr is the shortest text that reads back as the same double
-        fh.writelines(f"{x!r},{y!r}\n" for x, y in cloud.points.tolist())
+        fh.writelines(_csv_chunks(f"# {comment}\n" if comment else "", cloud.points))
 
 
 def load_pairs_csv(path) -> Diagram:
@@ -144,9 +173,13 @@ def load_pairs_csv(path) -> Diagram:
     return Diagram.from_pairs(pairs)
 
 
+def pairs_csv_chunks(diagram: Diagram):
+    """The 'birth,death' table of `diagram`, in chunks."""
+    return _csv_chunks("birth,death\n", diagram.pairs)
+
+
 def pairs_to_csv(diagram: Diagram) -> str:
-    rows = (f"{birth!r},{death!r}\n" for birth, death in diagram.pairs.tolist())
-    return "birth,death\n" + "".join(rows)
+    return "".join(pairs_csv_chunks(diagram))
 
 
 @dataclass(frozen=True)
@@ -161,14 +194,33 @@ class RunReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        """The text of `json.dumps(<the six keys, "pairs" first>, indent=2)`.
+        """The text of `json.dumps(<the six keys, "pairs" first>, indent=2)`:
+        the chunks of `json_chunks`, joined."""
+        return "".join(self.json_chunks())
+
+    def json_chunks(self):
+        """The text of `to_json` in pieces: the head, the pairs block in
+        chunks of `_CHUNK_ROWS` rows, and the tail.
 
         With an indent, `json.dumps` runs its pure-Python encoder, so the
-        pairs and probabilities blocks are each laid out here around the
-        text of one C-encoder call: the pairs block splits the numbers on
-        ", ", which no number's text contains, and the probabilities block
-        takes the indented line break as its item separator.
+        blocks are laid out here. The pairs are written by `_rows_text`,
+        whose repr text is the text `json` writes for a finite float; the
+        probabilities block is one C-encoder call that takes the indented
+        line break as its item separator.
         """
+        if len(self.diagram.pairs):
+            yield '{\n  "pairs": [\n    [\n      '
+            yield from _row_chunks(self.diagram.pairs, ",\n      ",
+                                   "\n    ],\n    [\n      ")
+            yield "\n    ]\n  ]"
+        else:
+            yield '{\n  "pairs": []'
+        if self.probabilities:
+            entries = json.dumps({str(k): v for k, v in self.probabilities.items()},
+                                 separators=(",\n    ", ": "))
+            yield f',\n  "probabilities": {{\n    {entries[1:-1]}\n  }}'
+        else:
+            yield ',\n  "probabilities": {}'
         rest = json.dumps(
             {
                 "inferred_count": self.inferred_count,
@@ -178,23 +230,7 @@ class RunReport:
             },
             indent=2,
         )
-        parts = ['{\n  "pairs": ']
-        if len(self.diagram.pairs):
-            numbers = json.dumps(self.diagram.pairs.ravel().tolist())[1:-1].split(", ")
-            rows = map(",\n      ".join, zip(numbers[0::2], numbers[1::2]))
-            parts += ["[\n    [\n      ", "\n    ],\n    [\n      ".join(rows),
-                      "\n    ]\n  ]"]
-        else:
-            parts.append("[]")
-        parts.append(',\n  "probabilities": ')
-        if self.probabilities:
-            entries = json.dumps({str(k): v for k, v in self.probabilities.items()},
-                                 separators=(",\n    ", ": "))
-            parts += ["{\n    ", entries[1:-1], "\n  }"]
-        else:
-            parts.append("{}")
-        parts += [",\n", rest[2:]]
-        return "".join(parts)
+        yield ",\n" + rest[2:]
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -241,9 +277,10 @@ def _cmd_compute(args) -> int:
     cloud = load_cloud_csv(args.cloud)
     report = compute_report(cloud, source=str(args.cloud))
     if args.json:
-        print(report.to_json())
+        sys.stdout.writelines(report.json_chunks())
+        sys.stdout.write("\n")
     elif args.csv:
-        sys.stdout.write(pairs_to_csv(report.diagram))
+        sys.stdout.writelines(pairs_csv_chunks(report.diagram))
     else:
         _print_report(report)
     if args.svg_dir is not None:

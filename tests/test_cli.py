@@ -11,13 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from holecount import Cloud
+from holecount import Cloud, cli
 from holecount.cli import (
     CloudFormatError,
     RunReport,
     _measure_child_memory,
     _parse_rows,
     _read_rows,
+    _rows_text,
     cli_main,
     compute_report,
     load_cloud_csv,
@@ -27,6 +28,10 @@ from holecount.cli import (
     save_cloud_csv,
 )
 from holecount.diagrams import Diagram, bottleneck_distance
+
+needs_text = pytest.mark.skipif(
+    cli.TEXT is None, reason="compiled text library unavailable (no C++ compiler)"
+)
 
 
 @pytest.fixture
@@ -100,6 +105,8 @@ _ODD_LINE = st.sampled_from([
     "1", "1,2,3", "1_0,2", "nan,1", "1,inf", "-inf,0", "1e400,0", "x,1",
     "1,,2", ",", "1\x1c,2", "1,\x1f2", "\uff11,2", "0x10,1",
     "\udcff,1",  # written as the byte 0xff, which is not UTF-8
+    "-.5,+.5", "+-1,2", "1e,2", "1.e5,2", "1 2,3", "\x0b1,2", "1,2\x0c",
+    "5e-324,-0", "2e-324,1", "1,2,",
 ])
 _CLOUD_TEXT = st.builds(
     lambda head, lines, eol, last: eol.join(head + lines) + (eol if last else ""),
@@ -134,6 +141,9 @@ class TestBulkRead:
         path.write_bytes(text.encode(errors="surrogateescape"))
         expected = _outcome(_parse_rows, path)
         assert _outcome(_read_rows, path) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "TEXT", None)
+            assert _outcome(_read_rows, path) == expected
         if len(expected) == 2:
             with pytest.raises(expected[0]) as info:
                 load_cloud_csv(path)
@@ -157,6 +167,58 @@ class TestBulkRead:
         expected = _outcome(_parse_rows, path)
         assert expected[0] is (CloudFormatError if head else UnicodeDecodeError)
         assert _outcome(_read_rows, path) == expected
+
+    @needs_text
+    def test_repr_file_skips_line_parser(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        cloud = Cloud.from_points(rng.uniform(-1.0, 1.0, (5000, 2))
+                                  * 10.0 ** rng.integers(-20, 20, (5000, 1)))
+        path = tmp_path / "cloud.csv"
+        save_cloud_csv(path, cloud, comment="repr-written")
+
+        def refuse(*args):
+            raise AssertionError("the line parser was reached")
+
+        monkeypatch.setattr(cli, "_parse_rows", refuse)
+        assert load_cloud_csv(path).points.tobytes() == cloud.points.tobytes()
+
+
+# Doubles whose repr sits at a boundary of its layout.
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e17,
+                 9999999999999998.0, 1e-4, 1e-5, 1.7976931348623157e308, 0.1, 1.0,
+                 123456789012345.67, 0.00012345678901234567, 1e22, 1e-323]
+
+
+@needs_text
+class TestNumberText:
+    """The compiled writer's text is repr's, number for number."""
+
+    @staticmethod
+    def _assert_repr(values):
+        rows = np.ascontiguousarray(np.concatenate([values, -values]).reshape(-1, 2))
+        text = _rows_text(rows, 0, len(rows), ",", "\n")
+        assert text.replace("\n", ",").split(",") == list(map(repr, rows.ravel().tolist()))
+
+    def test_bit_patterns(self):
+        bits = np.random.default_rng(11).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+        values = bits.view(np.float64)
+        self._assert_repr(np.concatenate([_EDGE_DOUBLES, values[np.isfinite(values)]]))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_hypothesis_floats(self, values):
+        self._assert_repr(np.array(values, dtype=np.float64))
+
+    def test_declines_to_repr(self):
+        # non-finite values and a short buffer go back to the Python path
+        rows = np.array([[1.0, np.inf], [np.nan, -0.0]])
+        assert _rows_text(rows, 0, 2, ",", "\n") == "1.0,inf\nnan,-0.0"
+        out = np.empty(64, dtype=np.uint8)
+        assert cli.TEXT.hc_write_rows(rows, 0, 1, b",", b"\n", out, 64) == -1
+        rows = np.full((2, 2), -2.2250738585072014e-308)
+        assert cli.TEXT.hc_max_number_chars() == len(repr(float(rows[0, 0]))) == 24
+        assert cli.TEXT.hc_write_rows(rows, 1, 2, b",", b"\n", out, 49) == -1
+        assert cli.TEXT.hc_write_rows(rows, 1, 2, b",", b"\n", out, 50) == 50
 
 
 class TestPairsCsv:
@@ -200,32 +262,52 @@ def _indent2_json(report: RunReport) -> str:
     )
 
 
+_REPORTS = [
+    pytest.param(lambda csv: compute_report(
+        Cloud.from_points([(0, 0), (4, 0), (2, 0.5)])), id="empty"),
+    pytest.param(lambda csv: compute_report(load_cloud_csv(csv),
+                                            source=str(csv)), id="square"),
+    pytest.param(lambda csv: compute_report(Cloud.from_points(
+        np.random.default_rng(7).uniform(0.0, 1.0, (10 ** 5, 2)))),
+        id="uniform-1e5"),
+    pytest.param(lambda csv: RunReport(
+        diagram=Diagram.from_pairs([(-0.0, 1.0), (0.5, 0.5), (2.0, 1e300)]),
+        probabilities={0: 0.25, 1: 0.75}, inferred_count=1,
+        inferred_gap=0.5, timings={"sweep": 1e-05},
+        metadata={"n": 3, "source": "données/ü.csv"}), id="hand-built"),
+    pytest.param(lambda csv: RunReport(
+        diagram=Diagram.from_pairs([]), probabilities={}, inferred_count=0,
+        inferred_gap=0.0, timings={}, metadata={}), id="no-probabilities"),
+    pytest.param(lambda csv: RunReport(
+        diagram=Diagram.from_pairs([(0.0, 1.0)]),
+        probabilities={7: 5e-324, 0: 1.0 / 3.0, 12: 1e22, 3: -0.0},
+        inferred_count=7, inferred_gap=1.0, timings={"sweep": 0.0},
+        metadata={"n": 4, "source": ""}), id="probability-floats"),
+]
+
+
 class TestRunReport:
-    @pytest.mark.parametrize("make", [
-        pytest.param(lambda csv: compute_report(
-            Cloud.from_points([(0, 0), (4, 0), (2, 0.5)])), id="empty"),
-        pytest.param(lambda csv: compute_report(load_cloud_csv(csv),
-                                                source=str(csv)), id="square"),
-        pytest.param(lambda csv: compute_report(Cloud.from_points(
-            np.random.default_rng(7).uniform(0.0, 1.0, (10 ** 5, 2)))),
-            id="uniform-1e5"),
-        pytest.param(lambda csv: RunReport(
-            diagram=Diagram.from_pairs([(-0.0, 1.0), (0.5, 0.5), (2.0, 1e300)]),
-            probabilities={0: 0.25, 1: 0.75}, inferred_count=1,
-            inferred_gap=0.5, timings={"sweep": 1e-05},
-            metadata={"n": 3, "source": "données/ü.csv"}), id="hand-built"),
-        pytest.param(lambda csv: RunReport(
-            diagram=Diagram.from_pairs([]), probabilities={}, inferred_count=0,
-            inferred_gap=0.0, timings={}, metadata={}), id="no-probabilities"),
-        pytest.param(lambda csv: RunReport(
-            diagram=Diagram.from_pairs([(0.0, 1.0)]),
-            probabilities={7: 5e-324, 0: 1.0 / 3.0, 12: 1e22, 3: -0.0},
-            inferred_count=7, inferred_gap=1.0, timings={"sweep": 0.0},
-            metadata={"n": 4, "source": ""}), id="probability-floats"),
-    ])
+    @pytest.mark.parametrize("make", _REPORTS)
     def test_json_text_is_indent2_layout(self, square_csv, make):
         report = make(square_csv)
         assert report.to_json() == _indent2_json(report)
+
+    @pytest.mark.parametrize("make", _REPORTS)
+    @pytest.mark.filterwarnings("ignore::holecount.DuplicatePointsWarning")
+    def test_text_same_without_library(self, square_csv, tmp_path, monkeypatch, make):
+        report = make(square_csv)
+        cloud = Cloud.from_points(report.diagram.pairs)
+
+        def texts():
+            save_cloud_csv(tmp_path / "pairs.csv", cloud, comment="pairs")
+            return (report.to_json(), pairs_to_csv(report.diagram),
+                    (tmp_path / "pairs.csv").read_text())
+
+        compiled = texts()
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)  # chunk seams on small reports
+        assert texts() == compiled
+        monkeypatch.setattr(cli, "TEXT", None)
+        assert texts() == compiled
 
     def test_json_round_trip(self, square_csv):
         report = compute_report(load_cloud_csv(square_csv), source=str(square_csv))

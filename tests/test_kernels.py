@@ -14,6 +14,7 @@ import pytest
 
 import holecount
 from holecount import Cloud, _fastdel
+from holecount.cli import RunReport, compute_report, load_cloud_csv
 from holecount.delaunay import edges_sorted_desc, triangulate
 from holecount.diagrams import infer_hole_count
 from holecount.forest import (hole_persistence, hole_persistence_stats,
@@ -144,27 +145,38 @@ def test_edge_table_rejects_one_sided_neighbour_links():
         _fastdel.edge_table(pts, tris, neigh)
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
-def test_exports_match_signatures(tmp_path):
-    # the source builds without warnings, every exported hc_* function has a
-    # ctypes signature and vice versa, and each signature declares the C
-    # prototype's return type and parameters, one for one and kind for kind
+def _assert_exports_match(library, tmp_path):
+    """The source builds without warnings, every exported hc_* function has
+    a ctypes signature and vice versa, and each signature declares the C
+    prototype's return type and parameters, one for one and kind for kind."""
     out = subprocess.run(
-        ["gcc", *_fastdel._CFLAGS, "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "k.so"), str(_fastdel._SOURCE), "-lm"],
+        [library.compiler, *library.flags, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "k.so"), str(library.source), "-lm"],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    source = _fastdel._SOURCE.read_text()
+    source = library.source.read_text()
     exported = re.findall(r"^(?!static\b)(\w+) (hc_\w+)\(([^)]*)\)", source, re.M)
-    assert sorted(name for _, name, _ in exported) == sorted(_fastdel._SIGNATURES)
+    assert sorted(name for _, name, _ in exported) == sorted(library.signatures)
     kinds = {"void": None, "double *": _fastdel._F64, "int32_t *": _fastdel._I32,
              "int64_t *": _fastdel._p_i64, "int32_t": ctypes.c_int32,
-             "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+             "int64_t": ctypes.c_int64, "double": ctypes.c_double,
+             "char *": ctypes.c_char_p, "uint8_t *": _fastdel._U8}
     for restype, name, params in exported:
-        declared = [re.fullmatch(r"(?:const )?(\w+) (\*?)\w+", p.strip()).expand(r"\1 \2")
-                    .strip() for p in params.split(",")]
-        assert _fastdel._SIGNATURES[name] == (
+        declared = [re.fullmatch(r"(?:const )?(\w+) (\*?)\w+", p.strip())
+                    .expand(r"\1 \2").strip()
+                    for p in params.split(",") if params != "void"]
+        assert library.signatures[name] == (
             kinds[restype], [kinds[kind] for kind in declared]), name
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
+def test_exports_match_signatures(tmp_path):
+    _assert_exports_match(_fastdel.KERNEL_LIBRARY, tmp_path)
+
+
+@pytest.mark.skipif(shutil.which("g++") is None, reason="no C++ compiler")
+def test_text_exports_match_signatures(tmp_path):
+    _assert_exports_match(_fastdel.TEXT_LIBRARY, tmp_path)
 
 
 def _sanitizer_runtimes():
@@ -183,7 +195,7 @@ import numpy as np
 from holecount import Cloud, _fastdel, hole_persistence
 
 lib = ctypes.CDLL(sys.argv[1])
-for name, (restype, argtypes) in _fastdel._SIGNATURES.items():
+for name, (restype, argtypes) in _fastdel.KERNEL_LIBRARY.signatures.items():
     getattr(lib, name).restype = restype
     getattr(lib, name).argtypes = argtypes
 _fastdel.KERNELS = lib
@@ -218,22 +230,88 @@ print("clean")
 """
 
 
+# Inputs and outputs live in numpy buffers of exactly their size, which
+# PYTHONMALLOC=malloc leaves to the sanitized malloc, so a read or write one
+# byte past either end is caught.
+_SANITIZED_TEXT_RUN = """
+import ctypes, sys
+import numpy as np
+from holecount import Cloud, _fastdel, cli
+
+lib = ctypes.CDLL(sys.argv[1])
+for name, (restype, argtypes) in _fastdel.TEXT_LIBRARY.signatures.items():
+    getattr(lib, name).restype = restype
+    getattr(lib, name).argtypes = argtypes
+cli.TEXT = lib
+
+def parse(text):
+    data = np.frombuffer(text.encode(), dtype=np.uint8).copy()
+    rows = np.empty((text.count("\\n") + 1, 2))
+    n = lib.hc_parse_rows(data.ctypes.data_as(ctypes.c_char_p), len(data), rows,
+                          len(rows))
+    return n, rows[:max(n, 0)].tolist()
+
+assert parse("1,2\\n3,-4.5e-3") == (2, [[1.0, 2.0], [3.0, -4.5e-3]])
+assert parse("# x\\n\\n 1 ,\\t2") == (1, [[1.0, 2.0]])
+assert parse("") == (0, [])
+assert parse("-") == (-1, [])
+assert parse("1,-") == (-1, [])
+assert parse("1,") == (-1, [])
+assert parse("# comment without newline") == (0, [])
+assert parse("1,2\\n3,4") == (2, [[1.0, 2.0], [3.0, 4.0]])
+
+longest = np.full((2, 2), -2.2250738585072014e-308)
+out = np.empty(50, dtype=np.uint8)  # the bound of one row, its separator included
+assert lib.hc_write_rows(longest, 1, 2, b",", b"\\n", out, 50) == 50
+assert lib.hc_write_rows(longest, 0, 0, b",", b"\\n", out[:0], 0) == 0
+
+rng = np.random.default_rng(0)
+bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64)
+points = np.unique(bits[np.isfinite(bits)][:10000].reshape(-1, 2), axis=0)
+cloud = Cloud.from_points(points)
+cli.save_cloud_csv(sys.argv[2], cloud, comment="bit patterns")
+assert cli.load_cloud_csv(sys.argv[2]).points.tobytes() == cloud.points.tobytes()
+report = cli.compute_report(Cloud.from_points(rng.random((3000, 2))))
+back = cli.RunReport.from_json(report.to_json()).diagram.pairs
+assert back.tobytes() == report.diagram.pairs.tobytes()
+print("clean")
+"""
+
+
+def _run_sanitized(library, script, tmp_path, **extra_env):
+    """Run `script` in a child with `library` built under ASan and UBSan and
+    its runtimes preloaded; the script binds the library itself and prints
+    'clean' at its end."""
+    lib = tmp_path / f"{library.source.stem}.so"
+    subprocess.run([library.compiler, *library.flags, "-g",
+                    "-fsanitize=address,undefined",
+                    "-fno-sanitize-recover=undefined", "-o", str(lib),
+                    str(library.source), "-lm"], check=True)
+    env = dict(os.environ, LD_PRELOAD=" ".join(_sanitizer_runtimes()),
+               ASAN_OPTIONS="detect_leaks=0",
+               PYTHONPATH=str(Path(holecount.__file__).parents[1]), **extra_env)
+    out = subprocess.run([sys.executable, "-c", script, str(lib),
+                          str(tmp_path / "cloud.csv")], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr[-3000:]
+    assert out.stdout.strip() == "clean"
+
+
 @pytest.mark.skipif(_sanitizer_runtimes() is None,
                     reason="no gcc with AddressSanitizer and UBSan runtimes")
 def test_kernels_clean_under_sanitizers(tmp_path):
     # every kernel, the builder on its edge cases included, runs without an
     # out-of-bounds access, use after free or undefined behaviour
-    lib = tmp_path / "k.so"
-    subprocess.run(["gcc", *_fastdel._CFLAGS, "-g", "-fsanitize=address,undefined",
-                    "-fno-sanitize-recover=undefined", "-o", str(lib),
-                    str(_fastdel._SOURCE), "-lm"], check=True)
-    env = dict(os.environ, LD_PRELOAD=" ".join(_sanitizer_runtimes()),
-               ASAN_OPTIONS="detect_leaks=0",
-               PYTHONPATH=str(Path(holecount.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", _SANITIZED_RUN, str(lib)], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr[-3000:]
-    assert out.stdout.strip() == "clean"
+    _run_sanitized(_fastdel.KERNEL_LIBRARY, _SANITIZED_RUN, tmp_path)
+
+
+@pytest.mark.skipif(_sanitizer_runtimes() is None or shutil.which("g++") is None,
+                    reason="no g++ with AddressSanitizer and UBSan runtimes")
+def test_text_clean_under_sanitizers(tmp_path):
+    # both text functions, on their edge cases and on a save/load and report
+    # round trip, run without an out-of-bounds access or undefined behaviour
+    _run_sanitized(_fastdel.TEXT_LIBRARY, _SANITIZED_TEXT_RUN, tmp_path,
+                   PYTHONMALLOC="malloc")
 
 
 def test_import_leaves_out_cli_and_oracles():
@@ -269,3 +347,24 @@ def test_import_without_compiler(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "1"
     assert "compiled kernels unavailable" in out.stderr
+
+    # compute --json reads and writes through the Python reference paths,
+    # and its text is the compiled writer's for the same report
+    cloud = tmp_path / "cloud.csv"
+    points = np.random.default_rng(4).uniform(0.0, 1.0, (500, 2))
+    cloud.write_text("# uniform\n" + "".join(f"{x!r}, {y!r}\n" for x, y in points.tolist()))
+    code = (
+        "import logging, sys\n"
+        "logging.basicConfig(level=logging.DEBUG)\n"
+        "from holecount import cli\n"
+        "assert cli.TEXT is None\n"
+        "sys.exit(cli.cli_main(['compute', sys.argv[1], '--json']))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(cloud)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "compiled kernels unavailable (_text.cpp)" in out.stderr
+    report = RunReport.from_json(out.stdout)
+    assert out.stdout == report.to_json() + "\n"
+    assert np.array_equal(report.diagram.pairs,
+                          compute_report(load_cloud_csv(cloud)).diagram.pairs)

@@ -1,11 +1,13 @@
 """Compiled kernels for the large-cloud pipeline, loaded through ctypes.
 
-``_kernels.c`` exports one function per layer, each called once: the
-incremental Delaunay builder ``hc_build`` (triangle and edge splits and
-Lawson flips in Morton order, with exact predicates, symbolic in-circle
-ties and ghost triangles, compacted in place), the edge table
+``_kernels.c`` exports one function per step, each called once per cloud:
+the insertion order ``hc_morton_order`` (a stable radix sort of Z-order
+keys), the incremental Delaunay builder ``hc_build`` (triangle and edge
+splits and Lawson flips in that order, with exact predicates, symbolic
+in-circle ties and ghost triangles, compacted in place), the edge table
 ``hc_edge_table`` (each edge's two faces and squared length), ``hc_births``
-and the sweep ``hc_sweep``; the edge sort between them is numpy's.
+and the sweep ``hc_sweep``.  The edge sort between the edge table and the
+sweep is numpy's.
 ``_text.cpp`` holds the CLI's number text, ``hc_write_rows`` (repr-identical
 rows through ``std::to_chars``) and ``hc_parse_rows`` (correctly rounded
 CSV rows through ``std::from_chars``); ``holecount.cli`` loads it, so
@@ -73,10 +75,14 @@ class Library(NamedTuple):
 
 KERNEL_LIBRARY = Library(
     Path(__file__).with_name("_kernels.c"), "gcc",
-    # No -ffast-math and no fused multiply-adds: births and edge lengths
-    # must round exactly as the numpy fallback does.
-    ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off"),
+    # -O3, but no -ffast-math (or -Ofast) and no fused multiply-adds: the
+    # expansions need every operation rounded on its own, and births and
+    # edge lengths must round exactly as the numpy fallback does.  No
+    # -march=native either, so one build runs on every host of a shared
+    # cache.
+    ("-O3", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off"),
     {
+        "hc_morton_order": (_c_i32, [_F64, _c_i32, _I32]),
         "hc_build": (_c_i32, [_F64, _c_i32, _I32, _I32, _I32, _c_i64, _p_i64,
                               _p_i64]),
         "hc_edge_table": (_c_i64, [_F64, _c_i64, _I32, _I32, _c_i64, _I32, _F64]),
@@ -148,24 +154,13 @@ KERNELS = load_library(KERNEL_LIBRARY)
 
 
 def morton_argsort(points: np.ndarray) -> np.ndarray:
-    """Insertion order along a Z-order curve; keeps successive points close
-    so the locate walk is short."""
-    lo = points.min(axis=0)
-    span = float(np.ptp(points, axis=0).max())
-    if span <= 0.0:
-        return np.arange(len(points))
-    scale = (2 ** 16 - 1) / span
-    q = ((points - lo) * scale).astype(np.uint64)
-    key = np.zeros(len(points), dtype=np.uint64)
-    for axis, shift0 in ((0, 0), (1, 1)):
-        v = q[:, axis]
-        v = (v | (v << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
-        v = (v | (v << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
-        v = (v | (v << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        v = (v | (v << np.uint64(2))) & np.uint64(0x3333333333333333)
-        v = (v | (v << np.uint64(1))) & np.uint64(0x5555555555555555)
-        key |= v << np.uint64(shift0)
-    return np.argsort(key, kind="stable")
+    """Insertion order along a Z-order curve (``hc_morton_order``), as
+    int32; keeps successive points close so the locate walk is short."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    order = np.empty(len(points), dtype=np.int32)
+    if KERNELS.hc_morton_order(points, len(points), order) != 0:
+        raise MemoryError("no memory for the Morton keys")
+    return order
 
 
 def build_triangulation(points: np.ndarray):
@@ -183,16 +178,17 @@ def build_triangulation(points: np.ndarray):
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.shape != (n, 2):
         raise ValueError(f"expected an (n, 2) array, got shape {points.shape}")
-    order = morton_argsort(points).astype(np.int32)
+    order = np.ascontiguousarray(morton_argsort(points), dtype=np.int32)
     cap = 2 * n - 2  # real plus ghost triangles of n points, exactly
     tris = np.empty((cap, 3), dtype=np.int32)
     neigh = np.empty((cap, 3), dtype=np.int32)
     n_tris = ctypes.c_int64()
-    counts = (ctypes.c_int64 * 2)()
+    counts = (ctypes.c_int64 * 3)()
     status = KERNELS.hc_build(points, n, order, tris, neigh, cap,
                               ctypes.byref(n_tris), counts)
     log.debug("builder: %d predicates decided by the exact stage, "
-              "%d in-circle ties broken by the perturbation", counts[0], counts[1])
+              "%d in-circle ties broken by the perturbation, underflow "
+              "check armed %d", *counts)
     if status == STATUS_OK:
         return tris[:n_tris.value], neigh[:n_tris.value]
     log.debug("incremental builder stopped with status %d on %d points; "

@@ -1,5 +1,7 @@
 /* Compiled kernels of holecount, loaded through ctypes by _fastdel.py.
  *
+ *   hc_morton_order insertion order along a Z-order curve (stable radix
+ *                   sort of 32-bit Morton keys)
  *   hc_build        incremental Delaunay triangulation (triangle and edge
  *                   splits, Lawson flips), compacted in place
  *   hc_edge_table   each edge's two faces and squared length
@@ -40,8 +42,18 @@
 #define UNCERTAIN (-2) /* the in-circle filter could not decide */
 /* The filters bound rounding, not underflow.  A nonzero coordinate
  * difference below 2^-255 could make a product of four of them subnormal,
- * so the filters leave such inputs to the exact stage. */
+ * so the filters leave such inputs to the exact stage.
+ *
+ * hc_build decides once per cloud whether this can happen: when every
+ * nonzero coordinate has magnitude at least MIN_COORD = 2^-200, no
+ * difference is tiny.  Such a coordinate's ulp is at least 2^-252, so every
+ * coordinate is a multiple of 2^-252.  The exact difference of two of them
+ * is then 0 or at least 2^-252 in magnitude, and rounding, which is
+ * monotonic, cannot take it below the representable 2^-252 > MIN_DIFF.  So
+ * for those clouds the predicates skip tiny() and return exactly what they
+ * return with it. */
 #define MIN_DIFF 0x1p-255
+#define MIN_COORD 0x1p-200
 
 /* The exact stage runs in long double.  It multiplies up to four
  * coordinate differences, each held as two parts whose lowest bits are no
@@ -229,13 +241,15 @@ static int incircle_exact(const double *pts, int32_t a, int32_t b, int32_t c,
 }
 
 /* Sign of the CCW test of points a, b and c: the float filter, then the
- * exact stage, counted in counts[0]. */
+ * exact stage, counted in counts[0].  may_underflow says whether a
+ * coordinate difference can be tiny (see MIN_DIFF). */
 static int orient(const double *pts, int32_t a, int32_t b, int32_t c,
-                  int64_t *counts)
+                  int may_underflow, int64_t *counts)
 {
     const double ax = PX(a), ay = PY(a), bx = PX(b), by = PY(b);
     const double cx = PX(c), cy = PY(c);
-    if (!(tiny(ax - cx) || tiny(by - cy) || tiny(ay - cy) || tiny(bx - cx))) {
+    if (!(may_underflow
+          && (tiny(ax - cx) || tiny(by - cy) || tiny(ay - cy) || tiny(bx - cx)))) {
         double t1 = (ax - cx) * (by - cy);
         double t2 = (ay - cy) * (bx - cx);
         double det = t1 - t2;
@@ -269,7 +283,7 @@ static int lex_less(const double *pts, int32_t a, int32_t b)
  * clouds, which never get here, about 3% slower to triangulate. */
 __attribute__((noinline))
 static int incircle_slow(const double *pts, int32_t a, int32_t b, int32_t c,
-                         int32_t p, int sgn, int64_t *counts)
+                         int32_t p, int sgn, int may_underflow, int64_t *counts)
 {
     if (sgn == UNCERTAIN) {
         counts[0]++;
@@ -288,21 +302,21 @@ static int incircle_slow(const double *pts, int32_t a, int32_t b, int32_t c,
     if (top == p)
         return -1;
     return orient(pts, top == a ? p : a, top == b ? p : b, top == c ? p : c,
-                  counts);
+                  may_underflow, counts);
 }
 
 /* Whether p lies strictly inside the circle of CCW (a, b, c): +1 or -1.
  * Filtered like orient; see incircle_slow for the rest. */
 static int incircle(const double *pts, int32_t a, int32_t b, int32_t c,
-                    int32_t p, int64_t *counts)
+                    int32_t p, int may_underflow, int64_t *counts)
 {
     const double px = PX(p), py = PY(p);
     const double adx = PX(a) - px, ady = PY(a) - py;
     const double bdx = PX(b) - px, bdy = PY(b) - py;
     const double cdx = PX(c) - px, cdy = PY(c) - py;
     int sgn = UNCERTAIN;
-    if (!(tiny(adx) || tiny(ady) || tiny(bdx) || tiny(bdy) || tiny(cdx)
-          || tiny(cdy))) {
+    if (!(may_underflow && (tiny(adx) || tiny(ady) || tiny(bdx) || tiny(bdy)
+                            || tiny(cdx) || tiny(cdy)))) {
         double ad = adx * adx + ady * ady;
         double bd = bdx * bdx + bdy * bdy;
         double cd = cdx * cdx + cdy * cdy;
@@ -321,7 +335,7 @@ static int incircle(const double *pts, int32_t a, int32_t b, int32_t c,
         if (bound == 0.0)
             sgn = 0;
     }
-    return incircle_slow(pts, a, b, c, p, sgn, counts);
+    return incircle_slow(pts, a, b, c, p, sgn, may_underflow, counts);
 }
 
 /* Slot of the infinite vertex in a ghost triangle, or -1 for a real one. */
@@ -404,6 +418,97 @@ static int same_point(const double *pts, int32_t a, int32_t b)
     return PX(a) == PX(b) && PY(a) == PY(b);
 }
 
+/* Spread the 16 low bits of v to the even bits of the result. */
+static uint32_t spread_bits(uint32_t v)
+{
+    v = (v | (v << 8)) & 0x00FF00FFu;
+    v = (v | (v << 4)) & 0x0F0F0F0Fu;
+    v = (v | (v << 2)) & 0x33333333u;
+    v = (v | (v << 1)) & 0x55555555u;
+    return v;
+}
+
+/* (x - lo) * scale truncated to 16 bits; NaN and out-of-range values (from
+ * a span that overflows) are clamped, so every point gets a key. */
+static uint32_t morton_cell(double x, double lo, double scale)
+{
+    double v = (x - lo) * scale;
+    if (!(v > 0.0))
+        return 0;
+    return v < 65535.0 ? (uint32_t)v : 65535u;
+}
+
+/* Insertion order along a Z-order curve, which keeps successive points close
+ * so the locate walk is short.  Each axis is cut into 2^16 cells over the
+ * larger of the two coordinate spans, from the per-axis minimum, and the
+ * cell numbers are interleaved (x in the even bits) into a 32-bit key.  The
+ * keys are sorted stably by an LSD radix sort, one pass per key byte, with
+ * the passes whose byte is the same for every key left out.  When the span
+ * is 0 (all points equal) the order is the identity.  Returns 0, or -1 when
+ * there is no memory for the scratch keys. */
+int32_t hc_morton_order(const double *pts, int32_t n, int32_t *order)
+{
+    if (n <= 0)
+        return 0;
+    double lo_x = PX(0), hi_x = PX(0), lo_y = PY(0), hi_y = PY(0);
+    for (int32_t i = 1; i < n; i++) {
+        lo_x = PX(i) < lo_x ? PX(i) : lo_x;
+        hi_x = PX(i) > hi_x ? PX(i) : hi_x;
+        lo_y = PY(i) < lo_y ? PY(i) : lo_y;
+        hi_y = PY(i) > hi_y ? PY(i) : hi_y;
+    }
+    const double span_x = hi_x - lo_x, span_y = hi_y - lo_y;
+    const double span = span_x > span_y ? span_x : span_y;
+    for (int32_t i = 0; i < n; i++)
+        order[i] = i;
+    if (!(span > 0.0))
+        return 0;
+    const double scale = 65535.0 / span;
+    uint32_t *keys = malloc(2 * (size_t)n * sizeof *keys);
+    int32_t *spare = malloc((size_t)n * sizeof *spare);
+    if (!keys || !spare) {
+        free(keys);
+        free(spare);
+        return -1;
+    }
+    uint32_t *key = keys, *key_out = keys + n;
+    int32_t *idx = order, *idx_out = spare;
+    int64_t counts[4][256] = {{0}};
+    for (int32_t i = 0; i < n; i++) {
+        uint32_t k = spread_bits(morton_cell(PX(i), lo_x, scale))
+                     | spread_bits(morton_cell(PY(i), lo_y, scale)) << 1;
+        key[i] = k;
+        for (int b = 0; b < 4; b++)
+            counts[b][(k >> (8 * b)) & 0xFF]++;
+    }
+    for (int b = 0; b < 4; b++) {
+        const int shift = 8 * b;
+        if (counts[b][(key[0] >> shift) & 0xFF] == n)
+            continue; /* every key has this byte: the pass keeps the order */
+        int64_t start[256], sum = 0;
+        for (int d = 0; d < 256; d++) {
+            start[d] = sum;
+            sum += counts[b][d];
+        }
+        for (int32_t i = 0; i < n; i++) {
+            int64_t at = start[(key[i] >> shift) & 0xFF]++;
+            key_out[at] = key[i];
+            idx_out[at] = idx[i];
+        }
+        uint32_t *kt = key;
+        key = key_out;
+        key_out = kt;
+        int32_t *it = idx;
+        idx = idx_out;
+        idx_out = it;
+    }
+    if (idx != order)
+        memcpy(order, idx, (size_t)n * sizeof *order);
+    free(keys);
+    free(spare);
+    return 0;
+}
+
 /* Insert the points in the given order, then compact the slots.
  *
  * Triangle slots hold vertex indices, with index n standing for the infinite
@@ -424,10 +529,11 @@ static int same_point(const double *pts, int32_t a, int32_t b)
  *
  * On STATUS_OK the first *n_tris_out rows hold the real triangles,
  * compacted as above.  counts[0] receives the number of predicates the
- * float filter left to the exact stage and counts[1] the number of
- * in-circle ties the perturbation broke.  STATUS_DECLINED means the
- * points lie on one line or repeat a point, so no triangulation has every
- * point a vertex.
+ * float filter left to the exact stage, counts[1] the number of in-circle
+ * ties the perturbation broke, and counts[2] 1 when the filters' underflow
+ * check was armed (a nonzero coordinate below MIN_COORD), else 0.
+ * STATUS_DECLINED means the points lie on one line or repeat a point, so
+ * no triangulation has every point a vertex.
  */
 int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
                  int32_t *tris, int32_t *neigh, int64_t cap,
@@ -437,11 +543,15 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
     int64_t n_tris = 0;
     int32_t status = STATUS_OK;
     *n_tris_out = 0;
-    counts[0] = counts[1] = 0;
+    counts[0] = counts[1] = counts[2] = 0;
     if (n < 3)
         return STATUS_DECLINED;
     if (cap < 2 * (int64_t)n - 2)
         return STATUS_OVERFLOW;
+    int may_underflow = 0;
+    for (int64_t i = 0; i < 2 * (int64_t)n; i++)
+        may_underflow |= pts[i] != 0.0 && fabs(pts[i]) < MIN_COORD;
+    counts[2] = may_underflow;
 
     /* First triangle from the first non-collinear triple in insertion
      * order; points skipped on the way are inserted with the rest. */
@@ -450,7 +560,7 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
     int sgn = 0;
     for (; third < n; third++) {
         c = order[third];
-        sgn = orient(pts, a, b, c, counts);
+        sgn = orient(pts, a, b, c, may_underflow, counts);
         if (sgn != 0)
             break;
     }
@@ -501,7 +611,7 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
             if (g >= 0) {
                 /* in this ghost's outer wedge iff left of its hull edge */
                 int32_t x = TRI(t, (g + 1) % 3), y = TRI(t, (g + 2) % 3);
-                sgn = orient(pts, x, y, p, counts);
+                sgn = orient(pts, x, y, p, may_underflow, counts);
                 if (sgn > 0)
                     break;
                 if (sgn < 0) {
@@ -524,7 +634,7 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
             int moved = 0, zeros = 0;
             for (int j = 0; j < 3; j++) {
                 int32_t u = TRI(t, (j + 1) % 3), w = TRI(t, (j + 2) % 3);
-                sgn = orient(pts, u, w, p, counts);
+                sgn = orient(pts, u, w, p, may_underflow, counts);
                 if (sgn < 0) {
                     t = NB(t, j);
                     moved = 1;
@@ -600,9 +710,10 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
             int g = ghost_slot(&TRI(o, 0), inf);
             if (g >= 0)
                 sgn = orient(pts, TRI(o, (g + 1) % 3), TRI(o, (g + 2) % 3), p,
-                             counts);
+                             may_underflow, counts);
             else
-                sgn = incircle(pts, TRI(o, 0), TRI(o, 1), TRI(o, 2), p, counts);
+                sgn = incircle(pts, TRI(o, 0), TRI(o, 1), TRI(o, 2), p, may_underflow,
+                               counts);
             if (sgn <= 0)
                 continue;
             const int32_t u = TRI(r, 1), w = TRI(r, 2), q = TRI(o, f);

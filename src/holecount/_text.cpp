@@ -74,6 +74,27 @@ const char *skip_blanks(const char *p, const char *end) {
     return p;
 }
 
+// The end of the '#' comment at p: its '\n', or `end`.  nullptr declines a
+// comment with a non-ASCII byte, which only the decoder can judge, or with
+// a '\r' that is not part of a "\r\n": Python ends a line there.
+const char *skip_comment(const char *p, const char *end) {
+    for (; p < end && *p != '\n'; ++p)
+        if (static_cast<unsigned char>(*p) >= 0x80
+            || (*p == '\r' && (end - p < 2 || p[1] != '\n')))
+            return nullptr;
+    return p;
+}
+
+// Past the line end at p, "\n" or "\r\n", or p itself at the end of the
+// text; nullptr when p is at neither.
+const char *next_line(const char *p, const char *end) {
+    if (p == end)
+        return p;
+    if (*p == '\r' && end - p >= 2 && p[1] == '\n')
+        return p + 2;
+    return *p == '\n' ? p + 1 : nullptr;
+}
+
 // One field: blanks, at most one sign followed by a digit or '.', a decimal
 // number in float() syntax without underscores, blanks.  Returns the first
 // character after it, or nullptr to decline (from_chars' underflow and
@@ -126,20 +147,21 @@ int64_t hc_write_rows(const double *rows, int64_t i0, int64_t i1, const char *mi
 }
 
 // The `x,y` rows of `len` bytes of text into `rows`, at most `cap` of them.
-// Lines are empty, blank (spaces and tabs), a '#' comment after blanks, or
-// one row of two numbers split by ','.  Returns the number of rows, or -1
-// on any other line, or on more than `cap` rows.
+// Lines end in "\n" or "\r\n" and are empty, blank (spaces and tabs), an
+// ASCII '#' comment after blanks, or one row of two numbers split by ','.
+// Returns the number of rows, or -1 on any other line, or on more than
+// `cap` rows.
 int64_t hc_parse_rows(const char *text, int64_t len, double *rows, int64_t cap) {
     const char *p = text, *end = text + len;
     int64_t n = 0;
     while (p < end) {
         p = skip_blanks(p, end);
-        if (p < end && *p == '#')
-            p = static_cast<const char *>(std::memchr(p, '\n', end - p));
-        if (p == nullptr || p == end)
+        if (p < end && *p == '#' && (p = skip_comment(p, end)) == nullptr)
+            return -1;
+        if (p == end)
             break;
-        if (*p == '\n') {
-            ++p;
+        if (const char *next = next_line(p, end)) {
+            p = next;
             continue;
         }
         if (n == cap)
@@ -148,7 +170,7 @@ int64_t hc_parse_rows(const char *text, int64_t len, double *rows, int64_t cap) 
         if (p == nullptr || p == end || *p != ',')
             return -1;
         p = read_number(p + 1, end, &rows[2 * n + 1]);
-        if (p == nullptr || (p < end && *p++ != '\n'))
+        if (p == nullptr || (p = next_line(p, end)) == nullptr)
             return -1;
         ++n;
     }

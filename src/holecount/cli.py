@@ -74,29 +74,23 @@ def _parse_rows(path, lines, first_lineno: int, columns: str) -> np.ndarray:
 
 
 def _read_rows(path, fh, first_lineno: int, columns: str) -> np.ndarray:
-    """The (m, 2) float64 rows of the rest of `fh`, as `_parse_rows` reads
-    them. One `hc_parse_rows` call reads a file whose lines are blank, '#'
-    comments or rows of two decimal numbers with spaces or tabs around them,
-    each number correctly rounded as `float()` rounds it. It declines any
-    other file, every file with an error included, and so does a missing
-    library: `_parse_rows` then reads the text, or words the error."""
-    pos = fh.tell() if fh.seekable() else None  # a pipe cannot seek
-    try:
-        text = fh.read()
-    except UnicodeDecodeError:
-        if pos is None:
-            raise
-        # line by line, an earlier format error is still reported first,
-        # and the decoder names the byte by its offset in the same chunk
-        fh.seek(pos)
-        return _parse_rows(path, fh, first_lineno, columns)
+    """The (m, 2) float64 rows of the rest of `fh`, a binary file or a text
+    file nothing has been read from, as `_parse_rows` reads its text. One
+    `hc_parse_rows` call reads the bytes of a file whose lines are blank,
+    ASCII '#' comments or rows of two decimal numbers with spaces or tabs
+    around them, each number correctly rounded as `float()` rounds it. It
+    declines any other file, every file with an error included, and so does
+    a missing library: only then is the text decoded, as `open` decodes it,
+    and `_parse_rows` reads it line by line or words the first error, an
+    undecodable byte named by its offset in the decoder's chunk included."""
+    data = getattr(fh, "buffer", fh).read()
     if TEXT is not None:
-        data = text.encode()
         rows = np.empty((data.count(b"\n") + 1, 2))
         n = TEXT.hc_parse_rows(data, len(data), rows, len(rows))
         if n >= 0:
             return rows[:n]
-    return _parse_rows(path, io.StringIO(text), first_lineno, columns)
+    text = io.TextIOWrapper(io.BytesIO(data), encoding=getattr(fh, "encoding", None))
+    return _parse_rows(path, text, first_lineno, columns)
 
 
 def _rows_text(rows: np.ndarray, i0: int, i1: int, mid: str, sep: str) -> str:
@@ -135,7 +129,7 @@ def _csv_chunks(head: str, rows: np.ndarray):
 def load_cloud_csv(path) -> Cloud:
     """Read one 'x,y' pair of finite numbers per line; blank lines and
     whole-line '#' comments are skipped."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         points = _read_rows(path, fh, 1, "x,y")
     if len(points) < 3:
         raise CloudFormatError(
@@ -147,7 +141,7 @@ def load_cloud_csv(path) -> Cloud:
 def load_polyline_csv(path) -> ShapeSpec:
     """Read the vertices of a closed polygon shape, in the cloud CSV
     grammar."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         vertices = _read_rows(path, fh, 1, "x,y")
     if len(vertices) < 2:
         raise CloudFormatError(
@@ -165,11 +159,19 @@ def save_cloud_csv(path, cloud: Cloud, comment: str = "") -> None:
 def load_pairs_csv(path) -> Diagram:
     """Read a 'birth,death' table (header required); the rows follow the
     cloud CSV grammar."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "birth,death":
+    with open(path, "rb") as fh:
+        # read as text, so a bad byte anywhere in the decoder's first chunk
+        # is reported before the header is checked, by its offset in the file
+        text = io.TextIOWrapper(fh, newline="")
+        header = text.readline()
+        if header.strip().replace(" ", "") != "birth,death":
             raise CloudFormatError(f"{path}:1: expected header 'birth,death'")
-        pairs = _read_rows(path, fh, 2, "birth,death")
+        if fh.seekable():
+            fh.seek(len(header.encode(text.encoding)))
+            rest = fh
+        else:  # a pipe: the decoder has read ahead
+            rest = io.BytesIO(text.read().encode(text.encoding))
+        pairs = _read_rows(path, rest, 2, "birth,death")
     return Diagram.from_pairs(pairs)
 
 

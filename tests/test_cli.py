@@ -181,6 +181,23 @@ class TestBulkRead:
 
         monkeypatch.setattr(cli, "_parse_rows", refuse)
         assert load_cloud_csv(path).points.tobytes() == cloud.points.tobytes()
+        # the bytes are parsed as they are, so "\r\n" line ends stay fast
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_cloud_csv(path).points.tobytes() == cloud.points.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "# a lone CR ends this line\r1,2\n3,4\n5,6\n",
+        "1,2\r3,4\r5,6\r",
+        "# caf\u00e9\n1,2\n3,4\n5,6\n",
+        "# \udcff is not UTF-8\n1,2\n3,4\n5,6\n",
+    ])
+    def test_bytes_only_the_decoder_judges(self, tmp_path, text):
+        # a lone '\r' ends a line, and only the decoder may pass or refuse
+        # non-ASCII bytes, even in a comment: the bulk read leaves these
+        # files to the line parser
+        path = tmp_path / "cloud.csv"
+        path.write_bytes(text.encode(errors="surrogateescape"))
+        assert _outcome(_read_rows, path) == _outcome(_parse_rows, path)
 
 
 # Doubles whose repr sits at a boundary of its layout.
@@ -234,6 +251,48 @@ class TestPairsCsv:
         path.write_text("1,2\n")
         with pytest.raises(CloudFormatError, match="header"):
             load_pairs_csv(path)
+
+    @pytest.mark.parametrize("body", [
+        b"birth,d\xffeath\n0,1\n",
+        b"x,y\n0,1\n\xff,1\n",
+        b"birth,death\n0,1\nx,1\n\xff,1\n",
+        b"birth,death\n" + b"".join(b"%d,%d\n" % (i, i + 1) for i in range(3000)) + b"\xff,1\n",
+        b"birth,death\r0,1\r2,3\r",
+        b"birth,death\r\n0,1\r\n2,3\r\n",
+    ], ids=["byte-in-header", "bad-header-then-byte", "row-error-then-byte",
+            "byte-past-first-chunk", "cr", "crlf"])
+    def test_matches_text_read(self, tmp_path, body):
+        # decoded as a text read decodes the file: a bad byte in the
+        # decoder's first chunk comes before the header check, and every
+        # other error is the line parser's, an undecodable byte named by
+        # its offset in a chunk counted from the first byte after the header
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(body)
+
+        def text_read():
+            with open(path) as fh:
+                if fh.readline().strip().replace(" ", "") != "birth,death":
+                    raise CloudFormatError(f"{path}:1: expected header 'birth,death'")
+                fh.seek(fh.tell())  # the decoder restarts at the rows
+                return Diagram.from_pairs(_parse_rows(path, fh, 2, "birth,death"))
+
+        outcomes = []
+        for read in (text_read, lambda: load_pairs_csv(path)):
+            try:
+                outcomes.append(read().pairs.tobytes())
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_from_a_pipe(self):
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as fh:
+            fh.write("birth,death\n0,1\n2,3.5\n")
+        try:
+            assert load_pairs_csv(f"/dev/fd/{read_end}").pairs.tolist() == [[0, 1], [2, 3.5]]
+        finally:
+            os.close(read_end)
 
     @pytest.mark.parametrize("bad_row,reason", [
         ("x,2", "non-numeric"), ("1,2,3", "expected 'birth,death'"),

@@ -123,6 +123,14 @@ DEGENERATE_CLOUDS = {
     "line-and-one-point": lambda: np.vstack([np.stack([np.arange(30.0), 0.5 * np.arange(30.0)],
                                                       axis=1), [(3.0, 7.0)]]),
     "collinear-runs": _collinear_runs,
+    # both sides of the builder's once-per-cloud underflow check, which
+    # arms when a nonzero coordinate is below 2^-200: armed on the uniform
+    # clouds (at 2^-250 and 2^-260 the filters then hand thousands of
+    # predicates to the exact stage), not armed on [1, 2) * 2^-200
+    **{f"uniform-2^{e}": (lambda e=e: np.random.default_rng(6).random((200, 2)) * 2.0 ** e)
+       for e in (-199, -200, -201, -250, -260)},
+    "uniform-[1,2)*2^-200": lambda: (1.0 + np.random.default_rng(6).random((200, 2)))
+                                    * 2.0 ** -200,
 }
 
 

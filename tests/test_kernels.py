@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +118,8 @@ def test_backends_agree_above_rounding_on_rounded_clouds(monkeypatch):
 @needs_kernels
 def test_builder_counts_exact_stage_and_ties(caplog):
     # a uniform cloud never leaves the float filter; a lattice needs the
-    # exact stage on every cocircular cell and breaks each such tie
+    # exact stage on every cocircular cell and breaks each such tie.  The
+    # underflow check is armed only by a nonzero coordinate below 2^-200
     caplog.set_level(logging.DEBUG, logger=_fastdel.__name__)
 
     def counts(pts):
@@ -126,10 +128,82 @@ def test_builder_counts_exact_stage_and_ties(caplog):
         (record,) = [r for r in caplog.records if r.name == _fastdel.__name__]
         return record.args
 
-    assert counts(random_cloud(0, 3000).points) == (0, 0)
+    assert counts(random_cloud(0, 3000).points) == (0, 0, 0)
     grid = np.stack(np.meshgrid(np.arange(20), np.arange(20)), axis=-1).reshape(-1, 2)
-    exact, ties = counts(grid.astype(np.float64))
-    assert exact > 0 and ties > 0
+    exact, ties, armed = counts(grid.astype(np.float64))
+    assert exact > 0 and ties > 0 and armed == 0
+    rng = np.random.default_rng(0)
+    assert counts(rng.random((300, 2)) * 2.0 ** -300)[2] == 1
+    assert counts(np.vstack([rng.random((20, 2)), [(5e-324, 0.5)]]))[2] == 1
+
+
+def _numpy_morton_order(points):
+    """The numpy key build and stable argsort that hc_morton_order
+    replaced: the reference its order must match."""
+    lo = points.min(axis=0)
+    span = float(np.ptp(points, axis=0).max())
+    if span <= 0.0:
+        return np.arange(len(points))
+    scale = (2 ** 16 - 1) / span
+    q = ((points - lo) * scale).astype(np.uint64)
+    key = np.zeros(len(points), dtype=np.uint64)
+    for axis, shift0 in ((0, 0), (1, 1)):
+        v = q[:, axis]
+        v = (v | (v << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+        v = (v | (v << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+        v = (v | (v << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+        v = (v | (v << np.uint64(2))) & np.uint64(0x3333333333333333)
+        v = (v | (v << np.uint64(1))) & np.uint64(0x5555555555555555)
+        key |= v << np.uint64(shift0)
+    return np.argsort(key, kind="stable")
+
+
+def _uniform(n, seed=0):
+    return np.random.default_rng(seed).random((n, 2))
+
+
+_MORTON_CLOUDS = {
+    "uniform-3": lambda: _uniform(3),
+    "uniform-400": lambda: _uniform(400),
+    "uniform-1e5": lambda: _uniform(10 ** 5),
+    # equal keys: their order must stay the input order
+    "lattice-permuted": lambda: np.random.default_rng(1).permutation(
+        np.stack(np.meshgrid(np.arange(60), np.arange(60)), axis=-1).reshape(-1, 2) * 1.0),
+    # one long run of equal keys, and key bytes that never vary
+    "cluster-1e-9": lambda: np.vstack([1e-9 * _uniform(10 ** 4), [(1.0, 1.0)]]),
+    "zero-span-y": lambda: np.stack([_uniform(500)[:, 0], np.full(500, 0.25)], axis=1),
+    "offset-1e8": lambda: _uniform(2000) + 1e8,
+    "scale-2^300": lambda: _uniform(2000) * 2.0 ** 300,
+    "scale-2^-300": lambda: _uniform(2000) * 2.0 ** -300,
+    "all-equal": lambda: np.full((5, 2), 3.0),
+}
+
+
+@needs_kernels
+@pytest.mark.parametrize("kind", list(_MORTON_CLOUDS))
+def test_morton_order_matches_numpy_keys(kind):
+    pts = _MORTON_CLOUDS[kind]()
+    order = _fastdel.morton_argsort(pts)
+    assert order.dtype == np.int32
+    assert np.array_equal(order, _numpy_morton_order(pts))
+
+
+@needs_kernels
+def test_morton_order_of_overflowing_span_is_a_permutation():
+    # the span overflows to inf, so the keys are NaN or out of range before
+    # they are clamped; numpy warned three times here, the kernel is silent
+    pts = 1.5e308 * np.random.default_rng(0).uniform(-1.0, 1.0, (3000, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        order = _fastdel.morton_argsort(pts)
+    assert np.array_equal(np.sort(order), np.arange(len(pts)))
+
+
+def test_kernel_flags_keep_rounding():
+    # births and edge lengths must round exactly as the numpy fallback does
+    flags = _fastdel.KERNEL_LIBRARY.flags
+    assert "-ffp-contract=off" in flags
+    assert not {"-ffast-math", "-Ofast", "-march=native", "-ffp-contract=fast"} & set(flags)
 
 
 @needs_kernels
@@ -226,6 +300,13 @@ for pts in clouds:
     hole_persistence(Cloud.from_points(pts))
 for pts in [clouds[4]] + clouds[-4:]:
     assert _fastdel.build_triangulation(np.asarray(pts, dtype=np.float64)) is not None
+# the Morton order on one long run of equal keys, and on a span that
+# overflows, whose keys are NaN or out of range until clamped
+for pts in [np.vstack([1e-9 * rng.random((10000, 2)), [(1.0, 1.0)]]),
+            1.5e308 * rng.uniform(-1.0, 1.0, (3000, 2))]:
+    order = _fastdel.morton_argsort(pts)
+    assert np.array_equal(np.sort(order), np.arange(len(pts)))
+    assert _fastdel.build_triangulation(pts) is not None
 print("clean")
 """
 
@@ -259,6 +340,10 @@ assert parse("1,-") == (-1, [])
 assert parse("1,") == (-1, [])
 assert parse("# comment without newline") == (0, [])
 assert parse("1,2\\n3,4") == (2, [[1.0, 2.0], [3.0, 4.0]])
+assert parse("# c\\r\\n1,2\\r\\n\\r\\n3,4\\r\\n") == (2, [[1.0, 2.0], [3.0, 4.0]])
+assert parse("# c\\r1,2") == (-1, [])
+assert parse("1,2\\r") == (-1, [])
+assert parse("# caf\\u00e9\\n1,2") == (-1, [])
 
 longest = np.full((2, 2), -2.2250738585072014e-308)
 out = np.empty(50, dtype=np.uint8)  # the bound of one row, its separator included
@@ -281,11 +366,13 @@ print("clean")
 def _run_sanitized(library, script, tmp_path, **extra_env):
     """Run `script` in a child with `library` built under ASan and UBSan and
     its runtimes preloaded; the script binds the library itself and prints
-    'clean' at its end."""
+    'clean' at its end.  UBSan also checks float-to-integer casts, which
+    -fsanitize=undefined leaves out."""
     lib = tmp_path / f"{library.source.stem}.so"
+    checks = "undefined,float-cast-overflow"
     subprocess.run([library.compiler, *library.flags, "-g",
-                    "-fsanitize=address,undefined",
-                    "-fno-sanitize-recover=undefined", "-o", str(lib),
+                    f"-fsanitize=address,{checks}",
+                    f"-fno-sanitize-recover={checks}", "-o", str(lib),
                     str(library.source), "-lm"], check=True)
     env = dict(os.environ, LD_PRELOAD=" ".join(_sanitizer_runtimes()),
                ASAN_OPTIONS="detect_leaks=0",

@@ -1,13 +1,17 @@
 """Compiled kernels for the large-cloud pipeline, loaded through ctypes.
 
-``_kernels.c`` exports one function per step, each called once per cloud:
-the insertion order ``hc_morton_order`` (a stable radix sort of Z-order
-keys), the incremental Delaunay builder ``hc_build`` (triangle and edge
-splits and Lawson flips in that order, with exact predicates, symbolic
-in-circle ties and ghost triangles, compacted in place), the edge table
-``hc_edge_table`` (each edge's two faces and squared length), ``hc_births``
-and the sweep ``hc_sweep``.  The edge sort between the edge table and the
-sweep is numpy's.
+``_kernels.c`` exports one function per step, each called once per cloud.
+Ingest runs ``hc_morton_dedup``: one stable radix sort of Z-order keys
+finds the repeated points (each compared exactly with the points of its run
+of equal keys) and gives the Morton insertion order of the kept points,
+which ``Cloud`` carries to the builder.  ``hc_morton_order`` is the same
+order alone, for points that come without one.  Then follow the incremental
+Delaunay builder ``hc_build`` (triangle and edge splits and Lawson flips in
+that order, with exact predicates, symbolic in-circle ties and ghost
+triangles, compacted in place), the edge table ``hc_edge_table`` (each
+edge's two faces and squared length), ``hc_births`` and the sweep
+``hc_sweep``.  The edge sort between the edge table and the sweep is
+numpy's.
 ``_text.cpp`` holds the CLI's number text, ``hc_write_rows`` (repr-identical
 rows through ``std::to_chars``) and ``hc_parse_rows`` (correctly rounded
 CSV rows through ``std::from_chars``); ``holecount.cli`` loads it, so
@@ -83,6 +87,7 @@ KERNEL_LIBRARY = Library(
     ("-O3", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off"),
     {
         "hc_morton_order": (_c_i32, [_F64, _c_i32, _I32]),
+        "hc_morton_dedup": (_c_i32, [_F64, _c_i32, _I32, _U8]),
         "hc_build": (_c_i32, [_F64, _c_i32, _I32, _I32, _I32, _c_i64, _p_i64,
                               _p_i64]),
         "hc_edge_table": (_c_i64, [_F64, _c_i64, _I32, _I32, _c_i64, _I32, _F64]),
@@ -163,7 +168,27 @@ def morton_argsort(points: np.ndarray) -> np.ndarray:
     return order
 
 
-def build_triangulation(points: np.ndarray):
+def morton_dedup(points: np.ndarray):
+    """(kept, order) of the points from one Morton sort (``hc_morton_dedup``),
+    or None when the kernels are not loaded or the cloud is too large for
+    them.  kept is a bool mask of the first occurrences, or None when no
+    point repeats; order is the int32 Morton order of the kept points,
+    numbered by their position among them (`morton_argsort` of the cloud
+    without its repeats)."""
+    n = len(points)
+    if KERNELS is None or n > _MAX_POINTS:
+        return None
+    order = np.empty(n, dtype=np.int32)
+    repeat = np.empty(n, dtype=np.uint8)
+    m = KERNELS.hc_morton_dedup(points, n, order, repeat)
+    if m < 0:
+        raise MemoryError("no memory for the Morton keys")
+    if m == n:
+        return None, order
+    return repeat == 0, order[:m].copy()
+
+
+def build_triangulation(points: np.ndarray, order=None):
     """Triangulate incrementally; returns (triangles, neighbors) in the
     layout of the Qhull path (CCW, lexicographically smallest point first,
     -1 across hull edges), or None when the kernels are not loaded or no
@@ -171,14 +196,20 @@ def build_triangulation(points: np.ndarray):
 
     Exactly cocircular points get the triangulation of a symbolic
     perturbation keyed on their (x, y) order, so the triangles do not
-    depend on the input order."""
+    depend on the input order.  The points are inserted in the given
+    order, a permutation of range(n), or else by `morton_argsort`."""
     n = len(points)
     if KERNELS is None or not 3 <= n <= _MAX_POINTS:
         return None
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.shape != (n, 2):
         raise ValueError(f"expected an (n, 2) array, got shape {points.shape}")
-    order = np.ascontiguousarray(morton_argsort(points), dtype=np.int32)
+    if order is None:
+        order = morton_argsort(points)
+    order = np.ascontiguousarray(order, dtype=np.int32)
+    if order.shape != (n,):
+        raise ValueError(f"expected an insertion order of {n} points, got shape "
+                         f"{order.shape}")
     cap = 2 * n - 2  # real plus ghost triangles of n points, exactly
     tris = np.empty((cap, 3), dtype=np.int32)
     neigh = np.empty((cap, 3), dtype=np.int32)

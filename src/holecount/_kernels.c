@@ -2,6 +2,9 @@
  *
  *   hc_morton_order insertion order along a Z-order curve (stable radix
  *                   sort of 32-bit Morton keys)
+ *   hc_morton_dedup the same sort, which also marks the repeated points
+ *                   (each one equal to an earlier point inside its run of
+ *                   equal keys) and returns the order of the kept points
  *   hc_build        incremental Delaunay triangulation (triangle and edge
  *                   splits, Lawson flips), compacted in place
  *   hc_edge_table   each edge's two faces and squared length
@@ -438,18 +441,19 @@ static uint32_t morton_cell(double x, double lo, double scale)
     return v < 65535.0 ? (uint32_t)v : 65535u;
 }
 
-/* Insertion order along a Z-order curve, which keeps successive points close
- * so the locate walk is short.  Each axis is cut into 2^16 cells over the
- * larger of the two coordinate spans, from the per-axis minimum, and the
- * cell numbers are interleaved (x in the even bits) into a 32-bit key.  The
- * keys are sorted stably by an LSD radix sort, one pass per key byte, with
- * the passes whose byte is the same for every key left out.  When the span
- * is 0 (all points equal) the order is the identity.  Returns 0, or -1 when
- * there is no memory for the scratch keys. */
-int32_t hc_morton_order(const double *pts, int32_t n, int32_t *order)
+/* Sort the points stably by their Z-order keys into order and return the
+ * sorted keys.  Each axis is cut into 2^16 cells over the larger of the two
+ * coordinate spans, from the per-axis minimum, and the cell numbers are
+ * interleaved (x in the even bits) into a 32-bit key.  The keys are sorted
+ * by an LSD radix sort, one pass per key byte, with the passes whose byte is
+ * the same for every key left out.  When the span is 0 (all points equal)
+ * every key is 0 and the order is the identity.  key has room for 2n keys
+ * and spare for n indices; the sorted keys are in one half of key. */
+static const uint32_t *morton_sort(const double *pts, int32_t n, int32_t *order,
+                                   uint32_t *key, int32_t *spare)
 {
-    if (n <= 0)
-        return 0;
+    for (int32_t i = 0; i < n; i++)
+        order[i] = i;
     double lo_x = PX(0), hi_x = PX(0), lo_y = PY(0), hi_y = PY(0);
     for (int32_t i = 1; i < n; i++) {
         lo_x = PX(i) < lo_x ? PX(i) : lo_x;
@@ -459,19 +463,12 @@ int32_t hc_morton_order(const double *pts, int32_t n, int32_t *order)
     }
     const double span_x = hi_x - lo_x, span_y = hi_y - lo_y;
     const double span = span_x > span_y ? span_x : span_y;
-    for (int32_t i = 0; i < n; i++)
-        order[i] = i;
-    if (!(span > 0.0))
-        return 0;
-    const double scale = 65535.0 / span;
-    uint32_t *keys = malloc(2 * (size_t)n * sizeof *keys);
-    int32_t *spare = malloc((size_t)n * sizeof *spare);
-    if (!keys || !spare) {
-        free(keys);
-        free(spare);
-        return -1;
+    if (!(span > 0.0)) {
+        memset(key, 0, (size_t)n * sizeof *key);
+        return key;
     }
-    uint32_t *key = keys, *key_out = keys + n;
+    const double scale = 65535.0 / span;
+    uint32_t *key_out = key + n;
     int32_t *idx = order, *idx_out = spare;
     int64_t counts[4][256] = {{0}};
     for (int32_t i = 0; i < n; i++) {
@@ -504,9 +501,109 @@ int32_t hc_morton_order(const double *pts, int32_t n, int32_t *order)
     }
     if (idx != order)
         memcpy(order, idx, (size_t)n * sizeof *order);
+    return key;
+}
+
+/* Insertion order along a Z-order curve, which keeps successive points close
+ * so the locate walk is short (see morton_sort).  Returns 0, or -1 when
+ * there is no memory for the scratch keys. */
+int32_t hc_morton_order(const double *pts, int32_t n, int32_t *order)
+{
+    if (n <= 0)
+        return 0;
+    uint32_t *keys = malloc(2 * (size_t)n * sizeof *keys);
+    int32_t *spare = malloc((size_t)n * sizeof *spare);
+    if (keys && spare)
+        morton_sort(pts, n, order, keys, spare);
     free(keys);
     free(spare);
+    return keys && spare ? 0 : -1;
+}
+
+/* A point of a run of equal keys, for sorting the run by coordinates. */
+typedef struct {
+    double x, y;
+    int32_t i;
+} run_point;
+
+static int compare_run_points(const void *pa, const void *pb)
+{
+    const run_point *a = pa, *b = pb;
+    if (a->x != b->x)
+        return a->x < b->x ? -1 : 1;
+    if (a->y != b->y)
+        return a->y < b->y ? -1 : 1;
+    return (a->i > b->i) - (a->i < b->i);
+}
+
+/* Mark the repeats among the points idx[0..len), which share one key: every
+ * point equal (==, so -0.0 equals 0.0) to one of lower index.  The run is
+ * sorted by (x, y, index) in scratch space, grown as needed, so the first
+ * of each group of equal points is its earliest.  Returns 0, or -1 when
+ * there is no memory for the scratch space. */
+static int mark_run_repeats(const double *pts, const int32_t *idx, int32_t len,
+                            uint8_t *repeat, run_point **scratch, int32_t *cap)
+{
+    if (len > *cap) {
+        free(*scratch);
+        *scratch = malloc((size_t)len * sizeof **scratch);
+        *cap = *scratch ? len : 0;
+        if (!*scratch)
+            return -1;
+    }
+    run_point *run = *scratch;
+    for (int32_t j = 0; j < len; j++)
+        run[j] = (run_point){PX(idx[j]), PY(idx[j]), idx[j]};
+    qsort(run, (size_t)len, sizeof *run, compare_run_points);
+    for (int32_t j = 1; j < len; j++)
+        if (run[j].x == run[j - 1].x && run[j].y == run[j - 1].y)
+            repeat[run[j].i] = 1;
     return 0;
+}
+
+/* The Morton order of hc_morton_order and the repeated points, from one
+ * sort.  Equal points have equal keys, so a point equal to an earlier one
+ * lies in that point's run of equal keys; repeat[i] is set to 1 for each
+ * such point and to 0 for the rest, the first occurrences.  order[0..m)
+ * then holds the Morton order of the m kept points, numbered by their
+ * position among them: hc_morton_order of the cloud without its repeats,
+ * whose lo and span are those of the whole cloud.  Returns m, or -1 when
+ * there is no memory for the scratch space. */
+int32_t hc_morton_dedup(const double *pts, int32_t n, int32_t *order, uint8_t *repeat)
+{
+    if (n <= 0)
+        return 0;
+    uint32_t *keys = malloc(2 * (size_t)n * sizeof *keys);
+    int32_t *spare = malloc((size_t)n * sizeof *spare);
+    run_point *scratch = NULL;
+    int32_t cap = 0, kept = -1;
+    if (keys && spare) {
+        const uint32_t *key = morton_sort(pts, n, order, keys, spare);
+        memset(repeat, 0, (size_t)n);
+        int failed = 0;
+        for (int32_t s = 0, e; s < n && !failed; s = e) {
+            for (e = s + 1; e < n && key[e] == key[s]; e++)
+                ;
+            if (e - s > 1)
+                failed = mark_run_repeats(pts, order + s, e - s, repeat, &scratch, &cap);
+        }
+        if (!failed) {
+            int32_t *rank = spare; /* free again once the keys are sorted */
+            kept = 0;
+            for (int32_t i = 0; i < n; i++) {
+                rank[i] = kept;
+                kept += !repeat[i];
+            }
+            if (kept < n)
+                for (int32_t k = 0, j = 0; k < n; k++)
+                    if (!repeat[order[k]])
+                        order[j++] = rank[order[k]];
+        }
+    }
+    free(keys);
+    free(spare);
+    free(scratch);
+    return kept;
 }
 
 /* Insert the points in the given order, then compact the slots.

@@ -13,7 +13,8 @@ like one more triangle everywhere downstream.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.spatial import Delaunay as _SciPyDelaunay
@@ -43,9 +44,18 @@ class DroppedPointsWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Cloud:
-    """An ordered sequence of distinct 2D points."""
+    """An ordered sequence of distinct 2D points.
+
+    `from_points` also keeps, when the compiled kernels ran its duplicate
+    scan, the Morton insertion order that scan sorted the points into, so
+    `triangulate` need not sort them again.  The order only affects how fast
+    the builder runs, never the triangles.
+    """
 
     points: np.ndarray  # (n, 2) float64
+    # int32 permutation of range(n), read-only; None when not known
+    order: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     @classmethod
     def from_points(cls, points) -> "Cloud":
@@ -54,17 +64,24 @@ class Cloud:
             raise ValueError(f"expected an (n, 2) array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("cloud contains non-finite coordinates")
-        # view rows as complex so the duplicate scan sorts scalars, not a
-        # structured array; ordering is lexicographic either way
-        _, first = np.unique(pts.view(np.complex128).ravel(), return_index=True)
-        if len(first) < len(pts):
-            warnings.warn(
-                f"removed {len(pts) - len(first)} duplicate point(s)",
-                DuplicatePointsWarning,
-                stacklevel=2,
-            )
-            pts = pts[np.sort(first)]
-        return cls(points=pts)
+        found = _fastdel.morton_dedup(pts)
+        if found is not None:
+            kept, order = found
+        else:
+            # view rows as complex so the duplicate scan sorts scalars, not
+            # a structured array; ordering is lexicographic either way
+            _, first = np.unique(pts.view(np.complex128).ravel(), return_index=True)
+            kept = np.sort(first) if len(first) < len(pts) else None
+            order = None
+        if kept is not None:
+            n_in, pts = len(pts), pts[kept]
+            warnings.warn(f"removed {n_in - len(pts)} duplicate point(s)",
+                          DuplicatePointsWarning, stacklevel=2)
+        cloud = cls(points=pts)
+        if order is not None:
+            order.flags.writeable = False
+            object.__setattr__(cloud, "order", order)
+        return cloud
 
     @property
     def n(self) -> int:
@@ -147,7 +164,8 @@ def triangulate(cloud: Cloud) -> Triangulation:
     pts = cloud.points
     if len(pts) < 3:
         raise TooFewPointsError(f"need at least 3 distinct points, got {len(pts)}")
-    tris, neigh = _fastdel.build_triangulation(pts) or _qhull_triangles(pts)
+    tris, neigh = (_fastdel.build_triangulation(pts, cloud.order)
+                   or _qhull_triangles(pts))
 
     if _fastdel.KERNELS is not None:
         edge_faces, edge_length_sq = _fastdel.edge_table(pts, tris, neigh)

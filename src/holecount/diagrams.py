@@ -24,6 +24,11 @@ class Diagram:
 
     @classmethod
     def from_pairs(cls, pairs) -> "Diagram":
+        """The diagram of the pairs, in a read-only array of its own.
+
+        A sweep emits its pairs with births non-increasing, so reversed they
+        are already sorted when the births are distinct, which is checked;
+        otherwise, as when births tie on a lattice, they are sorted."""
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)
         arr = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
@@ -32,7 +37,14 @@ class Diagram:
                 raise ValueError("pair with birth > death")
             if (arr[:, 0] < 0).any() or not np.isfinite(arr).all():
                 raise ValueError("pairs must satisfy 0 <= birth <= death < inf")
-            arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+            rev = arr[::-1]
+            if (rev[1:, 0] > rev[:-1, 0]).all():
+                arr = rev.copy()
+            else:
+                arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+        else:
+            arr = np.empty((0, 2))
+        arr.flags.writeable = False
         return cls(pairs=arr)
 
     def __len__(self) -> int:
@@ -44,10 +56,10 @@ class Diagram:
         return self.pairs[:, 1] - self.pairs[:, 0]
 
     def off_diagonal(self) -> np.ndarray:
-        """Pairs with strictly positive persistence."""
-        if not len(self.pairs):
-            return self.pairs
-        return self.pairs[self.pairs[:, 1] > self.pairs[:, 0]]
+        """Pairs with strictly positive persistence; `pairs` itself, not a
+        copy, when no pair lies on the diagonal."""
+        keep = self.pairs[:, 1] > self.pairs[:, 0]
+        return self.pairs if keep.all() else self.pairs[keep]
 
 
 @dataclass(frozen=True)
@@ -119,9 +131,11 @@ def hole_probabilities(diagram: Diagram) -> HoleProbabilityTable:
     total = stair.breakpoints[-1] - stair.breakpoints[0]
     # bincount adds the weights in interval order, as a running sum would;
     # the dict lists the counts in order of first appearance
-    sums = np.bincount(stair.counts, weights=lengths / total)
-    present, first = np.unique(stair.counts, return_index=True)
-    present = present[np.argsort(first)]
+    counts = stair.counts
+    sums = np.bincount(counts, weights=lengths / total)
+    first = np.full(len(sums), len(counts))
+    np.minimum.at(first, counts, np.arange(len(counts)))
+    present = counts[np.sort(first[first < len(counts)])]
     return HoleProbabilityTable(
         probabilities=dict(zip(present.tolist(), sums[present].tolist())))
 

@@ -74,6 +74,28 @@ class TestDiagram:
         assert len(D()) == 0
         assert D().persistences().tolist() == []
 
+    @given(pair_lists)
+    @settings(max_examples=100)
+    def test_any_order_gives_the_lexsort(self, pairs):
+        # births descending take the reversal; ties and other orders the sort
+        arr = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+        ranked = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+        for given_order in (arr, arr[::-1], ranked, ranked[::-1]):
+            expected = given_order[np.lexsort((given_order[:, 1], given_order[:, 0]))]
+            got = Diagram.from_pairs(given_order).pairs
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("pairs", [[(2.0, 3.0), (1.0, 2.0)], [(1.0, 2.0)], []])
+    def test_pairs_read_only_and_own(self, pairs):
+        src = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+        d = Diagram.from_pairs(src)
+        assert not d.pairs.flags.writeable and src.flags.writeable
+        assert not np.shares_memory(d.pairs, src)
+        assert d.off_diagonal() is d.pairs
+        if len(d):
+            with pytest.raises(ValueError):
+                d.off_diagonal()[0, 0] = 0.0
+
 
 class TestStaircase:
     def test_single_pair(self):

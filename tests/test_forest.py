@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holecount import _fastdel
-from holecount.delaunay import Cloud, edges_sorted_desc, triangulate
+from holecount import forest as forest_mod
+from holecount.cli import compute_report
+from holecount.delaunay import Cloud, Triangulation, edges_sorted_desc, triangulate
 from holecount.forest import (
     CASE_GRAY_JOINS_WHITE,
     CASE_SAME_REGION,
@@ -280,3 +282,32 @@ class TestHolePersistence:
         assert 0 < len(diagram) <= tri.num_edges - tri.n + 1
         assert (diagram.pairs[:, 0] <= diagram.pairs[:, 1]).all()
         assert (diagram.pairs[:, 0] > 0).all()
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "numpy"])
+@pytest.mark.parametrize("run", [hole_persistence, compute_report],
+                         ids=["hole_persistence", "compute_report"])
+def test_one_triangulation_per_cloud_through_forest(run, kernels, monkeypatch):
+    # perfbench checks each answer against the triangulation behind it,
+    # which it captures by wrapping the name `triangulate` that forest binds:
+    # one call per cloud, returning a Triangulation whose triangles use every
+    # point.  Were either to break, every uniform and shapes operation would
+    # fail its check.
+    if kernels and _fastdel.KERNELS is None:
+        pytest.skip("compiled kernels unavailable (no C compiler)")
+    if not kernels:
+        monkeypatch.setattr(_fastdel, "KERNELS", None)
+    calls = []
+
+    def spy(cloud):
+        tri = triangulate(cloud)
+        calls.append((cloud, tri))
+        return tri
+
+    monkeypatch.setattr(forest_mod, "triangulate", spy)
+    cloud = random_cloud(11, 500)
+    run(cloud)
+    assert len(calls) == 1
+    seen, tri = calls[0]
+    assert seen is cloud and isinstance(tri, Triangulation)
+    assert np.array_equal(np.unique(tri.triangles), np.arange(cloud.n))

@@ -15,9 +15,10 @@ import pytest
 
 import holecount
 from holecount import Cloud, _fastdel
+from holecount import forest as forest_mod
 from holecount.cli import RunReport, compute_report, load_cloud_csv
 from holecount.delaunay import edges_sorted_desc, triangulate
-from holecount.diagrams import infer_hole_count
+from holecount.diagrams import Diagram, infer_hole_count
 from holecount.forest import (hole_persistence, hole_persistence_stats,
                               init_forest, iter_events)
 
@@ -199,6 +200,162 @@ def test_morton_order_of_overflowing_span_is_a_permutation():
     assert np.array_equal(np.sort(order), np.arange(len(pts)))
 
 
+def _with_repeats(pts, seed=0):
+    """pts with about a tenth of its rows overwritten by copies of others,
+    scattered through the cloud."""
+    rng = np.random.default_rng(seed)
+    pts = pts.copy()
+    k = max(1, len(pts) // 10)
+    pts[rng.integers(0, len(pts), k)] = pts[rng.integers(0, len(pts), k)]
+    return pts
+
+
+def _cluster_with_repeats():
+    # one long run of equal keys in which repeats lie far from their
+    # originals, some of them before the far point
+    pts = _MORTON_CLOUDS["cluster-1e-9"]()
+    pts = np.vstack([pts, pts[np.random.default_rng(3).integers(0, len(pts), 800)]])
+    return pts[np.random.default_rng(4).permutation(len(pts))]
+
+
+_INGEST_CLOUDS = {
+    **_MORTON_CLOUDS,
+    "uniform-repeats": lambda: _with_repeats(_uniform(3000)),
+    "lattice-repeats": lambda: _with_repeats(_MORTON_CLOUDS["lattice-permuted"](), 1),
+    "signed-zeros": lambda: np.array([(0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (1.0, 0.0),
+                                      (-0.0, -0.0), (0.5, 0.5), (0.0, 0.0), (0.0, -0.0)]),
+    # a short run of equal keys whose repeat is not next to its original
+    "short-run-repeat": lambda: np.array([(0.0, 0.0), (1e-9, 0.0), (0.0, 0.0), (1.0, 1.0)]),
+    "cluster-1e-9-repeats": _cluster_with_repeats,
+    # one run of equal keys whose points share x or y with many others
+    "tiny-lattice-repeats": lambda: _with_repeats(np.vstack(
+        [1e-12 * _MORTON_CLOUDS["lattice-permuted"](), [(1.0, 1.0)]]), 3),
+    "overflowing-span-repeats": lambda: _with_repeats(
+        1.5e308 * np.random.default_rng(0).uniform(-1.0, 1.0, (3000, 2)), 2),
+    "n=0": lambda: np.empty((0, 2)),
+    "n=1": lambda: _uniform(1),
+    "n=2": lambda: _uniform(2),
+    "n=2-equal": lambda: np.array([(1.0, 2.0), (1.0, 2.0)]),
+    "n=3": lambda: _uniform(3),
+}
+
+
+def _numpy_dedup(pts):
+    """(kept points, repeats removed) by the np.unique scan that the Morton
+    pass replaced on the compiled path: the reference it must match."""
+    _, first = np.unique(pts.view(np.complex128).ravel(), return_index=True)
+    return pts[np.sort(first)], len(pts) - len(first)
+
+
+def _ingest(pts):
+    """(cloud, [(message, category, file, line)] of its warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cloud = Cloud.from_points(pts)
+    return cloud, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+@pytest.mark.parametrize("kernels", [
+    pytest.param(True, id="kernels", marks=needs_kernels),
+    pytest.param(False, id="numpy"),
+])
+@pytest.mark.parametrize("kind", list(_INGEST_CLOUDS))
+def test_ingest_matches_numpy_unique(kind, kernels, monkeypatch):
+    pts = _INGEST_CLOUDS[kind]()
+    kept, removed = _numpy_dedup(pts)
+    with monkeypatch.context() as patch:
+        if not kernels:
+            patch.setattr(_fastdel, "KERNELS", None)
+        cloud, caught = _ingest(pts)
+    # the same points, sign of zero included, in input order
+    assert cloud.points.tobytes() == kept.tobytes()
+    line = _ingest.__code__.co_firstlineno + 4  # the from_points call
+    assert caught == ([(f"removed {removed} duplicate point(s)",
+                        holecount.DuplicatePointsWarning, __file__, line)]
+                      if removed else [])
+    if kernels:
+        assert cloud.order.dtype == np.int32 and not cloud.order.flags.writeable
+        assert np.array_equal(cloud.order, _fastdel.morton_argsort(cloud.points))
+    else:
+        assert cloud.order is None
+
+
+def _sweep_output(cloud):
+    """The pairs of one sweep over the cloud, in the order it emits them."""
+    tri = triangulate(cloud)
+    births = forest_mod.triangle_births(tri)
+    return forest_mod.sweep_pairs(births, tri.edge_faces, tri.edge_length_sq,
+                                  edges_sorted_desc(tri.edge_length_sq))[0]
+
+
+def _rounded(seed):
+    pts = np.round(20.0 * np.random.default_rng(seed).random((200, 2))) / 20.0
+    return np.unique(pts, axis=0)
+
+
+_SWEEP_CLOUDS = {
+    "square2": lambda request: request.getfixturevalue("square2"),
+    "equilateral2": lambda request: request.getfixturevalue("equilateral2"),
+    "figure_eight": lambda request: request.getfixturevalue("figure_eight"),
+    "parabola-300": lambda request: parabola_cloud(3, 300),
+    # tied births: the lexsort fallback
+    "lattice-20": lambda request: Cloud.from_points(
+        np.random.default_rng(5).permutation(_lattice_points(20))),
+    **{f"rounded-{seed}": (lambda request, seed=seed: Cloud.from_points(_rounded(seed)))
+       for seed in range(3)},
+    "uniform-5000": lambda request: random_cloud(2, 5000),
+}
+
+
+def _lattice_points(m):
+    return np.stack(np.meshgrid(np.arange(m), np.arange(m)), axis=-1).reshape(-1, 2) * 1.0
+
+
+@pytest.mark.parametrize("kernels", [
+    pytest.param(True, id="kernels", marks=needs_kernels),
+    pytest.param(False, id="numpy"),
+])
+@pytest.mark.parametrize("kind", list(_SWEEP_CLOUDS))
+def test_diagram_of_sweep_order_matches_lexsort(kind, kernels, request,
+                                                monkeypatch):
+    cloud = _SWEEP_CLOUDS[kind](request)
+    with monkeypatch.context() as patch:
+        if not kernels:
+            patch.setattr(_fastdel, "KERNELS", None)
+        pairs = _sweep_output(cloud)
+    arr = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
+    births = arr[:, 0]
+    # the order from_pairs reverses: births non-increasing
+    assert (births[1:] <= births[:-1]).all()
+    if kind == "lattice-20":
+        assert len(np.unique(births)) < len(births)
+    if kind == "uniform-5000":
+        assert len(np.unique(births)) == len(births) > 100
+    expected = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    got = Diagram.from_pairs(pairs).pairs
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("kernels", [
+    pytest.param(True, id="kernels", marks=needs_kernels),
+    pytest.param(False, id="numpy"),
+])
+def test_diagram_of_overflowing_sweep_raises(kernels, monkeypatch):
+    # births of a cloud scaled by 2^180 overflow to inf
+    if not kernels:
+        monkeypatch.setattr(_fastdel, "KERNELS", None)
+    cloud = Cloud.from_points(_rounded(0) * 2.0 ** 180)
+    message = re.escape("pairs must satisfy 0 <= birth <= death < inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        pairs = _sweep_output(cloud)
+        with pytest.raises(ValueError, match=message):
+            Diagram.from_pairs(pairs)
+        with pytest.raises(ValueError, match=message):
+            hole_persistence(cloud)
+
+
 def test_kernel_flags_keep_rounding():
     # births and edge lengths must round exactly as the numpy fallback does
     flags = _fastdel.KERNEL_LIBRARY.flags
@@ -264,7 +421,7 @@ def _sanitizer_runtimes():
 
 
 _SANITIZED_RUN = """
-import ctypes, sys
+import ctypes, sys, warnings
 import numpy as np
 from holecount import Cloud, _fastdel, hole_persistence
 
@@ -307,6 +464,20 @@ for pts in [np.vstack([1e-9 * rng.random((10000, 2)), [(1.0, 1.0)]]),
     order = _fastdel.morton_argsort(pts)
     assert np.array_equal(np.sort(order), np.arange(len(pts)))
     assert _fastdel.build_triangulation(pts) is not None
+# ingest's Morton pass: repeats in short runs and in one long run of equal
+# keys, an all-equal cloud, n = 0 and 1, and a span that overflows
+spread = rng.random((2000, 2))
+spread[rng.integers(0, 2000, 200)] = spread[rng.integers(0, 2000, 200)]
+cluster = np.vstack([1e-9 * rng.random((3000, 2)), [(1.0, 1.0)]])
+cluster = np.vstack([cluster, cluster[rng.integers(0, 3001, 500)]])
+for pts in [spread, cluster[rng.permutation(len(cluster))], np.full((50, 2), 3.0),
+            np.empty((0, 2)), np.ones((1, 2)),
+            1.5e308 * rng.uniform(-1.0, 1.0, (3000, 2))]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cloud = Cloud.from_points(pts)
+    assert np.array_equal(np.sort(cloud.order), np.arange(cloud.n))
+    assert cloud.n == len(np.unique(pts, axis=0))
 print("clean")
 """
 

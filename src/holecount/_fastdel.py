@@ -10,8 +10,12 @@ Delaunay builder ``hc_build`` (triangle and edge splits and Lawson flips in
 that order, with exact predicates, symbolic in-circle ties and ghost
 triangles, compacted in place), the edge table ``hc_edge_table`` (each
 edge's two faces and squared length), ``hc_births`` and the sweep
-``hc_sweep``.  The edge sort between the edge table and the sweep is
-numpy's.
+``hc_sweep``.  The builder's predicates pass a float filter, then an
+integer stage (int64 and ``__int128``) for coordinates that are small
+integers times one power of two, as on lattices, and only then Shewchuk's
+expansions in ``long double``; ``hc_births`` decides the borderline right
+angles of such integer-like triangles by the same test.  The edge sort
+between the edge table and the sweep is numpy's.
 ``_text.cpp`` holds the CLI's number text, ``hc_write_rows`` (repr-identical
 rows through ``std::to_chars``) and ``hc_parse_rows`` (correctly rounded
 CSV rows through ``std::from_chars``); ``holecount.cli`` loads it, so
@@ -22,10 +26,10 @@ and ctypes signatures, and ``load_library`` is the one loader: on first use
 it compiles the source into ``__pycache__`` next to this file, under a name
 keyed by a hash of the source, the compiler and the flags, so later imports
 only load it.  When there is no compiler or the build fails (as the kernels'
-does where ``long double`` is too narrow for the exact predicates), it
-returns None and every caller takes its reference path instead: Qhull,
-numpy and ``DualForest`` for the kernels, Python's ``repr`` and ``float``
-for the text; the reason is logged at DEBUG level.
+does where ``long double`` is too narrow for the exact predicates or there
+is no ``__int128``), it returns None and every caller takes its reference
+path instead: Qhull, numpy and ``DualForest`` for the kernels, Python's
+``repr`` and ``float`` for the text; the reason is logged at DEBUG level.
 
 Every function writes into arrays its Python caller allocates; the kernels
 allocate only small scratch space and the text functions none, which keeps
@@ -91,7 +95,7 @@ KERNEL_LIBRARY = Library(
         "hc_build": (_c_i32, [_F64, _c_i32, _I32, _I32, _I32, _c_i64, _p_i64,
                               _p_i64]),
         "hc_edge_table": (_c_i64, [_F64, _c_i64, _I32, _I32, _c_i64, _I32, _F64]),
-        "hc_births": (None, [_F64, _c_i64, _I32, _c_f64, _F64]),
+        "hc_births": (_c_i64, [_F64, _c_i64, _I32, _c_f64, _F64]),
         "hc_sweep": (_c_i64, [_c_i64, _I32, _I32, _F64, _c_i32, _I32, _I32, _F64,
                               _F64, _p_i64]),
     },
@@ -214,12 +218,13 @@ def build_triangulation(points: np.ndarray, order=None):
     tris = np.empty((cap, 3), dtype=np.int32)
     neigh = np.empty((cap, 3), dtype=np.int32)
     n_tris = ctypes.c_int64()
-    counts = (ctypes.c_int64 * 3)()
+    counts = (ctypes.c_int64 * 4)()
     status = KERNELS.hc_build(points, n, order, tris, neigh, cap,
                               ctypes.byref(n_tris), counts)
-    log.debug("builder: %d predicates decided by the exact stage, "
+    log.debug("builder: %d predicates left undecided by the float filter, "
               "%d in-circle ties broken by the perturbation, underflow "
-              "check armed %d", *counts)
+              "check armed %d, %d predicates decided in long double",
+              *counts)
     if status == STATUS_OK:
         return tris[:n_tris.value], neigh[:n_tris.value]
     log.debug("incremental builder stopped with status %d on %d points; "
@@ -243,16 +248,19 @@ def edge_table(points: np.ndarray, triangles: np.ndarray,
     return edge_faces, length_sq
 
 
-def triangle_births(points: np.ndarray, triangles: np.ndarray, band: float) -> np.ndarray:
-    """Circumradius of acute triangles, 0 for the others, NaN within the
-    relative band of a right angle (left for the caller to decide)."""
+def triangle_births(points: np.ndarray, triangles: np.ndarray, band: float) -> tuple:
+    """(births, decided): circumradius of acute triangles, 0 for the
+    others.  Within the relative band of a right angle, a triangle whose
+    coordinates are integers below 2**30 times one power of two (the int64
+    rows of `forest.acute_exact`) is decided exactly in int64 and counted
+    in decided; every other one is NaN, left for the caller to decide."""
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise ValueError(f"expected (k, 3) triangles, got shape {triangles.shape}")
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(points)):
         raise ValueError("triangle vertex out of range")
     births = np.empty(len(triangles))
-    KERNELS.hc_births(points, len(triangles), triangles, band, births)
-    return births
+    decided = KERNELS.hc_births(points, len(triangles), triangles, band, births)
+    return births, decided
 
 
 def sweep(births: np.ndarray, edge_faces: np.ndarray, edge_length_sq: np.ndarray,

@@ -8,18 +8,24 @@
  *   hc_build        incremental Delaunay triangulation (triangle and edge
  *                   splits, Lawson flips), compacted in place
  *   hc_edge_table   each edge's two faces and squared length
- *   hc_births       per-triangle birth scales
+ *   hc_births       per-triangle birth scales, with the borderline right
+ *                   angles of integer-like rows decided exactly
  *   hc_sweep        the descending elder-rule union-find sweep
  *
  * Arrays are C-contiguous: points (n, 2) float64, triangles and neighbours
  * (k, 3) int32, edge faces (E, 2) int32.  Every kernel writes only into
  * buffers the caller allocated, apart from small scratch space.
  *
- * The builder's predicates are exact: a float filter decides almost every
- * call, and Shewchuk's expansion arithmetic the rest.  Exact in-circle ties
- * are broken by a symbolic perturbation keyed on the points' (x, y) order,
- * so lattices, cocircular cells and points on edges are triangulated here,
- * the same way whatever the input order.
+ * The builder's predicates are exact, in the stages of Shewchuk's adaptive
+ * predicates (1997) with the cheapest exact stage first: a float filter
+ * decides almost every call; an integer stage decides the rest when the
+ * coordinates are small integers times one power of two, as on lattices
+ * (see fixed_point); and Shewchuk's expansion arithmetic in long double
+ * decides what is left.  Exact in-circle ties are broken by a symbolic
+ * perturbation keyed on the points' (x, y) order, so lattices, cocircular
+ * cells and points on edges are triangulated here, the same way whatever
+ * the input order.  hc_births decides the borderline right angles of such
+ * integer-like triangles with the same integer test.
  *
  * Build with -ffp-contract=off and without -ffast-math: the expansions need
  * every operation rounded on its own, and the births and the edge lengths
@@ -42,7 +48,7 @@
 /* Error filters of the float predicates (Shewchuk 1997, loose static form). */
 #define ORIENT_FILTER (8.0 * DBL_EPSILON)
 #define INCIRCLE_FILTER (32.0 * DBL_EPSILON)
-#define UNCERTAIN (-2) /* the in-circle filter could not decide */
+#define UNCERTAIN (-2) /* a stage of a predicate could not decide */
 /* The filters bound rounding, not underflow.  A nonzero coordinate
  * difference below 2^-255 could make a product of four of them subnormal,
  * so the filters leave such inputs to the exact stage.
@@ -69,6 +75,11 @@
 _Static_assert(LDBL_MANT_DIG > DBL_MANT_DIG && LDBL_MAX_EXP > 4 * DBL_MAX_EXP + 8
                    && LDBL_MIN_EXP < 4 * (DBL_MIN_EXP - DBL_MANT_DIG - 56),
                "the exact predicates need a long double with a 15-bit exponent");
+/* The integer stage's in-circle determinant needs 120 bits (see
+ * incircle_fixed); where there is no 128-bit integer the build stops too. */
+#ifndef __SIZEOF_INT128__
+#error "the integer stage of the exact predicates needs __int128"
+#endif
 /* 2^ceil(p/2) + 1 for the p-bit long double significand (Dekker's split) */
 #define SPLITTER ((real)(1ULL << ((LDBL_MANT_DIG + 1) / 2)) + 1.0L)
 
@@ -243,9 +254,107 @@ static int incircle_exact(const double *pts, int32_t a, int32_t b, int32_t c,
     return sign_of(n, det);
 }
 
+/* -- integer stage ----------------------------------------------------------
+ * The determinants are homogeneous in the coordinate differences, so scaling
+ * every coordinate by one power of two keeps their signs.  When that makes
+ * every coordinate a small integer, as on lattices and on grids of spacing
+ * 2^k, the sign is decided in integer arithmetic, far cheaper than the
+ * expansions. */
+
+/* The coordinates x[0..n), n <= 8, in fixed point: when each one is an
+ * integer multiple of 2^(E - s), E the frexp exponent of their largest
+ * magnitude (2^(E-1) <= max |x| < 2^E), writes those integers, each below
+ * 2^s in magnitude, to q and returns 1; otherwise returns 0.  This is the
+ * narrow test of forest.acute_exact: x scaled by 2^(s - E) is an integer
+ * that scales back exactly.  E and the shifts are read off the bit
+ * patterns, subnormals included: with frexp and ldexp, hc_births took 2.6
+ * times and hc_build 1.5 times as long on a 20x20 lattice. */
+static int fixed_point(const double *x, int n, int s, int64_t *q)
+{
+    /* the bits below the sign order finite doubles by magnitude */
+    uint64_t bits[8], top = 0;
+    for (int i = 0; i < n; i++) {
+        memcpy(&bits[i], &x[i], sizeof bits[i]);
+        const uint64_t mag = bits[i] & ~(1ULL << 63);
+        top = mag > top ? mag : top;
+    }
+    /* E as frexp gives it, from the exponent field or, below the normal
+     * range, from the bit length (any E will do when all are zero) */
+    const int top_biased = (int)(top >> 52);
+    const int e = top_biased ? top_biased - 1022 : 64 - __builtin_clzll(top | 1) - 1074;
+    const int unit = e - s; /* each x must be a multiple of 2^unit */
+    for (int i = 0; i < n; i++) {
+        const int biased = (int)(bits[i] >> 52 & 0x7FF);
+        uint64_t m = bits[i] & ((1ULL << 52) - 1); /* |x| = m * 2^lsb */
+        if (biased)
+            m |= 1ULL << 52;
+        const int lsb = (biased ? biased : 1) - 1075, shift = lsb - unit;
+        if (m && shift < 0) {
+            if (shift <= -DBL_MANT_DIG || (m & ((1ULL << -shift) - 1)))
+                return 0;
+            m >>= -shift;
+        } else if (m) {
+            m <<= shift; /* m * 2^shift = |x| * 2^(s - E) < 2^s */
+        }
+        q[i] = bits[i] >> 63 ? -(int64_t)m : (int64_t)m;
+    }
+    return 1;
+}
+
+/* Sign of the CCW test in int64, or UNCERTAIN when the coordinates have no
+ * fixed-point form with s = 28: the differences are below 2^29 and the
+ * determinant below 2^59. */
+static int orient_fixed(const double *pts, int32_t a, int32_t b, int32_t c)
+{
+    const double x[6] = {PX(a), PY(a), PX(b), PY(b), PX(c), PY(c)};
+    int64_t q[6];
+    if (!fixed_point(x, 6, 28, q))
+        return UNCERTAIN;
+    const int64_t det = (q[0] - q[4]) * (q[3] - q[5]) - (q[1] - q[5]) * (q[2] - q[4]);
+    return (det > 0) - (det < 0);
+}
+
+/* Sign of the in-circle test of incircle_exact in __int128, or UNCERTAIN
+ * when the coordinates have no fixed-point form with s = 28: the
+ * differences are below 2^29, each lift and minor below 2^59 and the
+ * determinant below 3 * 2^118 < 2^120. */
+static int incircle_fixed(const double *pts, int32_t a, int32_t b, int32_t c,
+                          int32_t p)
+{
+    const double x[8] = {PX(a), PY(a), PX(b), PY(b), PX(c), PY(c), PX(p), PY(p)};
+    int64_t q[8], dx[3], dy[3];
+    if (!fixed_point(x, 8, 28, q))
+        return UNCERTAIN;
+    for (int i = 0; i < 3; i++) {
+        dx[i] = q[2 * i] - q[6];
+        dy[i] = q[2 * i + 1] - q[7];
+    }
+    __int128 det = 0;
+    for (int i = 0; i < 3; i++) {
+        const int j = (i + 1) % 3, k = (i + 2) % 3;
+        det += (__int128)(dx[i] * dx[i] + dy[i] * dy[i])
+               * (dx[j] * dy[k] - dx[k] * dy[j]);
+    }
+    return (det > 0) - (det < 0);
+}
+
+/* orient() where the float filter could not decide: the integer stage, then
+ * the long double stage, counted in counts[3].  Kept out of line, like
+ * incircle_slow, so the filter's callers stay small. */
+__attribute__((noinline))
+static int orient_slow(const double *pts, int32_t a, int32_t b, int32_t c,
+                       int64_t *counts)
+{
+    const int sgn = orient_fixed(pts, a, b, c);
+    if (sgn != UNCERTAIN)
+        return sgn;
+    counts[3]++;
+    return orient_exact(pts, a, b, c);
+}
+
 /* Sign of the CCW test of points a, b and c: the float filter, then the
- * exact stage, counted in counts[0].  may_underflow says whether a
- * coordinate difference can be tiny (see MIN_DIFF). */
+ * exact stages (orient_slow), counted in counts[0].  may_underflow says
+ * whether a coordinate difference can be tiny (see MIN_DIFF). */
 static int orient(const double *pts, int32_t a, int32_t b, int32_t c,
                   int may_underflow, int64_t *counts)
 {
@@ -265,7 +374,7 @@ static int orient(const double *pts, int32_t a, int32_t b, int32_t c,
             return 0;
     }
     counts[0]++;
-    return orient_exact(pts, a, b, c);
+    return orient_slow(pts, a, b, c, counts);
 }
 
 /* Whether point a precedes point b in (x, y) order. */
@@ -275,7 +384,8 @@ static int lex_less(const double *pts, int32_t a, int32_t b)
 }
 
 /* incircle() where the filter found an exact 0 (sgn == 0) or could not
- * decide (sgn == UNCERTAIN): the exact stage, counted in counts[0], then an
+ * decide (sgn == UNCERTAIN): the exact stages, counted in counts[0] (the
+ * integer stage, then the long double one, counted in counts[3]), then an
  * exact tie (p on the circle, counted in counts[1]) broken by lifting each
  * point by an infinitesimal that grows with its rank in (x, y) order
  * (Edelsbrunner and Mücke 1990; Devillers and Teillaud 2011).  The
@@ -290,6 +400,10 @@ static int incircle_slow(const double *pts, int32_t a, int32_t b, int32_t c,
 {
     if (sgn == UNCERTAIN) {
         counts[0]++;
+        sgn = incircle_fixed(pts, a, b, c, p);
+    }
+    if (sgn == UNCERTAIN) {
+        counts[3]++;
         sgn = incircle_exact(pts, a, b, c, p);
     }
     if (sgn != 0)
@@ -626,9 +740,11 @@ int32_t hc_morton_dedup(const double *pts, int32_t n, int32_t *order, uint8_t *r
  *
  * On STATUS_OK the first *n_tris_out rows hold the real triangles,
  * compacted as above.  counts[0] receives the number of predicates the
- * float filter left to the exact stage, counts[1] the number of in-circle
- * ties the perturbation broke, and counts[2] 1 when the filters' underflow
- * check was armed (a nonzero coordinate below MIN_COORD), else 0.
+ * float filter left to the exact stages, counts[1] the number of in-circle
+ * ties the perturbation broke, counts[2] 1 when the filters' underflow
+ * check was armed (a nonzero coordinate below MIN_COORD), else 0, and
+ * counts[3] the number of predicates the integer stage left to the long
+ * double one.
  * STATUS_DECLINED means the points lie on one line or repeat a point, so
  * no triangulation has every point a vertex.
  */
@@ -640,7 +756,7 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
     int64_t n_tris = 0;
     int32_t status = STATUS_OK;
     *n_tris_out = 0;
-    counts[0] = counts[1] = counts[2] = 0;
+    counts[0] = counts[1] = counts[2] = counts[3] = 0;
     if (n < 3)
         return STATUS_DECLINED;
     if (cap < 2 * (int64_t)n - 2)
@@ -869,13 +985,44 @@ int64_t hc_edge_table(const double *pts, int64_t k, const int32_t *tris,
     return e;
 }
 
-/* Per-triangle birth scale: circumradius if acute, 0 otherwise.  Triangles
- * within the relative band of a right angle are marked NaN for the caller
- * to re-decide exactly.  Same operations, in the same order, as the numpy
- * fallback in forest.triangle_births. */
-void hc_births(const double *pts, int64_t k, const int32_t *tris, double band,
-               double *births)
+/* max(circumradius, half the longest edge) of the triangle a, b, c with
+ * squared sides ab, bc and ca, the longest of them longest.  An acute
+ * circumradius is at least half the longest edge; the rounded quotient may
+ * dip just below, which would flip the order of this death against its own
+ * edge's scale.  Same operations, in the same order, as
+ * forest._clamped_circumradius. */
+static double clamped_circumradius(double ax, double ay, double bx, double by,
+                                   double cx, double cy, double ab, double bc,
+                                   double ca, double longest)
 {
+    double cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax);
+    double radius = sqrt(ab * bc * ca) / (2.0 * fabs(cross));
+    double half_longest = 0.5 * sqrt(longest);
+    return radius > half_longest ? radius : half_longest;
+}
+
+/* Whether the triangle with fixed-point vertices q = (ax, ay, bx, by, cx,
+ * cy), each below 2^30, is strictly acute: its three vertex dot products
+ * are positive, as in forest._dots_positive.  The differences are below
+ * 2^31, so each dot product is below 2^63. */
+static int acute_fixed(const int64_t *q)
+{
+    const int64_t ux = q[2] - q[0], uy = q[3] - q[1], vx = q[4] - q[2];
+    const int64_t vy = q[5] - q[3], wx = q[0] - q[4], wy = q[1] - q[5];
+    return ux * wx + uy * wy < 0 && vx * ux + vy * uy < 0 && wx * vx + wy * vy < 0;
+}
+
+/* Per-triangle birth scale: circumradius if acute, 0 otherwise.  A triangle
+ * within the relative band of a right angle is decided exactly when its
+ * coordinates have a fixed-point form with s = 30 (the int64 branch of
+ * forest.acute_exact); the others are marked NaN for the caller to
+ * re-decide.  Returns the number of band triangles decided here.  Same
+ * operations, in the same order, as the numpy fallback in
+ * forest.triangle_births. */
+int64_t hc_births(const double *pts, int64_t k, const int32_t *tris, double band,
+                  double *births)
+{
+    int64_t decided = 0;
     for (int64_t t = 0; t < k; t++) {
         int32_t i = TRI(t, 0), j = TRI(t, 1), l = TRI(t, 2);
         double ax = PX(i), ay = PY(i), bx = PX(j), by = PY(j);
@@ -888,19 +1035,23 @@ void hc_births(const double *pts, int64_t k, const int32_t *tris, double band,
         longest = ab > longest ? ab : longest;
         double gap = total - 2.0 * longest;
         if (fabs(gap) <= band * total) {
-            births[t] = NAN;
+            const double x[6] = {ax, ay, bx, by, cx, cy};
+            int64_t q[6];
+            if (fixed_point(x, 6, 30, q)) {
+                decided++;
+                births[t] = acute_fixed(q) ? clamped_circumradius(ax, ay, bx, by, cx, cy,
+                                                                  ab, bc, ca, longest)
+                                           : 0.0;
+            } else {
+                births[t] = NAN;
+            }
         } else if (gap > band * total) {
-            double cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax);
-            double radius = sqrt(ab * bc * ca) / (2.0 * fabs(cross));
-            /* an acute circumradius is at least half the longest edge; the
-             * rounded quotient may dip just below, which would flip the
-             * order of this death against its own edge's scale */
-            double half_longest = 0.5 * sqrt(longest);
-            births[t] = radius > half_longest ? radius : half_longest;
+            births[t] = clamped_circumradius(ax, ay, bx, by, cx, cy, ab, bc, ca, longest);
         } else {
             births[t] = 0.0;
         }
     }
+    return decided;
 }
 
 /* Descending sweep over edges in the given order, array union-find: union

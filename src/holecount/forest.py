@@ -138,11 +138,16 @@ def triangle_births(tri: Triangulation) -> np.ndarray:
     the complex and need no value of their own.
 
     A floating-point pass decides every triangle outside a relative band
-    around a right angle; `_decide_borderline` decides the rest.
+    around a right angle; `_decide_borderline` decides the rest.  With the
+    kernels loaded, ``hc_births`` already decides the band rows that
+    `acute_exact` would decide in int64, and only the others reach
+    `_decide_borderline`.  The DEBUG line counts the band rows decided in
+    int64 and in Python ints, the same pair on both backends.
     """
     pts = tri.points
+    decided = 0
     if _fastdel.KERNELS is not None:
-        births = _fastdel.triangle_births(pts, tri.triangles, _ACUTE_BAND)
+        births, decided = _fastdel.triangle_births(pts, tri.triangles, _ACUTE_BAND)
         borderline = np.flatnonzero(np.isnan(births))
     else:
         a, b, c = (pts[tri.triangles[:, j]] for j in range(3))
@@ -157,7 +162,7 @@ def triangle_births(tri: Triangulation) -> np.ndarray:
 
     wide = _decide_borderline(pts, tri.triangles, borderline, births)
     log.debug("births: %d borderline triangles decided in int64, "
-              "%d in Python ints", len(borderline) - wide, wide)
+              "%d in Python ints", decided + len(borderline) - wide, wide)
     return births
 
 
@@ -232,8 +237,10 @@ def _clamped_circumradius(a, b, c, ab, bc, ca) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = np.sqrt(ab * bc * ca) / (2.0 * np.abs(cross))
     # clamp: an acute circumradius is at least half the longest edge,
-    # and the rounded quotient must not fall below that edge's scale
-    return np.maximum(radius, 0.5 * np.sqrt(np.maximum(ab, np.maximum(bc, ca))))
+    # and the rounded quotient must not fall below that edge's scale.  fmax,
+    # like the kernel's comparison, takes the half edge where the quotient
+    # is NaN (0/0 or inf/inf, once the products underflow or overflow)
+    return np.fmax(radius, 0.5 * np.sqrt(np.maximum(ab, np.maximum(bc, ca))))
 
 
 def init_forest(tri: Triangulation) -> DualForest:

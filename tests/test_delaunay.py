@@ -88,6 +88,21 @@ def _regular_gon(m):
     return np.vstack([np.stack([np.cos(angle), np.sin(angle)], axis=1), [(0.0, 0.0)]])
 
 
+def _mixed_sign_lattice():
+    # an uneven grid, all of whose rectangles are cocircular cells, with its
+    # corners at +-(2^28 - 1)
+    top = 2.0 ** 28 - 1.0
+    ticks = np.array([-top, -2.0 ** 27, -1.0, 0.0, 1.0, 2.0 ** 27, top])
+    return np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+
+
+def _lattice_with_ulp_moves():
+    pts = _lattice(20)
+    for i in (45, 217, 390):
+        pts[i, i % 2] = np.nextafter(pts[i, i % 2], np.inf)
+    return pts
+
+
 def _collinear_runs():
     # runs on all three sides of a right triangle, and two inside it
     i = np.arange(13.0)
@@ -131,6 +146,16 @@ DEGENERATE_CLOUDS = {
        for e in (-199, -200, -201, -250, -260)},
     "uniform-[1,2)*2^-200": lambda: (1.0 + np.random.default_rng(6).random((200, 2)))
                                     * 2.0 ** -200,
+    # the edge cases of the integer stage, which decides predicates whose
+    # coordinates are integers below 2^28 times one power of two: that power
+    # near the top of the double range, subnormal coordinates, and integers
+    # at the bound on both sides of 0
+    "lattice-6*2^1000": lambda: _lattice(6) * 2.0 ** 1000,
+    "lattice-6*2^-1060": lambda: _lattice(6) * 2.0 ** -1060,
+    "lattice-(2^28-1)-mixed-sign": _mixed_sign_lattice,
+    # three coordinates one ulp off the grid: the predicates at those points
+    # reach the long double stage, the rest stay in integers
+    "lattice-20-ulp-moves": _lattice_with_ulp_moves,
 }
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holecount
 from holecount import Cloud, _fastdel
@@ -23,6 +25,8 @@ from holecount.forest import (hole_persistence, hole_persistence_stats,
                               init_forest, iter_events)
 
 from conftest import parabola_cloud, random_cloud
+from test_certified import NEAR_RIGHT_ACUTE, NEAR_RIGHT_OBTUSE
+from test_delaunay import DEGENERATE_CLOUDS
 
 needs_kernels = pytest.mark.skipif(
     _fastdel.KERNELS is None, reason="compiled kernels unavailable (no C compiler)"
@@ -119,7 +123,9 @@ def test_backends_agree_above_rounding_on_rounded_clouds(monkeypatch):
 @needs_kernels
 def test_builder_counts_exact_stage_and_ties(caplog):
     # a uniform cloud never leaves the float filter; a lattice needs the
-    # exact stage on every cocircular cell and breaks each such tie.  The
+    # exact stages on every cocircular cell and breaks each such tie, and
+    # its integer coordinates keep every one of them out of long double,
+    # which spacing 0.05 and a grid point moved by one ulp do not.  The
     # underflow check is armed only by a nonzero coordinate below 2^-200
     caplog.set_level(logging.DEBUG, logger=_fastdel.__name__)
 
@@ -129,13 +135,92 @@ def test_builder_counts_exact_stage_and_ties(caplog):
         (record,) = [r for r in caplog.records if r.name == _fastdel.__name__]
         return record.args
 
-    assert counts(random_cloud(0, 3000).points) == (0, 0, 0)
-    grid = np.stack(np.meshgrid(np.arange(20), np.arange(20)), axis=-1).reshape(-1, 2)
-    exact, ties, armed = counts(grid.astype(np.float64))
-    assert exact > 0 and ties > 0 and armed == 0
+    assert counts(random_cloud(0, 3000).points) == (0, 0, 0, 0)
+    grid = _lattice_points(20)
+    exact, ties, armed, long_double = counts(grid)
+    assert exact > 0 and ties > 0 and armed == 0 and long_double == 0
+    assert counts(_lattice_points(30) * 0.05)[3] > 0
+    exact, _, _, long_double = counts(DEGENERATE_CLOUDS["lattice-20-ulp-moves"]())
+    assert exact > long_double > 0
     rng = np.random.default_rng(0)
     assert counts(rng.random((300, 2)) * 2.0 ** -300)[2] == 1
     assert counts(np.vstack([rng.random((20, 2)), [(5e-324, 0.5)]]))[2] == 1
+
+
+def _assert_births_parity(pts, triangles):
+    """hc_births leaves NaN on exactly the band rows that
+    forest.acute_exact sends to Python ints, counts the other band rows as
+    decided, and gives the numpy path's births on every row it decides."""
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    triangles = np.ascontiguousarray(triangles, dtype=np.int32)
+    births, decided = _fastdel.triangle_births(pts, triangles, forest_mod._ACUTE_BAND)
+    a, b, c = (pts[triangles[:, j]] for j in range(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab, bc, ca = forest_mod._side_lengths_sq(a, b, c)
+        total = ab + bc + ca
+        gap = total - 2.0 * np.maximum(ab, np.maximum(bc, ca))
+        band = np.flatnonzero(np.abs(gap) <= forest_mod._ACUTE_BAND * total)
+    wide = [i for i in band.tolist()
+            if forest_mod.acute_exact(a[i:i + 1], b[i:i + 1], c[i:i + 1])[1]]
+    assert np.flatnonzero(np.isnan(births)).tolist() == wide
+    assert decided == len(band) - len(wide)
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(_fastdel, "KERNELS", None)
+        expected = forest_mod.triangle_births(
+            forest_mod.Triangulation(points=pts, triangles=triangles,
+                                     edge_faces=np.empty((0, 2), dtype=np.int32),
+                                     edge_length_sq=np.empty(0)))
+    done = ~np.isnan(births)
+    assert births[done].tobytes() == expected[done].tobytes()
+    return decided, len(wide)
+
+
+# each cloud with the band rows it sends to Python ints: none, all or some
+_BIRTHS_CLOUDS = {
+    "lattice-20": (lambda: _lattice_points(20), "none"),
+    "lattice-30*0.1": (lambda: _lattice_points(30) * 0.1, "all"),
+    "lattice-30*0.05": (lambda: _lattice_points(30) * 0.05, "all"),
+    "near-right-acute": (lambda: np.array(NEAR_RIGHT_ACUTE, dtype=np.float64), "none"),
+    "near-right-obtuse": (lambda: np.array(NEAR_RIGHT_OBTUSE, dtype=np.float64), "none"),
+    "lattice-20*2^300": (lambda: _lattice_points(20) * 2.0 ** 300, "none"),
+    "lattice-20*2^-300": (lambda: _lattice_points(20) * 2.0 ** -300, "none"),
+    "lattice-20+1e8": (lambda: _lattice_points(20) + 1e8, "none"),
+    "lattice-20-ulp-moves": (DEGENERATE_CLOUDS["lattice-20-ulp-moves"], "some"),
+}
+
+
+@needs_kernels
+@pytest.mark.parametrize("kind", list(_BIRTHS_CLOUDS))
+def test_births_kernel_leaves_python_int_rows(kind):
+    make, sent = _BIRTHS_CLOUDS[kind]
+    pts = make()
+    decided, wide = _assert_births_parity(pts, _fastdel.build_triangulation(pts)[0])
+    assert (decided > 0, wide > 0) == {"none": (True, False), "all": (False, True),
+                                       "some": (True, True)}[sent]
+
+
+@st.composite
+def _integer_rows(draw):
+    """A triangle of integers below 2**20 times 2**k, right-angled at its
+    first vertex or not, and maybe with one coordinate moved by one ulp."""
+    small = st.integers(-2 ** 20, 2 ** 20)
+    ax, ay, px, py = (draw(small) for _ in range(4))
+    t = draw(st.sampled_from([-1, 2, 3]))
+    ints = ([ax, ay, ax + px, ay + py, ax - t * py, ay + t * px] if draw(st.booleans())
+            else [draw(small) for _ in range(6)])
+    row = np.ldexp(np.array(ints, dtype=np.float64), draw(st.integers(-1090, 990)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, 5))
+        row[i] = np.nextafter(row[i], draw(st.sampled_from([-np.inf, np.inf])))
+    return row
+
+
+@needs_kernels
+@given(st.lists(_integer_rows(), min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_births_kernel_parity_on_integer_rows(rows):
+    pts = np.array(rows).reshape(-1, 2)
+    _assert_births_parity(pts, np.arange(len(pts)).reshape(-1, 3))
 
 
 def _numpy_morton_order(points):
@@ -437,6 +522,11 @@ grid = np.stack(np.meshgrid(np.arange(20), np.arange(20)), axis=-1).reshape(-1, 
 small = np.stack(np.meshgrid(np.arange(6), np.arange(6)), axis=-1).reshape(-1, 2)
 rounded = np.round(20.0 * np.random.default_rng(1).random((200, 2))) / 20.0
 line = np.stack([np.arange(30.0), 0.5 * np.arange(30.0)], axis=1)
+top = 2.0 ** 28 - 1.0
+ticks = np.array([-top, -2.0 ** 27, -1.0, 0.0, 1.0, 2.0 ** 27, top])
+moved = grid * 1.0
+for i in (45, 217, 390):
+    moved[i, i % 2] = np.nextafter(moved[i, i % 2], np.inf)
 clouds = [
     [(0, 0), (2, 0), (1, 2)],
     [(0, 0), (2, 0), (2, 2), (0, 2)],
@@ -452,10 +542,18 @@ clouds = [
     np.unique(rounded, axis=0),
     small + 1e8,
     np.vstack([line, [(3.0, 7.0)]]),
+    # the integer stage at its bounds: int64 and __int128 arithmetic on
+    # integers up to 2^28 - 1 of either sign, scales of 2^1000 and of
+    # subnormals, and builds that also reach long double
+    np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2),
+    small * 2.0 ** 1000,
+    small * 2.0 ** -1060,
+    moved,
+    0.05 * grid,
 ]
 for pts in clouds:
     hole_persistence(Cloud.from_points(pts))
-for pts in [clouds[4]] + clouds[-4:]:
+for pts in [clouds[4]] + clouds[-9:]:
     assert _fastdel.build_triangulation(np.asarray(pts, dtype=np.float64)) is not None
 # the Morton order on one long run of equal keys, and on a span that
 # overflows, whose keys are NaN or out of range until clamped

@@ -4,12 +4,12 @@
 Ingest runs ``hc_morton_dedup``: one stable radix sort of Z-order keys
 finds the repeated points (each compared exactly with the points of its run
 of equal keys) and gives the Morton insertion order of the kept points,
-which ``Cloud`` carries to the builder.  ``hc_morton_order`` is the same
-order alone, for points that come without one.  Then follow the incremental
-Delaunay builder ``hc_build`` (triangle and edge splits and Lawson flips in
-that order, with exact predicates, symbolic in-circle ties and ghost
-triangles, compacted in place), the edge table ``hc_edge_table`` (each
-edge's two faces and squared length), ``hc_births`` and the sweep
+which ``Cloud`` carries to the builder; it is the one source of that order.
+Then follow the incremental Delaunay builder ``hc_build`` (triangle and
+edge splits and Lawson flips in that order, with exact predicates, symbolic
+in-circle ties and ghost triangles, compacted in place), the edge table
+``hc_edge_table`` (each edge's two faces and squared length), ``hc_births``
+(from each triangle's point set, whatever its vertex order) and the sweep
 ``hc_sweep``.  The builder's predicates pass a float filter, then an
 integer stage (int64 and ``__int128``) for coordinates that are small
 integers times one power of two, as on lattices, and only then Shewchuk's
@@ -90,7 +90,6 @@ KERNEL_LIBRARY = Library(
     # cache.
     ("-O3", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off"),
     {
-        "hc_morton_order": (_c_i32, [_F64, _c_i32, _I32]),
         "hc_morton_dedup": (_c_i32, [_F64, _c_i32, _I32, _U8]),
         "hc_build": (_c_i32, [_F64, _c_i32, _I32, _I32, _I32, _c_i64, _p_i64,
                               _p_i64]),
@@ -162,23 +161,13 @@ def load_library(library: Library):
 KERNELS = load_library(KERNEL_LIBRARY)
 
 
-def morton_argsort(points: np.ndarray) -> np.ndarray:
-    """Insertion order along a Z-order curve (``hc_morton_order``), as
-    int32; keeps successive points close so the locate walk is short."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    order = np.empty(len(points), dtype=np.int32)
-    if KERNELS.hc_morton_order(points, len(points), order) != 0:
-        raise MemoryError("no memory for the Morton keys")
-    return order
-
-
 def morton_dedup(points: np.ndarray):
     """(kept, order) of the points from one Morton sort (``hc_morton_dedup``),
     or None when the kernels are not loaded or the cloud is too large for
     them.  kept is a bool mask of the first occurrences, or None when no
     point repeats; order is the int32 Morton order of the kept points,
-    numbered by their position among them (`morton_argsort` of the cloud
-    without its repeats)."""
+    numbered by their position among them: successive points lie close, so
+    the builder's locate walk is short."""
     n = len(points)
     if KERNELS is None or n > _MAX_POINTS:
         return None
@@ -192,24 +181,23 @@ def morton_dedup(points: np.ndarray):
     return repeat == 0, order[:m].copy()
 
 
-def build_triangulation(points: np.ndarray, order=None):
+def build_triangulation(points: np.ndarray, order: np.ndarray):
     """Triangulate incrementally; returns (triangles, neighbors) in the
-    layout of the Qhull path (CCW, lexicographically smallest point first,
-    -1 across hull edges), or None when the kernels are not loaded or no
-    triangulation on all points exists (all on one line, a point repeated).
+    layout of the Qhull path (CCW from any vertex, -1 across hull edges),
+    or None when the kernels are not loaded or no triangulation on all
+    points exists (all on one line, a point repeated).
 
     Exactly cocircular points get the triangulation of a symbolic
     perturbation keyed on their (x, y) order, so the triangles do not
     depend on the input order.  The points are inserted in the given
-    order, a permutation of range(n), or else by `morton_argsort`."""
+    order, a permutation of range(n): the Morton order of `morton_dedup`,
+    which `Cloud.from_points` keeps."""
     n = len(points)
     if KERNELS is None or not 3 <= n <= _MAX_POINTS:
         return None
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.shape != (n, 2):
         raise ValueError(f"expected an (n, 2) array, got shape {points.shape}")
-    if order is None:
-        order = morton_argsort(points)
     order = np.ascontiguousarray(order, dtype=np.int32)
     if order.shape != (n,):
         raise ValueError(f"expected an insertion order of {n} points, got shape "

@@ -1,10 +1,10 @@
 /* Compiled kernels of holecount, loaded through ctypes by _fastdel.py.
  *
- *   hc_morton_order insertion order along a Z-order curve (stable radix
- *                   sort of 32-bit Morton keys)
- *   hc_morton_dedup the same sort, which also marks the repeated points
- *                   (each one equal to an earlier point inside its run of
- *                   equal keys) and returns the order of the kept points
+ *   hc_morton_dedup insertion order along a Z-order curve (stable radix
+ *                   sort of 32-bit Morton keys), which also marks the
+ *                   repeated points (each one equal to an earlier point
+ *                   inside its run of equal keys) and returns the order of
+ *                   the kept points
  *   hc_build        incremental Delaunay triangulation (triangle and edge
  *                   splits, Lawson flips), compacted in place
  *   hc_edge_table   each edge's two faces and squared length
@@ -470,12 +470,12 @@ static int facing(const int32_t *neigh, int32_t t, int32_t u)
     return NB(t, 0) == u ? 0 : NB(t, 1) == u ? 1 : 2;
 }
 
-/* Compact the slots of hc_build in place: drop the ghosts, renumber the
- * neighbours (-1 across hull edges) and rotate every triangle so that its
- * lexicographically smallest point comes first, whatever the vertex ids.
+/* Compact the slots of hc_build in place: drop the ghosts and renumber the
+ * neighbours (-1 across hull edges).  Each triangle keeps the vertex order
+ * its slot had, CCW; nothing downstream reads more of it, as the births
+ * depend on the triangle's point set alone (see clamped_circumradius).
  * Returns the number of triangles kept. */
-static int64_t compact(const double *pts, int32_t n, int32_t *tris,
-                       int32_t *neigh, int64_t n_tris)
+static int64_t compact(int32_t n, int32_t *tris, int32_t *neigh, int64_t n_tris)
 {
     int64_t k = 0;
     for (int64_t t = 0; t < n_tris; t++) {
@@ -501,22 +501,6 @@ static int64_t compact(const double *pts, int32_t n, int32_t *tris,
             NB(lo, j) = nb;
             if (nb >= 0)
                 NB(nb, facing(neigh, nb, (int32_t)hi)) = (int32_t)lo;
-        }
-    }
-    for (int64_t t = 0; t < k; t++) {
-        int r = 0;
-        if (lex_less(pts, TRI(t, 1), TRI(t, r)))
-            r = 1;
-        if (lex_less(pts, TRI(t, 2), TRI(t, r)))
-            r = 2;
-        int32_t v[3], w[3];
-        for (int j = 0; j < 3; j++) {
-            v[j] = TRI(t, (j + r) % 3);
-            w[j] = NB(t, (j + r) % 3);
-        }
-        for (int j = 0; j < 3; j++) {
-            TRI(t, j) = v[j];
-            NB(t, j) = w[j];
         }
     }
     return k;
@@ -618,22 +602,6 @@ static const uint32_t *morton_sort(const double *pts, int32_t n, int32_t *order,
     return key;
 }
 
-/* Insertion order along a Z-order curve, which keeps successive points close
- * so the locate walk is short (see morton_sort).  Returns 0, or -1 when
- * there is no memory for the scratch keys. */
-int32_t hc_morton_order(const double *pts, int32_t n, int32_t *order)
-{
-    if (n <= 0)
-        return 0;
-    uint32_t *keys = malloc(2 * (size_t)n * sizeof *keys);
-    int32_t *spare = malloc((size_t)n * sizeof *spare);
-    if (keys && spare)
-        morton_sort(pts, n, order, keys, spare);
-    free(keys);
-    free(spare);
-    return keys && spare ? 0 : -1;
-}
-
 /* A point of a run of equal keys, for sorting the run by coordinates. */
 typedef struct {
     double x, y;
@@ -675,14 +643,16 @@ static int mark_run_repeats(const double *pts, const int32_t *idx, int32_t len,
     return 0;
 }
 
-/* The Morton order of hc_morton_order and the repeated points, from one
- * sort.  Equal points have equal keys, so a point equal to an earlier one
- * lies in that point's run of equal keys; repeat[i] is set to 1 for each
- * such point and to 0 for the rest, the first occurrences.  order[0..m)
- * then holds the Morton order of the m kept points, numbered by their
- * position among them: hc_morton_order of the cloud without its repeats,
- * whose lo and span are those of the whole cloud.  Returns m, or -1 when
- * there is no memory for the scratch space. */
+/* The insertion order along a Z-order curve, which keeps successive points
+ * close so the builder's locate walk is short, and the repeated points,
+ * from one sort (see morton_sort).  Equal points have equal keys, so a
+ * point equal to an earlier one lies in that point's run of equal keys;
+ * repeat[i] is set to 1 for each such point and to 0 for the rest, the
+ * first occurrences.  order[0..m) then holds the Morton order of the m kept
+ * points, numbered by their position among them: the order morton_sort
+ * gives the cloud without its repeats, whose lo and span are those of the
+ * whole cloud.  Returns m, or -1 when there is no memory for the scratch
+ * space. */
 int32_t hc_morton_dedup(const double *pts, int32_t n, int32_t *order, uint8_t *repeat)
 {
     if (n <= 0)
@@ -951,7 +921,7 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
 done:
     free(stack);
     if (status == STATUS_OK)
-        *n_tris_out = compact(pts, n, tris, neigh, n_tris);
+        *n_tris_out = compact(n, tris, neigh, n_tris);
     return status;
 }
 
@@ -985,18 +955,55 @@ int64_t hc_edge_table(const double *pts, int64_t k, const int32_t *tris,
     return e;
 }
 
+/* |(q - p) x (r - p)|: twice the area of the triangle p, q, r, taken at p. */
+static double cross_at(double px, double py, double qx, double qy, double rx,
+                       double ry)
+{
+    return fabs((qx - px) * (ry - py) - (qy - py) * (rx - px));
+}
+
 /* max(circumradius, half the longest edge) of the triangle a, b, c with
- * squared sides ab, bc and ca, the longest of them longest.  An acute
- * circumradius is at least half the longest edge; the rounded quotient may
- * dip just below, which would flip the order of this death against its own
- * edge's scale.  Same operations, in the same order, as
- * forest._clamped_circumradius. */
+ * squared sides ab, bc and ca, the longest of them longest:
+ * R = sqrt(ab bc ca) / (2 |cross|), cross twice the signed area.  It reads
+ * the point set alone: |cross| is taken at the vertex opposite a longest
+ * side (the largest such value where longest sides tie; fmax skips the
+ * NaN it starts from), and the product is (lo * mid) * hi in ascending
+ * order, the two sides beside a longest one times the longest.  Relabelling
+ * the vertices and the eight axis maps only negate and swap coordinate
+ * differences, so they leave the value bit for bit.
+ *
+ * Error, with u = 2^-53 and no underflow or overflow: each squared side
+ * carries a relative error below 4u, the product 14u and its square root
+ * 8u.  A born triangle is acute, so the angle theta opposite a longest
+ * side, the largest, lies in [60, 90) degrees.  With d1, d2 the differences
+ * there, each product in cross carries 3u, and |d1x d2y| + |d1y d2x| <=
+ * |d1| |d2| = |cross| / sin(theta) <= (2 / sqrt 3) |cross|, so cross
+ * carries (1 + 2 sqrt 3) u < 4.5u.  With the division's u the quotient is
+ * within 13.5u of R to first order; the clamp keeps that, as R >= half the
+ * longest edge, which carries 3u.  So |birth - R| <= 14u R: 14 ulp at most.
+ *
+ * The rounded quotient may dip just below half the longest edge, which
+ * would flip this death against its own edge's scale; the comparison takes
+ * the half edge then, and where the quotient is NaN (0/0 or inf/inf).  Same
+ * operations, in the same order, as forest._clamped_circumradius. */
 static double clamped_circumradius(double ax, double ay, double bx, double by,
                                    double cx, double cy, double ab, double bc,
                                    double ca, double longest)
 {
-    double cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax);
-    double radius = sqrt(ab * bc * ca) / (2.0 * fabs(cross));
+    double cross = NAN, beside = 0.0;
+    if (bc == longest) {
+        cross = cross_at(ax, ay, bx, by, cx, cy);
+        beside = ab * ca;
+    }
+    if (ca == longest) {
+        cross = fmax(cross, cross_at(bx, by, cx, cy, ax, ay));
+        beside = ab * bc;
+    }
+    if (ab == longest) {
+        cross = fmax(cross, cross_at(cx, cy, ax, ay, bx, by));
+        beside = bc * ca;
+    }
+    double radius = sqrt(beside * longest) / (2.0 * cross);
     double half_longest = 0.5 * sqrt(longest);
     return radius > half_longest ? radius : half_longest;
 }
@@ -1012,13 +1019,14 @@ static int acute_fixed(const int64_t *q)
     return ux * wx + uy * wy < 0 && vx * ux + vy * uy < 0 && wx * vx + wy * vy < 0;
 }
 
-/* Per-triangle birth scale: circumradius if acute, 0 otherwise.  A triangle
- * within the relative band of a right angle is decided exactly when its
- * coordinates have a fixed-point form with s = 30 (the int64 branch of
- * forest.acute_exact); the others are marked NaN for the caller to
- * re-decide.  Returns the number of band triangles decided here.  Same
- * operations, in the same order, as the numpy fallback in
- * forest.triangle_births. */
+/* Per-triangle birth scale: circumradius if acute, 0 otherwise, whatever
+ * order the triangle lists its vertices in.  Outside the relative band of a
+ * right angle the float test decides correctly in any order; a triangle
+ * within the band is decided exactly when its coordinates have a
+ * fixed-point form with s = 30 (the int64 branch of forest.acute_exact);
+ * the others are marked NaN for the caller to re-decide.  Returns the
+ * number of band triangles decided here.  Same operations, in the same
+ * order, as the numpy fallback in forest.triangle_births. */
 int64_t hc_births(const double *pts, int64_t k, const int32_t *tris, double band,
                   double *births)
 {

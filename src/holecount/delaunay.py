@@ -47,9 +47,10 @@ class Cloud:
     """An ordered sequence of distinct 2D points.
 
     `from_points` also keeps, when the compiled kernels ran its duplicate
-    scan, the Morton insertion order that scan sorted the points into, so
-    `triangulate` need not sort them again.  The order only affects how fast
-    the builder runs, never the triangles.
+    scan, the Morton insertion order that scan sorted the points into; the
+    builder inserts the points in that order, and `triangulate` hands a
+    cloud without one to Qhull.  The order only affects how fast the builder
+    runs, never the triangles.
     """
 
     points: np.ndarray  # (n, 2) float64
@@ -97,7 +98,7 @@ class Triangulation:
     points: np.ndarray       # (n, 2)
     edge_faces: np.ndarray     # (E, 2) triangle ids; EXTERNAL for hull edges
     edge_length_sq: np.ndarray  # (E,) float64
-    triangles: np.ndarray    # (k, 3) vertex indices, CCW, least (x, y) first
+    triangles: np.ndarray    # (k, 3) vertex indices, CCW, from any vertex
 
     @property
     def n(self) -> int:
@@ -141,31 +142,26 @@ def _qhull_triangles(pts: np.ndarray):
     tris[flip, 1], tris[flip, 2] = tris[flip, 2], tris[flip, 1].copy()
     neigh[flip, 1], neigh[flip, 2] = neigh[flip, 2], neigh[flip, 1].copy()
 
-    # Rotate each triangle (and its neighbor slots) to put its
-    # lexicographically smallest point first, as the incremental builder
-    # does: births then round identically whichever path built the triangle
-    # and in whatever order the points came.
-    rank = np.empty(len(pts), dtype=np.int64)
-    rank[np.lexsort((pts[:, 1], pts[:, 0]))] = np.arange(len(pts))
-    turn = (np.argmin(rank[tris], axis=1)[:, None] + np.arange(3)) % 3
-    return np.take_along_axis(tris, turn, axis=1), np.take_along_axis(neigh, turn, axis=1)
+    return tris, neigh
 
 
 def triangulate(cloud: Cloud) -> Triangulation:
     """Build the Delaunay triangulation of the cloud.
 
-    The compiled builder triangulates every input it can, cocircular and
-    collinear points included, with every point a vertex and the same
-    triangles whatever the input order.  Otherwise, and without the
-    kernels, Qhull does; it may cut cocircular cells by the input order or
-    leave points out, and then warns with DroppedPointsWarning.  Raises
+    The compiled builder triangulates every cloud that carries its Morton
+    order (`Cloud.from_points` with the kernels loaded) and has a
+    triangulation on all its points, cocircular and collinear points
+    included, with the same triangles whatever the input order.  Otherwise
+    Qhull does; it may cut cocircular cells by the input order or leave
+    points out, and then warns with DroppedPointsWarning.  Raises
     TooFewPointsError / AllCollinearError on degenerate input.
     """
     pts = cloud.points
     if len(pts) < 3:
         raise TooFewPointsError(f"need at least 3 distinct points, got {len(pts)}")
-    tris, neigh = (_fastdel.build_triangulation(pts, cloud.order)
-                   or _qhull_triangles(pts))
+    built = (None if cloud.order is None
+             else _fastdel.build_triangulation(pts, cloud.order))
+    tris, neigh = built or _qhull_triangles(pts)
 
     if _fastdel.KERNELS is not None:
         edge_faces, edge_length_sq = _fastdel.edge_table(pts, tris, neigh)

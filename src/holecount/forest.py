@@ -229,18 +229,21 @@ def _side_lengths_sq(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
 
 
 def _clamped_circumradius(a, b, c, ab, bc, ca) -> np.ndarray:
-    """max(circumradius, half the longest edge) of each triangle, rounded
-    as the compiled kernel rounds it."""
-    cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (
-        b[:, 1] - a[:, 1]
-    ) * (c[:, 0] - a[:, 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radius = np.sqrt(ab * bc * ca) / (2.0 * np.abs(cross))
-    # clamp: an acute circumradius is at least half the longest edge,
-    # and the rounded quotient must not fall below that edge's scale.  fmax,
-    # like the kernel's comparison, takes the half edge where the quotient
-    # is NaN (0/0 or inf/inf, once the products underflow or overflow)
-    return np.fmax(radius, 0.5 * np.sqrt(np.maximum(ab, np.maximum(bc, ca))))
+    """max(circumradius, half the longest edge) of each triangle from its
+    point set alone, rounded as ``clamped_circumradius`` in ``_kernels.c``
+    rounds it; its comment gives the formula and the error bound."""
+    longest = np.maximum(ab, np.maximum(bc, ca))
+    with np.errstate(all="ignore"):  # unused products may overflow
+        cross = np.nan  # fmax skips it, and the vertices not opposite a longest side
+        for p, q, r, opposite in ((a, b, c, bc), (b, c, a, ca), (c, a, b, ab)):
+            at_p = np.abs((q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1])
+                          - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0]))
+            cross = np.fmax(cross, np.where(opposite == longest, at_p, np.nan))
+        beside = np.where(bc == longest, ab * ca, np.where(ca == longest, ab * bc, bc * ca))
+        radius = np.sqrt(beside * longest) / (2.0 * cross)
+    # fmax, like the kernel's comparison, takes the half edge where the
+    # quotient falls below it or is NaN
+    return np.fmax(radius, 0.5 * np.sqrt(longest))
 
 
 def init_forest(tri: Triangulation) -> DualForest:

@@ -253,10 +253,6 @@ class EquivalenceReport:
         return all(exp == got for _, exp, got in self.raster_checks)
 
 
-def _positive_pairs(d: Diagram) -> np.ndarray:
-    return d.off_diagonal()
-
-
 def verify_equivalence(cloud: Cloud, raster_alphas: int = 0) -> EquivalenceReport:
     """Compare the sweep output against the boundary-matrix oracle.
 
@@ -268,8 +264,8 @@ def verify_equivalence(cloud: Cloud, raster_alphas: int = 0) -> EquivalenceRepor
     """
     fast = hole_persistence(cloud)
     slow = filtration_persistence(cloud)
-    a = _positive_pairs(fast)
-    b = _positive_pairs(slow)
+    a = fast.off_diagonal()
+    b = slow.off_diagonal()
     if len(a) != len(b):
         return EquivalenceReport(equal=False, max_deviation=float("inf"),
                                  pair_count=max(len(a), len(b)))

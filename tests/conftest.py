@@ -1,6 +1,6 @@
 """Shared fixtures: small analytic clouds with known persistence, the edge
-table's endpoints, and the per-triangle references that births are checked
-against."""
+table's endpoints, the per-triangle references that births are checked
+against, and the eight axis maps."""
 
 import math
 from fractions import Fraction
@@ -73,9 +73,38 @@ def fraction_acute(p, q, r):
 
 
 def float_circumradius(p, q, r):
-    """|pq|*|qr|*|rp| / (4*area) in floats, rounded as the pipeline rounds it."""
-    ab = (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
-    bc = (r[0] - q[0]) ** 2 + (r[1] - q[1]) ** 2
-    ca = (p[0] - r[0]) ** 2 + (p[1] - r[1]) ** 2
-    area2 = abs((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
-    return math.sqrt(ab * bc * ca) / (2.0 * area2)
+    """max(circumradius, half the longest side) of one triangle in floats,
+    rounded as the pipeline rounds it and from its point set alone: twice
+    the area at the vertex opposite a longest side (the largest of these
+    where longest sides tie), over the squared sides multiplied in
+    ascending order."""
+    def sq(u, v):
+        dx, dy = v[0] - u[0], v[1] - u[1]
+        return dx * dx + dy * dy
+
+    def cross(o, u, v):
+        return abs((u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0]))
+
+    # each side's squared length with the vertex opposite it first
+    sides = sorted([(sq(q, r), p, q, r), (sq(r, p), q, r, p), (sq(p, q), r, p, q)],
+                   key=lambda side: side[0])
+    lo, mid, hi = (side[0] for side in sides)
+    area2 = max(cross(*side[1:]) for side in sides if side[0] == hi)
+    radius = math.sqrt(lo * mid * hi) / (2.0 * area2)
+    half = 0.5 * math.sqrt(hi)
+    return radius if radius > half else half
+
+
+#: The eight maps of the plane that take the axes to the axes: rotations by
+#: quarter turns and reflections in the axes and the diagonals.  Each one
+#: only negates and swaps coordinates, so it is exact.
+AXIS_MAPS = {
+    "identity": lambda p: p,
+    "rotate90": lambda p: np.stack([-p[:, 1], p[:, 0]], axis=1),
+    "rotate180": lambda p: -p,
+    "rotate270": lambda p: np.stack([p[:, 1], -p[:, 0]], axis=1),
+    "reflect": lambda p: np.stack([-p[:, 0], p[:, 1]], axis=1),
+    "reflect_y": lambda p: np.stack([p[:, 0], -p[:, 1]], axis=1),
+    "transpose": lambda p: p[:, ::-1].copy(),
+    "antitranspose": lambda p: -p[:, ::-1],
+}

@@ -23,7 +23,7 @@ from holecount.delaunay import (Cloud, DroppedPointsWarning, Triangulation,
                                 edges_sorted_desc, triangulate)
 from holecount.forest import sweep_pairs, triangle_births
 
-from conftest import edge_vertices, float_circumradius, fraction_acute
+from conftest import AXIS_MAPS, edge_vertices, float_circumradius, fraction_acute
 
 ACUTE_BAND = 1e-12
 
@@ -52,36 +52,21 @@ def borderline(tri):
 
 
 def reference_births(tri):
-    """Float pass plus an exact per-triangle loop over every borderline
-    triangle."""
+    """A float acuteness test outside the band around a right angle, an
+    exact one inside it, and `float_circumradius`, one triangle at a time,
+    for every acute triangle."""
     pts = tri.points
     a, b, c = (pts[tri.triangles[:, j]] for j in range(3))
     ab = ((b - a) ** 2).sum(axis=1)
     bc = ((c - b) ** 2).sum(axis=1)
     ca = ((a - c) ** 2).sum(axis=1)
     total = ab + bc + ca
-    longest = np.maximum(ab, np.maximum(bc, ca))
-    gap = total - 2.0 * longest
-    acute = gap > ACUTE_BAND * total
-    cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (
-        b[:, 1] - a[:, 1]
-    ) * (c[:, 0] - a[:, 0])
-    births = np.zeros(len(tri.triangles))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        radius = np.maximum(np.sqrt(ab * bc * ca) / (2.0 * np.abs(cross)),
-                            0.5 * np.sqrt(longest))
-    births[acute] = radius[acute]
+    acute = total - 2.0 * np.maximum(ab, np.maximum(bc, ca)) > ACUTE_BAND * total
     for t in borderline(tri):
-        i, j, k = (tuple(pts[v].tolist()) for v in tri.triangles[t])
-        if fraction_acute(i, j, k):
-            d2 = max(
-                (j[0] - i[0]) ** 2 + (j[1] - i[1]) ** 2,
-                (k[0] - j[0]) ** 2 + (k[1] - j[1]) ** 2,
-                (i[0] - k[0]) ** 2 + (i[1] - k[1]) ** 2,
-            )
-            births[t] = max(float_circumradius(i, j, k), 0.5 * math.sqrt(d2))
-        else:
-            births[t] = 0.0
+        acute[t] = fraction_acute(*(pts[v].tolist() for v in tri.triangles[t]))
+    births = np.zeros(len(tri.triangles))
+    for t in np.flatnonzero(acute):
+        births[t] = float_circumradius(*(pts[v].tolist() for v in tri.triangles[t]))
     return births
 
 
@@ -141,18 +126,11 @@ def assert_matches_reference(tri):
     assert pairs.tobytes() == swept(tri, births, reference_order(tri)).tobytes()
 
 
-TRANSFORMS = {
-    "identity": lambda p: p,
-    "rotate90": lambda p: np.stack([-p[:, 1], p[:, 0]], axis=1),
-    "reflect": lambda p: np.stack([-p[:, 0], p[:, 1]], axis=1),
-}
-
-
-@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+@pytest.mark.parametrize("transform", sorted(AXIS_MAPS))
 @pytest.mark.parametrize("k", [-300, -151, -1, 0, 1, 52, 151, 300])
 def test_scaled_lattices_certified(backend, transform, k, caplog):
     caplog.set_level(logging.DEBUG)
-    tri = scaled(triangulate(Cloud.from_points(TRANSFORMS[transform](lattice(6, seed=k + 300)))), k)
+    tri = scaled(triangulate(Cloud.from_points(AXIS_MAPS[transform](lattice(6, seed=k + 300)))), k)
     assert_matches_reference(tri)
     assert fallback_counts(caplog) == 0
 
@@ -295,3 +273,55 @@ def test_tie_order_cannot_move_a_pair(backend, pts, seed):
         ties = rng.permutation(tri.num_edges)
         order = np.lexsort((ties, -tri.edge_length_sq))
         assert swept(tri, births, order).tobytes() == expected.tobytes()
+
+
+def _pair_bytes(pts):
+    return hole_persistence(Cloud.from_points(pts)).pairs.tobytes()
+
+
+@st.composite
+def uniform_clouds(draw):
+    """A uniform cloud, in general position almost surely, scaled by a power
+    of two.  No offset: one large against the cloud's span leaves Qhull,
+    which is not exact, free to cut a nearly cocircular cell either way."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.ldexp(rng.random((draw(st.integers(3, 200)), 2)), draw(st.integers(-20, 20)))
+
+
+@st.composite
+def integer_lattices(draw):
+    """An m x l integer lattice in random order, spaced by a power of two
+    and moved by an integer offset: every cell is cocircular."""
+    m, l = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    grid = np.stack(np.meshgrid(np.arange(m), np.arange(l)), axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = np.ldexp(grid[rng.permutation(len(grid))].astype(np.float64),
+                   draw(st.integers(-3, 3)))
+    return pts + draw(st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+
+
+def _assert_symmetric(pts, seed):
+    # births read each triangle's point set alone, so every axis map and a
+    # permutation leave the pairs bit for bit
+    expected = _pair_bytes(pts)
+    for name, axis_map in AXIS_MAPS.items():
+        assert _pair_bytes(axis_map(pts)) == expected, name
+    perm = np.random.default_rng(seed).permutation(len(pts))
+    assert _pair_bytes(pts[perm]) == expected
+
+
+@given(uniform_clouds(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_axis_maps_keep_pairs(backend, pts, seed):
+    _assert_symmetric(pts, seed)
+
+
+@pytest.mark.skipif(_fastdel.KERNELS is None,
+                    reason="compiled kernels unavailable (no C compiler)")
+@given(integer_lattices(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_axis_maps_keep_lattice_pairs(pts, seed):
+    # the builder cuts each cocircular cell by its perturbation, which the
+    # maps do not commute with, but every cell still holds one hole
+    _assert_symmetric(pts, seed)

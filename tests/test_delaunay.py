@@ -275,7 +275,7 @@ class TestTriangulate:
             "scaled": rng.random((250, 2)) * 2.0 ** (200 if seed % 2 else -200),
         }
         for kind, pts in clouds.items():
-            fast = build_triangulation(pts)
+            fast = build_triangulation(pts, Cloud.from_points(pts).order)
             assert fast is not None, f"incremental builder fell back on {kind}"
             assert adjacency(*fast) == adjacency(*_qhull_triangles(pts)), kind
 
@@ -333,7 +333,7 @@ class TestTriangulate:
     @pytest.mark.skipif(_fastdel.KERNELS is None,
                         reason="compiled kernels unavailable (no C compiler)")
     @pytest.mark.parametrize("kind", list(DEGENERATE_CLOUDS))
-    def test_builder_certified_exactly(self, kind, monkeypatch):
+    def test_builder_certified_exactly(self, kind):
         # an exact oracle, not the kernel's predicates, certifies the
         # builder's triangles on cocircular and collinear input: all points
         # are vertices, the triangles are CCW, the boundary is a convex
@@ -341,7 +341,7 @@ class TestTriangulate:
         # edge is locally Delaunay once in-circle ties are broken by the
         # perturbation, so the whole is the perturbed Delaunay triangulation
         pts = DEGENERATE_CLOUDS[kind]()
-        fast = build_triangulation(pts)
+        fast = build_triangulation(pts, Cloud.from_points(pts).order)
         assert fast is not None
         tris, neigh = fast
         n, k, p = len(pts), len(tris), pts.tolist()
@@ -372,8 +372,7 @@ class TestTriangulate:
         canon = lambda t: sorted(map(tuple, np.sort(t, axis=1).tolist()))
         for seed in range(2):
             order = np.random.default_rng(seed).permutation(n)
-            monkeypatch.setattr(_fastdel, "morton_argsort", lambda _: order)
-            assert canon(build_triangulation(pts)[0]) == canon(tris)
+            assert canon(build_triangulation(pts, order)[0]) == canon(tris)
 
     def test_cocircular_grid_handled(self):
         # a 3x3 integer grid is full of cocircular 4-tuples; the builder must

@@ -54,7 +54,7 @@ class TestTriangleBirths:
         for t, verts in enumerate(tri.triangles):
             a, b, c = (tri.points[v].tolist() for v in verts)
             if fraction_acute(a, b, c):
-                assert births[t] == pytest.approx(float_circumradius(a, b, c), rel=1e-12)
+                assert births[t] == float_circumradius(a, b, c)
             else:
                 assert births[t] == 0.0
 

@@ -79,7 +79,7 @@ def test_fallback_identical_on_fixtures(fixture, same_walk, request, monkeypatch
 ])
 def test_fallback_identical_on_random_clouds(make, seed, n, monkeypatch):
     cloud = make(seed, n)
-    assert _fastdel.build_triangulation(cloud.points) is not None
+    assert _fastdel.build_triangulation(cloud.points, cloud.order) is not None
     pairs, walk = _assert_backends_agree(monkeypatch, cloud)
     assert len(pairs) > 0 and walk > 0
 
@@ -92,7 +92,7 @@ def test_fallback_identical_on_lattice(monkeypatch):
     m = 20
     grid = np.stack(np.meshgrid(np.arange(m), np.arange(m)), axis=-1).reshape(-1, 2)
     cloud = Cloud.from_points(np.random.default_rng(5).permutation(grid))
-    assert _fastdel.build_triangulation(cloud.points) is not None
+    assert _fastdel.build_triangulation(cloud.points, cloud.order) is not None
     pairs, walk = _assert_backends_agree(monkeypatch, cloud, same_walk=False)
     assert len(pairs) == (m - 1) ** 2 and walk > 0
 
@@ -131,7 +131,7 @@ def test_builder_counts_exact_stage_and_ties(caplog):
 
     def counts(pts):
         caplog.clear()
-        assert _fastdel.build_triangulation(pts) is not None
+        assert _fastdel.build_triangulation(pts, Cloud.from_points(pts).order) is not None
         (record,) = [r for r in caplog.records if r.name == _fastdel.__name__]
         return record.args
 
@@ -194,7 +194,8 @@ _BIRTHS_CLOUDS = {
 def test_births_kernel_leaves_python_int_rows(kind):
     make, sent = _BIRTHS_CLOUDS[kind]
     pts = make()
-    decided, wide = _assert_births_parity(pts, _fastdel.build_triangulation(pts)[0])
+    decided, wide = _assert_births_parity(
+        pts, _fastdel.build_triangulation(pts, Cloud.from_points(pts).order)[0])
     assert (decided > 0, wide > 0) == {"none": (True, False), "all": (False, True),
                                        "some": (True, True)}[sent]
 
@@ -224,14 +225,16 @@ def test_births_kernel_parity_on_integer_rows(rows):
 
 
 def _numpy_morton_order(points):
-    """The numpy key build and stable argsort that hc_morton_order
+    """The numpy key build and stable argsort that the compiled Morton sort
     replaced: the reference its order must match."""
-    lo = points.min(axis=0)
-    span = float(np.ptp(points, axis=0).max())
-    if span <= 0.0:
-        return np.arange(len(points))
-    scale = (2 ** 16 - 1) / span
-    q = ((points - lo) * scale).astype(np.uint64)
+    # a span that overflows leaves scale 0 and NaN keys, whose cast bits
+    # the masks below clear, as the kernel clamps them to 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = float(np.ptp(points, axis=0).max()) if len(points) else 0.0
+        if span <= 0.0:
+            return np.arange(len(points))
+        scale = (2 ** 16 - 1) / span
+        q = ((points - points.min(axis=0)) * scale).astype(np.uint64)
     key = np.zeros(len(points), dtype=np.uint64)
     for axis, shift0 in ((0, 0), (1, 1)):
         v = q[:, axis]
@@ -268,10 +271,11 @@ _MORTON_CLOUDS = {
 @needs_kernels
 @pytest.mark.parametrize("kind", list(_MORTON_CLOUDS))
 def test_morton_order_matches_numpy_keys(kind):
+    # the reference orders the cloud without its repeats, as "all-equal" has
     pts = _MORTON_CLOUDS[kind]()
-    order = _fastdel.morton_argsort(pts)
+    kept, order = _fastdel.morton_dedup(pts)
     assert order.dtype == np.int32
-    assert np.array_equal(order, _numpy_morton_order(pts))
+    assert np.array_equal(order, _numpy_morton_order(pts if kept is None else pts[kept]))
 
 
 @needs_kernels
@@ -281,7 +285,8 @@ def test_morton_order_of_overflowing_span_is_a_permutation():
     pts = 1.5e308 * np.random.default_rng(0).uniform(-1.0, 1.0, (3000, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        order = _fastdel.morton_argsort(pts)
+        kept, order = _fastdel.morton_dedup(pts)
+    assert kept is None
     assert np.array_equal(np.sort(order), np.arange(len(pts)))
 
 
@@ -360,7 +365,7 @@ def test_ingest_matches_numpy_unique(kind, kernels, monkeypatch):
                       if removed else [])
     if kernels:
         assert cloud.order.dtype == np.int32 and not cloud.order.flags.writeable
-        assert np.array_equal(cloud.order, _fastdel.morton_argsort(cloud.points))
+        assert np.array_equal(cloud.order, _numpy_morton_order(cloud.points))
     else:
         assert cloud.order is None
 
@@ -554,14 +559,15 @@ clouds = [
 for pts in clouds:
     hole_persistence(Cloud.from_points(pts))
 for pts in [clouds[4]] + clouds[-9:]:
-    assert _fastdel.build_triangulation(np.asarray(pts, dtype=np.float64)) is not None
+    cloud = Cloud.from_points(pts)
+    assert _fastdel.build_triangulation(cloud.points, cloud.order) is not None
 # the Morton order on one long run of equal keys, and on a span that
 # overflows, whose keys are NaN or out of range until clamped
 for pts in [np.vstack([1e-9 * rng.random((10000, 2)), [(1.0, 1.0)]]),
             1.5e308 * rng.uniform(-1.0, 1.0, (3000, 2))]:
-    order = _fastdel.morton_argsort(pts)
-    assert np.array_equal(np.sort(order), np.arange(len(pts)))
-    assert _fastdel.build_triangulation(pts) is not None
+    kept, order = _fastdel.morton_dedup(pts)
+    assert kept is None and np.array_equal(np.sort(order), np.arange(len(pts)))
+    assert _fastdel.build_triangulation(pts, order) is not None
 # ingest's Morton pass: repeats in short runs and in one long run of equal
 # keys, an all-equal cloud, n = 0 and 1, and a span that overflows
 spread = rng.random((2000, 2))

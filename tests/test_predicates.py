@@ -1,20 +1,24 @@
 """Exactness of the geometric sign decisions: the pipeline's exact
 acuteness pass (`forest.acute_exact`, in int64 or Python ints) and the
 oracle's own `Fraction` orientation and in-circle tests, plus the float
-circumradius that the birth tests compare against."""
+circumradius that the birth tests compare against and the error bound of
+the births' formula."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from holecount import _fastdel
+from holecount import forest as forest_mod
 from holecount.forest import acute_exact
 from holecount.oracles import incircle_exact, orient_exact
 
-from conftest import float_circumradius, fraction_acute
+from conftest import AXIS_MAPS, float_circumradius, fraction_acute
 
 
 class TestOrient2d:
@@ -132,14 +136,106 @@ class TestIsAcute:
         assert not acute((0, 0), (1, 1), (0, 0))
 
 
+@st.composite
+def acute_triangles(draw):
+    """The three vertices of a strictly acute triangle: "free" ones on a
+    circle, whose centre they surround; "isosceles" ones with integer
+    coordinates, whose two legs or whose base are the longest sides, tied
+    exactly; "equilateral" ones from a circle, maybe a few ulps off, whose
+    squared sides often round to two or three equal doubles; and
+    "near-right" ones, a right angle of integers moved by one ulp or
+    rounded to a decimal grid.  Each is scaled by a power of two."""
+    kind = draw(st.sampled_from(["free", "isosceles", "equilateral", "near-right"]))
+    if kind == "free":
+        turns = sorted(draw(st.floats(0.0, 1.0)) for _ in range(3))
+        assume(max(turns[1] - turns[0], turns[2] - turns[1], 1.0 + turns[0] - turns[2]) < 0.5)
+        centre = draw(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+        radius = draw(st.floats(0.01, 10.0))
+        pts = [(centre[0] + radius * math.cos(2.0 * math.pi * t),
+                centre[1] + radius * math.sin(2.0 * math.pi * t)) for t in turns]
+    elif kind == "isosceles":
+        w = draw(st.integers(1, 2 ** 20))
+        h = draw(st.integers(w + 1, 2 ** 21))
+        x, y = draw(st.integers(-2 ** 20, 2 ** 20)), draw(st.integers(-2 ** 20, 2 ** 20))
+        pts = [(x - w, y), (x + w, y), (x, y + h)]
+    elif kind == "equilateral":
+        phi = draw(st.floats(0.0, 2.0 * math.pi))
+        pts = [[math.cos(phi + 2.0 * math.pi * k / 3.0),
+                math.sin(phi + 2.0 * math.pi * k / 3.0)] for k in range(3)]
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+        pts[i][j] += draw(st.integers(-3, 3)) * math.ulp(pts[i][j])
+    else:
+        small = st.integers(-2 ** 20, 2 ** 20)
+        ax, ay, px, py = (draw(small) for _ in range(4))
+        t = draw(st.sampled_from([1, 2, 3]))
+        row = np.array([ax, ay, ax + px, ay + py, ax - t * py, ay + t * px], dtype=np.float64)
+        if draw(st.booleans()):
+            row = row * draw(st.sampled_from([0.1, 0.05, 0.001]))
+        else:
+            i = draw(st.integers(0, 5))
+            row[i] = np.nextafter(row[i], draw(st.sampled_from([-np.inf, np.inf])))
+        pts = row.reshape(3, 2).tolist()
+    pts = np.ldexp(np.array(pts, dtype=np.float64), draw(st.integers(-60, 60)))
+    assume(fraction_acute(*pts.tolist()))
+    return pts.tolist()
+
+
 class TestCircumradius:
     def test_equilateral_side_2(self):
-        # the reference that triangle births are checked against, in every
-        # vertex order
+        # the reference that triangle births are checked against: one
+        # value, bit for bit, in every vertex order
         tri = [(0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3.0))]
-        for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)):
-            r = float_circumradius(*(tri[i] for i in order))
-            assert r == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
+        radii = {float_circumradius(*(tri[i] for i in order))
+                 for order in itertools.permutations(range(3))}
+        assert len(radii) == 1
+        assert radii.pop() == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
+
+    @given(acute_triangles())
+    @settings(max_examples=400, deadline=None)
+    def test_birth_within_ulp_bound(self, vertices):
+        _assert_birth_bounded(vertices)
+
+    def test_three_tied_longest_sides(self):
+        # a near-equilateral triangle whose three squared sides round to one
+        # double: |cross| is the largest of the three vertices' values
+        phi = 0.107
+        vertices = [(math.cos(phi + 2.0 * math.pi * k / 3.0),
+                     math.sin(phi + 2.0 * math.pi * k / 3.0)) for k in range(3)]
+        a, b, c = (np.array([v]) for v in vertices)
+        assert len(set(np.concatenate(forest_mod._side_lengths_sq(a, b, c)).tolist())) == 1
+        _assert_birth_bounded(vertices)
+
+
+# the bound derived at clamped_circumradius in _kernels.c: |birth - R| <= 14u R
+BIRTH_ERROR = Fraction(14, 2 ** 53)
+
+
+def _assert_birth_bounded(vertices):
+    """The births of one acute triangle, listed in each of its six vertex
+    orders and moved by each of the eight axis maps, are one double, from
+    the numpy formula and from the kernel's, and that double lies within
+    BIRTH_ERROR of the exact circumradius, compared in squares."""
+    tri = np.array(vertices, dtype=np.float64)
+    flat = np.vstack([axis_map(tri[list(order)])
+                      for order in itertools.permutations(range(3))
+                      for axis_map in AXIS_MAPS.values()])
+    rows = np.arange(len(flat), dtype=np.int32).reshape(-1, 3)
+    a, b, c = (flat[rows[:, j]] for j in range(3))
+    births = forest_mod._clamped_circumradius(a, b, c, *forest_mod._side_lengths_sq(a, b, c))
+    assert births.tobytes() == np.full(len(rows), births[0]).tobytes()
+    if _fastdel.KERNELS is not None:
+        # with band -inf, hc_births takes every row to the formula
+        compiled, _ = _fastdel.triangle_births(flat, rows, -np.inf)
+        assert compiled.tobytes() == births.tobytes()
+    p, q, r = ([Fraction(x) for x in v] for v in tri.tolist())
+
+    def sq(u, v):
+        return (v[0] - u[0]) ** 2 + (v[1] - u[1]) ** 2
+
+    cross = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    radius_sq = sq(p, q) * sq(q, r) * sq(r, p) / (4 * cross * cross)
+    birth_sq = Fraction(float(births[0])) ** 2
+    assert (1 - BIRTH_ERROR) ** 2 * radius_sq <= birth_sq <= (1 + BIRTH_ERROR) ** 2 * radius_sq
 
 
 dyadic = st.builds(math.ldexp, st.integers(-2 ** 30, 2 ** 30), st.integers(-40, 40))

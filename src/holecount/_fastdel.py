@@ -10,16 +10,18 @@ edge splits and Lawson flips in that order, with exact predicates, symbolic
 in-circle ties and ghost triangles, compacted in place), the edge table
 ``hc_edge_table`` (each edge's two faces and squared length), ``hc_births``
 (from each triangle's point set, whatever its vertex order) and the sweep
-``hc_sweep``.  The builder's predicates pass a float filter, then an
-integer stage (int64 and ``__int128``) for coordinates that are small
-integers times one power of two, as on lattices, and only then Shewchuk's
-expansions in ``long double``; ``hc_births`` decides the borderline right
-angles of such integer-like triangles by the same test.  The edge sort
-between the edge table and the sweep is numpy's.
+``hc_sweep``; ``hc_staircase`` builds a diagram's staircase by one merge of
+its sorted births and deaths.  The builder's predicates pass a float
+filter, then an integer stage (int64 and ``__int128``) for coordinates that
+are small integers times one power of two, as on lattices, and only then
+Shewchuk's expansions in ``long double``; ``hc_births`` decides the
+borderline right angles of such integer-like triangles by the same test.
+The edge sort between the edge table and the sweep is numpy's.
 ``_text.cpp`` holds the CLI's number text, ``hc_write_rows`` (repr-identical
-rows through ``std::to_chars``) and ``hc_parse_rows`` (correctly rounded
-CSV rows through ``std::from_chars``); ``holecount.cli`` loads it, so
-``import holecount`` neither builds nor loads it.
+rows through ``std::to_chars``), ``hc_write_entries`` (the ``"k": v``
+entries of the report's probabilities) and ``hc_parse_rows`` (correctly
+rounded CSV rows through ``std::from_chars``); ``holecount.cli`` loads it,
+so ``import holecount`` neither builds nor loads it.
 
 Each ``Library`` names its source, compiler (``gcc`` and ``g++``), flags
 and ctypes signatures, and ``load_library`` is the one loader: on first use
@@ -97,17 +99,22 @@ KERNEL_LIBRARY = Library(
         "hc_births": (_c_i64, [_F64, _c_i64, _I32, _c_f64, _F64]),
         "hc_sweep": (_c_i64, [_c_i64, _I32, _I32, _F64, _c_i32, _I32, _I32, _F64,
                               _F64, _p_i64]),
+        "hc_staircase": (_c_i64, [_c_i64, _F64, _F64, _F64, _p_i64, _F64, _p_i64,
+                                  _p_i64]),
     },
 )
 
-#: The CLI's number text (``_text.cpp``): ``hc_write_rows`` and
-#: ``hc_parse_rows``, loaded by ``holecount.cli``, not by ``import holecount``.
+#: The CLI's number text (``_text.cpp``): ``hc_write_rows``,
+#: ``hc_write_entries`` and ``hc_parse_rows``, loaded by ``holecount.cli``,
+#: not by ``import holecount``.
 TEXT_LIBRARY = Library(
     KERNEL_LIBRARY.source.with_name("_text.cpp"), "g++",
     ("-O2", "-std=c++17", "-fPIC", "-shared"),
     {
         "hc_write_rows": (_c_i64, [_F64, _c_i64, _c_i64, _c_char_p, _c_char_p, _U8,
                                    _c_i64]),
+        "hc_write_entries": (_c_i64, [_p_i64, _F64, _c_i64, _c_i64, _c_char_p, _U8,
+                                      _c_i64]),
         "hc_parse_rows": (_c_i64, [_c_char_p, _c_i64, _F64, _c_i64]),
         "hc_max_number_chars": (_c_i64, []),
     },
@@ -274,3 +281,26 @@ def sweep(births: np.ndarray, edge_faces: np.ndarray, edge_length_sq: np.ndarray
                                parent, weight, births, pairs,
                                ctypes.byref(max_steps))
     return pairs[:n_pairs], max_steps.value
+
+
+def staircase(pairs: np.ndarray):
+    """(breakpoints, counts, present, shares) of off-diagonal pairs sorted
+    by (birth, death), from one merge of the births with the sorted deaths
+    (``hc_staircase``): the staircase, then the counts in order of first
+    appearance and the share of the scale range each one holds.  None when
+    the kernel declines the pairs (births out of order, for one)."""
+    m = len(pairs)
+    pairs = np.ascontiguousarray(pairs, dtype=np.float64)
+    deaths = np.sort(pairs[:, 1])
+    breakpoints = np.empty(2 * m)
+    counts = np.empty(2 * m, dtype=np.int64)
+    sums = np.full(m + 1, -1.0)  # negative: no interval has this count yet
+    present = np.empty(m + 1, dtype=np.int64)
+    n_present = ctypes.c_int64()
+    n = KERNELS.hc_staircase(m, pairs, deaths, breakpoints,
+                             counts.ctypes.data_as(_p_i64), sums,
+                             present.ctypes.data_as(_p_i64), ctypes.byref(n_present))
+    if n < 0:
+        return None
+    present = present[:n_present.value]
+    return breakpoints[:n], counts[:n - 1], present, sums[present]

@@ -11,6 +11,9 @@
  *   hc_births       per-triangle birth scales, with the borderline right
  *                   angles of integer-like rows decided exactly
  *   hc_sweep        the descending elder-rule union-find sweep
+ *   hc_staircase    the hole-count staircase of a diagram by one merge of its
+ *                   ascending births and sorted deaths, and the share of the
+ *                   scale range that each count holds
  *
  * Arrays are C-contiguous: points (n, 2) float64, triangles and neighbours
  * (k, 3) int32, edge faces (E, 2) int32.  Every kernel writes only into
@@ -1145,4 +1148,83 @@ int64_t hc_sweep(int64_t m, const int32_t *order, const int32_t *edge_faces,
     return n_pairs;
 #undef BIRTH
 #undef SET_BIRTH
+}
+
+/* The staircase of m off-diagonal pairs (birth < death) by one merge of two
+ * ascending runs: the births, pairs[2i], which Diagram keeps sorted, and
+ * `deaths`, sorted by the caller.  It writes the distinct values of both, in
+ * ascending order, to `breakpoints` (2m slots) and, for every breakpoint,
+ * the number of pairs with birth <= alpha < death from there to the next
+ * one to `counts` (2m slots; the last one, past the largest death, is 0):
+ * np.unique's staircase in diagrams.staircase, without its sort of all 2m
+ * values and its inverse.
+ *
+ * Each interval's share of the full range, (b[i+1] - b[i]) / (b[last] -
+ * b[0]), is then added to sums[counts[i]], in interval order, as np.bincount
+ * adds its weights, starting from 0.0; `present` lists each count at its
+ * first interval.  sums holds m + 1 negative entries on entry, which mark
+ * the counts not seen yet (a sum of shares is never negative), and present
+ * m + 1 slots.
+ *
+ * Returns the number of breakpoints, with the length of present in
+ * *n_present_out.  Returns -1 on input that breaks this contract: births
+ * out of order, negative or NaN, deaths out of order or NaN, the largest
+ * death not above the largest birth, or a count below 0 (a death below its
+ * own birth); also on a birth of -0.0, which np.unique may place on either
+ * side of 0.0.  The caller then takes the reference path. */
+int64_t hc_staircase(int64_t m, const double *pairs, const double *deaths,
+                     double *breakpoints, int64_t *counts, double *sums,
+                     int64_t *present, int64_t *n_present_out)
+{
+    *n_present_out = 0;
+    if (m == 0)
+        return 0;
+    /* no early exit, so that the checks vectorise */
+    int bad = !(pairs[0] >= 0.0) || signbit(pairs[0])
+              || !(deaths[m - 1] > pairs[2 * (m - 1)]);
+    for (int64_t i = 1; i < m; i++)
+        bad |= (signbit(pairs[2 * i]) != 0) | !(pairs[2 * i] >= pairs[2 * i - 2])
+               | !(deaths[i] >= deaths[i - 1]);
+    if (bad)
+        return -1;
+    /* Each value goes to slot n, which moves on only when the value
+     * changes, so the last write to a slot carries the count after every
+     * value equal to it; births go first on a tie.  Branch-free, as the
+     * comparison of the two heads is a coin toss on most diagrams.  While
+     * births remain, so does a death: the largest death is above them. */
+    int64_t i = 0, j = 0, n = -1, count = 0;
+    double last = NAN; /* unequal to the first value */
+    while (i < m) {
+        double b = pairs[2 * i], d = deaths[j];
+        int64_t take_birth = b <= d;
+        double v = take_birth ? b : d;
+        n += v != last;
+        last = v;
+        count += 2 * take_birth - 1;
+        breakpoints[n] = v;
+        counts[n] = count;
+        i += take_birth;
+        j += 1 - take_birth;
+    }
+    for (; j < m; j++) {
+        n += deaths[j] != last;
+        last = deaths[j];
+        breakpoints[n] = last;
+        counts[n] = --count;
+    }
+    n++;
+    const double total = breakpoints[n - 1] - breakpoints[0];
+    int64_t n_present = 0;
+    for (int64_t t = 0; t + 1 < n; t++) {
+        int64_t c = counts[t];
+        if (c < 0 || c > m)
+            return -1;
+        if (sums[c] < 0.0) {
+            present[n_present++] = c;
+            sums[c] = 0.0;
+        }
+        sums[c] += (breakpoints[t + 1] - breakpoints[t]) / total;
+    }
+    *n_present_out = n_present;
+    return n;
 }

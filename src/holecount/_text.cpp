@@ -3,6 +3,9 @@
 //
 //   hc_write_rows   rows of an (m, 2) float64 array, each number as Python's
 //                   repr writes it (std::to_chars' shortest digits)
+//   hc_write_entries
+//                   '"k": v' entries of int64 keys and float64 values, as
+//                   json writes a dict of str(k) to float
 //   hc_parse_rows   'x,y' CSV rows, each number correctly rounded as
 //                   Python's float() rounds it (std::from_chars)
 //   hc_max_number_chars
@@ -22,7 +25,8 @@
 
 namespace {
 
-// The longest repr of a double, "-2.2250738585072014e-308".
+// The longest repr of a double, "-2.2250738585072014e-308"; the longest
+// int64, "-9223372036854775808", is shorter.
 constexpr int64_t kMaxNumber = 24;
 
 char *put_text(char *out, const char *s, size_t len) {
@@ -142,6 +146,32 @@ int64_t hc_write_rows(const double *rows, int64_t i0, int64_t i1, const char *mi
         p = put_number(p, x);
         p = put_text(p, mid, mid_len);
         p = put_number(p, y);
+    }
+    return p - reinterpret_cast<char *>(out);
+}
+
+// Entries [i0, i1) of the parallel arrays `keys` and `values` as text: each
+// entry is '"k": v', the key in decimal and the value as repr writes it,
+// and `sep` goes before every entry but entry 0, so chunks concatenate to
+// the text of the whole.  Returns the bytes written to `out`, or -1 when a
+// value is not finite or `cap` bytes cannot hold 2 kMaxNumber + 4
+// characters per entry besides its separator.
+int64_t hc_write_entries(const int64_t *keys, const double *values, int64_t i0,
+                         int64_t i1, const char *sep, uint8_t *out, int64_t cap) {
+    const size_t sep_len = std::strlen(sep);
+    const int64_t entry_max = 2 * kMaxNumber + 4 + sep_len;
+    if (i1 > i0 && cap / (i1 - i0) < entry_max)
+        return -1;
+    char *p = reinterpret_cast<char *>(out);
+    for (int64_t i = i0; i < i1; ++i) {
+        if (!std::isfinite(values[i]))
+            return -1;
+        if (i > 0)
+            p = put_text(p, sep, sep_len);
+        *p++ = '"';
+        p = std::to_chars(p, p + kMaxNumber, keys[i]).ptr;
+        p = put_text(p, "\": ", 3);
+        p = put_number(p, values[i]);
     }
     return p - reinterpret_cast<char *>(out);
 }

@@ -145,6 +145,30 @@ def _qhull_triangles(pts: np.ndarray):
     return tris, neigh
 
 
+# An edge longer than about 2**512 squares to inf, one shorter than about
+# 2**-537 to 0.  An inf is never a scale: on a grid at 2**1000 every edge ties
+# at inf and the diagram would be empty.  A 0 moves its edge's scale by less
+# than 2**-538, under an ulp of every scale above 2**-486, so a cloud of
+# normal size keeps its diagram when two of its points lie a few subnormals
+# apart; only when the longest edge is that short too, as on a grid at
+# 2**-1060, is the loss more than rounding.
+_LONGEST_SQ_FOR_UNDERFLOW = 2.0 ** -970
+
+
+def _check_length_range(edge_length_sq: np.ndarray) -> None:
+    """Raise ValueError when squared edge lengths left the range of doubles
+    in a way that moves the diagram beyond rounding.  A vectorised reduction
+    or two cost less than counting in ``hc_edge_table``'s loop."""
+    longest = edge_length_sq.max()
+    if longest == np.inf or (longest < _LONGEST_SQ_FOR_UNDERFLOW
+                             and edge_length_sq.min() == 0.0):
+        raise ValueError(
+            f"squared edge lengths up to {float(longest)!r} overflow to inf or "
+            "underflow to 0: the range of doubles holds the squares of lengths "
+            "between about 2**-537 and 2**512 only; scale the cloud by a power "
+            "of two")
+
+
 def triangulate(cloud: Cloud) -> Triangulation:
     """Build the Delaunay triangulation of the cloud.
 
@@ -154,7 +178,8 @@ def triangulate(cloud: Cloud) -> Triangulation:
     included, with the same triangles whatever the input order.  Otherwise
     Qhull does; it may cut cocircular cells by the input order or leave
     points out, and then warns with DroppedPointsWarning.  Raises
-    TooFewPointsError / AllCollinearError on degenerate input.
+    TooFewPointsError / AllCollinearError on degenerate input, and
+    ValueError when a squared edge length leaves the range of doubles.
     """
     pts = cloud.points
     if len(pts) < 3:
@@ -176,8 +201,10 @@ def triangulate(cloud: Cloud) -> Triangulation:
 
         e0 = tris[:, [1, 2, 0]].reshape(-1)[keep]
         e1 = tris[:, [2, 0, 1]].reshape(-1)[keep]
-        d = pts[e1] - pts[e0]
-        edge_length_sq = d[:, 0] ** 2 + d[:, 1] ** 2
+        with np.errstate(over="ignore", under="ignore"):
+            d = pts[e1] - pts[e0]
+            edge_length_sq = d[:, 0] ** 2 + d[:, 1] ** 2
+    _check_length_range(edge_length_sq)
 
     return Triangulation(
         points=pts,

@@ -3,13 +3,16 @@ hole-count probabilities, bottleneck distance and widest-gap inference."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
+
+from . import _fastdel
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,10 @@ class Staircase:
 
     breakpoints: np.ndarray  # (m+1,) ascending
     counts: np.ndarray       # (m,) int
+    # (counts in order of first appearance, the share of the range each one
+    # holds) when the merge kernel built the staircase; None otherwise
+    shares: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def empty(self) -> bool:
@@ -110,9 +117,21 @@ class HoleProbabilityTable:
 
 
 def staircase(diagram: Diagram) -> Staircase:
+    """The staircase of the off-diagonal pairs.  With the kernels loaded it
+    comes from one merge of the births, which `Diagram` keeps ascending,
+    with the sorted deaths (``hc_staircase``), which also sums each count's
+    share of the range for `hole_probabilities`.  Otherwise, and on pairs
+    the kernel declines, `np.unique` ranks all values, the reference; both
+    give the same arrays bit for bit."""
     pairs = diagram.off_diagonal()
     if not len(pairs):
         return Staircase(breakpoints=np.empty(0), counts=np.empty(0, dtype=np.int64))
+    merged = _fastdel.staircase(pairs) if _fastdel.KERNELS is not None else None
+    if merged is not None:
+        points, counts, present, shares = merged
+        stair = Staircase(breakpoints=points, counts=counts)
+        object.__setattr__(stair, "shares", (present, shares))
+        return stair
     points, rank = np.unique(pairs, return_inverse=True)
     rank = rank.reshape(pairs.shape)
     deltas = (np.bincount(rank[:, 0], minlength=len(points))
@@ -127,17 +146,22 @@ def hole_probabilities(diagram: Diagram) -> HoleProbabilityTable:
     stair = staircase(diagram)
     if stair.empty:
         return HoleProbabilityTable(probabilities={0: 1.0}, empty_range=True)
-    lengths = np.diff(stair.breakpoints)
-    total = stair.breakpoints[-1] - stair.breakpoints[0]
-    # bincount adds the weights in interval order, as a running sum would;
-    # the dict lists the counts in order of first appearance
-    counts = stair.counts
-    sums = np.bincount(counts, weights=lengths / total)
-    first = np.full(len(sums), len(counts))
-    np.minimum.at(first, counts, np.arange(len(counts)))
-    present = counts[np.sort(first[first < len(counts)])]
+    if stair.shares is not None:
+        present, shares = stair.shares
+    else:
+        lengths = np.diff(stair.breakpoints)
+        total = stair.breakpoints[-1] - stair.breakpoints[0]
+        # bincount adds the weights in interval order, as a running sum
+        # would, and as the kernel does; the dict lists the counts in order
+        # of first appearance
+        counts = stair.counts
+        sums = np.bincount(counts, weights=lengths / total)
+        first = np.full(len(sums), len(counts))
+        np.minimum.at(first, counts, np.arange(len(counts)))
+        present = counts[np.sort(first[first < len(counts)])]
+        shares = sums[present]
     return HoleProbabilityTable(
-        probabilities=dict(zip(present.tolist(), sums[present].tolist())))
+        probabilities=dict(zip(present.tolist(), shares.tolist())))
 
 
 def barcode(diagram: Diagram) -> Barcode:

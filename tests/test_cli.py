@@ -27,7 +27,10 @@ from holecount.cli import (
     pairs_to_csv,
     save_cloud_csv,
 )
-from holecount.diagrams import Diagram, bottleneck_distance
+from holecount import _fastdel
+from holecount.diagrams import Diagram, bottleneck_distance, hole_probabilities
+
+from test_diagrams import merge_pair_lists
 
 needs_text = pytest.mark.skipif(
     cli.TEXT is None, reason="compiled text library unavailable (no C++ compiler)"
@@ -342,6 +345,24 @@ _REPORTS = [
         probabilities={7: 5e-324, 0: 1.0 / 3.0, 12: 1e22, 3: -0.0},
         inferred_count=7, inferred_gap=1.0, timings={"sweep": 0.0},
         metadata={"n": 4, "source": ""}), id="probability-floats"),
+    # the keyed writer takes int keys within int64 and finite floats; every
+    # other table goes through json.dumps, with the same text
+    pytest.param(lambda csv: RunReport(
+        diagram=Diagram.from_pairs([(0.0, 1.0)]),
+        probabilities={2 ** 63 - 1: 0.5, -2 ** 63: -2.2250738585072014e-308, 0: 1e16},
+        inferred_count=0, inferred_gap=1.0, timings={}, metadata={}),
+        id="int64-keys"),
+    pytest.param(lambda csv: RunReport(
+        diagram=Diagram.from_pairs([(0.0, 1.0)]),
+        probabilities={2 ** 63: 0.5, True: 0.25, 2: 1, 3: math.nan, 4: -math.inf},
+        inferred_count=0, inferred_gap=1.0, timings={}, metadata={}),
+        id="json-only-keys-and-values"),
+    pytest.param(lambda csv: compute_report(Cloud.from_points(
+        np.stack(np.meshgrid(np.arange(20), np.arange(20)), axis=-1).reshape(-1, 2))),
+        id="lattice-20"),
+    pytest.param(lambda csv: compute_report(Cloud.from_points(np.unique(
+        np.round(20.0 * np.random.default_rng(3).random((300, 2))) / 20.0, axis=0))),
+        id="rounded-1/20"),
 ]
 
 
@@ -367,6 +388,24 @@ class TestRunReport:
         assert texts() == compiled
         monkeypatch.setattr(cli, "TEXT", None)
         assert texts() == compiled
+
+    @needs_text
+    @given(merge_pair_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_probabilities_block_matches_reference(self, pairs):
+        # the block of the merge's table through the keyed writer is the
+        # text of the reference table through json.dumps
+        diagram = Diagram.from_pairs(pairs)
+        report = RunReport(diagram=diagram,
+                           probabilities=hole_probabilities(diagram).probabilities,
+                           inferred_count=0, inferred_gap=0.0, timings={}, metadata={})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "TEXT", None)
+            patch.setattr(_fastdel, "KERNELS", None)
+            reference = RunReport(
+                diagram=diagram, probabilities=hole_probabilities(diagram).probabilities,
+                inferred_count=0, inferred_gap=0.0, timings={}, metadata={}).to_json()
+        assert report.to_json() == reference == _indent2_json(report)
 
     def test_json_round_trip(self, square_csv):
         report = compute_report(load_cloud_csv(square_csv), source=str(square_csv))
@@ -520,6 +559,27 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "1000" in out
         assert "MB" in out
+
+    def test_views_column(self, capsys):
+        assert cli_main(["bench", "--max-n", "1000"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split() == ["n", "triangulate", "sort", "sweep", "total",
+                                  "t/(n", "log2", "n)", "views", "peak", "RSS"]
+        assert len(row.split()) == 8
+
+    def test_json_rows_and_backend(self, capsys):
+        assert cli_main(["bench", "--max-n", "1000", "--repeats", "2", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["backend"] == {"kernels": _fastdel.KERNELS is not None,
+                                   "text": cli.TEXT is not None}
+        assert data["seed"] == 0 and data["repeats"] == 2
+        (row,) = data["rows"]
+        assert row["n"] == 1000
+        assert set(row) == {"n", "triangulate_s", "sort_s", "sweep_s", "total_s",
+                            "t_per_n_log2_n", "views_s", "peak_rss_mb"}
+        stages = row["triangulate_s"] + row["sort_s"] + row["sweep_s"]
+        assert row["total_s"] == pytest.approx(stages)
+        assert row["views_s"] > 0.0 and row["peak_rss_mb"] > 0.0
 
     def test_max_n_validated(self, capsys):
         assert cli_main(["bench", "--max-n", "10"]) == 1

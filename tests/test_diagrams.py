@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holecount import Cloud, hole_persistence
+from holecount import Cloud, _fastdel, hole_persistence
 from holecount.diagrams import (
     Diagram,
     barcode,
@@ -49,8 +49,57 @@ any_pair_lists = st.one_of(
 )
 
 
+# Diagrams for the merge: a lattice's diagram is one pair repeated (cell
+# size s: born at s/2, dead at s/sqrt(2)), here for up to three cell sizes,
+# and grids tie births with births, deaths with deaths and births with
+# deaths; diagonal pairs ride along, as on any diagram.
+lattice_pair_lists = st.lists(
+    st.tuples(st.integers(1, 40), st.sampled_from([0.125, 1.0, 3.0])), max_size=3
+).map(lambda cells: [(0.5 * s, s * SQRT2 / 2.0) for count, s in cells for _ in range(count)])
+merge_pair_lists = st.tuples(
+    st.one_of(pair_lists, grid_pair_lists(1.0), grid_pair_lists(0.125), lattice_pair_lists),
+    diagonal_lists,
+).map(lambda parts: parts[0] + parts[1])
+
+needs_kernels = pytest.mark.skipif(
+    _fastdel.KERNELS is None, reason="compiled kernels unavailable (no C compiler)"
+)
+
+
 def D(*pairs):
     return Diagram.from_pairs(list(pairs))
+
+
+def _cloud(name, request):
+    """A conftest fixture, a seeded uniform cloud or a square lattice."""
+    kind, _, size = name.partition("-")
+    if kind == "uniform":
+        return random_cloud(int(size), int(size))
+    if kind == "lattice":
+        m = int(size)
+        return Cloud.from_points(
+            np.stack(np.meshgrid(np.arange(m), np.arange(m)), axis=-1).reshape(-1, 2))
+    return request.getfixturevalue(name)
+
+
+def reference_views(diagram):
+    """(staircase, probabilities) from the np.unique reference path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_fastdel, "KERNELS", None)
+        return staircase(diagram), hole_probabilities(diagram).probabilities
+
+
+def assert_same_views(diagram):
+    """The views of the merge kernel equal the reference's bit for bit: the
+    staircase arrays with their dtypes, and the probabilities with their
+    key order."""
+    stair, table = staircase(diagram), hole_probabilities(diagram).probabilities
+    ref_stair, ref_table = reference_views(diagram)
+    for got, want in ((stair.breakpoints, ref_stair.breakpoints),
+                      (stair.counts, ref_stair.counts)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert repr(list(table.items())) == repr(list(ref_table.items()))
+    return stair
 
 
 class TestDiagram:
@@ -127,7 +176,7 @@ class TestStaircase:
         with pytest.raises(ValueError):
             staircase(Diagram.from_pairs(pairs)).count_at(math.nan)
 
-    @given(pair_lists)
+    @given(merge_pair_lists)
     @settings(max_examples=100)
     def test_counts_match_direct_membership(self, pairs):
         d = Diagram.from_pairs(pairs)
@@ -137,6 +186,40 @@ class TestStaircase:
         for alpha in probes:
             direct = int(((off[:, 0] <= alpha) & (alpha < off[:, 1])).sum())
             assert s.count_at(float(alpha)) == direct
+
+
+@needs_kernels
+class TestMergeMatchesReference:
+    @given(merge_pair_lists)
+    @settings(max_examples=300, deadline=None)
+    @example([])
+    @example([(1.0, 2.0)])
+    @example([(1.0, 1.0), (2.0, 2.0)])
+    @example([(1.0, 2.0), (2.0, 3.0), (2.0, 3.0), (0.0, 2.0)])
+    @example([(0.5, SQRT2 / 2.0)] * 361)
+    def test_staircase_and_probabilities_bit_identical(self, pairs):
+        # tied births and deaths, births equal to other pairs' deaths,
+        # zero-persistence pairs, m = 0 and 1, lattices
+        diagram = Diagram.from_pairs(pairs)
+        stair = assert_same_views(diagram)
+        assert (stair.shares is not None) == (len(diagram.off_diagonal()) > 0)
+
+    @pytest.mark.parametrize("fixture", ["square2", "equilateral2", "figure_eight",
+                                         "uniform-3000", "uniform-20000", "lattice-20"])
+    def test_pipeline_diagrams_bit_identical(self, fixture, request):
+        assert_same_views(hole_persistence(_cloud(fixture, request)))
+
+    @pytest.mark.parametrize("pairs", [
+        pytest.param([(2.0, 3.0), (1.0, 4.0)], id="births-descending"),
+        pytest.param([(-0.0, 1.0), (0.0, 2.0), (0.0, 3.0)], id="birth-minus-zero"),
+    ])
+    def test_declined_pairs_take_the_reference(self, pairs):
+        # a hand-built Diagram skips from_pairs' sort, and np.unique may
+        # order -0.0 either side of 0.0: the kernel declines both
+        diagram = Diagram(pairs=np.array(pairs))
+        stair = assert_same_views(diagram)
+        assert stair.shares is None
+        assert stair.counts.tolist() == reference_views(Diagram.from_pairs(pairs))[0].counts.tolist()
 
 
 class TestHoleProbabilities:
@@ -167,9 +250,11 @@ class TestHoleProbabilities:
         entries = table.sorted_entries()
         assert [k for k, _ in entries] == [1, 0]
 
-    @pytest.mark.parametrize("fixture", ["square2", "equilateral2", "figure_eight", None])
+    @pytest.mark.parametrize("fixture", ["square2", "equilateral2", "figure_eight", None,
+                                         "lattice-20"])
     def test_matches_running_sum_loop(self, fixture, request):
-        cloud = request.getfixturevalue(fixture) if fixture else random_cloud(11, 2000)
+        # None: a 2000-point uniform cloud
+        cloud = _cloud(fixture, request) if fixture else random_cloud(11, 2000)
         diagram = hole_persistence(cloud)
         stair = staircase(diagram)
         lengths = np.diff(stair.breakpoints)
@@ -181,7 +266,7 @@ class TestHoleProbabilities:
         assert list(got.items()) == list(expected.items())
         assert all(type(k) is int and type(v) is float for k, v in got.items())
 
-    @given(pair_lists)
+    @given(merge_pair_lists)
     @settings(max_examples=100)
     def test_probabilities_sum_to_one(self, pairs):
         table = hole_probabilities(Diagram.from_pairs(pairs))

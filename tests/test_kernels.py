@@ -446,6 +446,95 @@ def test_diagram_of_overflowing_sweep_raises(kernels, monkeypatch):
             hole_persistence(cloud)
 
 
+_OUT_OF_RANGE = "squared edge lengths .* the range of doubles .* 2\\*\\*-537 and 2\\*\\*512"
+
+
+@pytest.mark.parametrize("kernels", [
+    pytest.param(True, id="kernels", marks=needs_kernels),
+    pytest.param(False, id="numpy"),
+])
+def test_squared_lengths_out_of_range_raise(kernels, monkeypatch):
+    # at 2^-530 two near neighbours of this cloud are closer than 2^-537,
+    # and the square of their distance underflows to 0 in both edge tables
+    if not kernels:
+        monkeypatch.setattr(_fastdel, "KERNELS", None)
+    cloud = Cloud.from_points(np.random.default_rng(0).random((200, 2)) * 2.0 ** -530)
+    with pytest.raises(ValueError, match=_OUT_OF_RANGE):
+        hole_persistence(cloud)
+
+
+@pytest.mark.parametrize("kernels", [
+    pytest.param(True, id="kernels", marks=needs_kernels),
+    pytest.param(False, id="numpy"),
+])
+def test_subnormal_gap_in_a_unit_cloud_is_no_error(kernels, monkeypatch):
+    # two points 5e-324 apart square to 0, but in a unit-spaced cloud that
+    # moves one edge's scale by less than an ulp of the others (Qhull leaves
+    # one of the two out; the builder keeps both)
+    if not kernels:
+        monkeypatch.setattr(_fastdel, "KERNELS", None)
+    pts = np.vstack([_lattice_points(6), [(2.0, 5e-324)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", holecount.DroppedPointsWarning)
+        tri = triangulate(Cloud.from_points(pts))
+        assert (tri.edge_length_sq.min() == 0.0) == kernels
+        assert len(hole_persistence(Cloud.from_points(pts))) > 0
+
+
+@needs_kernels
+@pytest.mark.parametrize("scale,raises", [
+    pytest.param(2.0 ** 1000, True, id="2^1000"),
+    pytest.param(2.0 ** -1060, True, id="2^-1060"),
+    pytest.param(2.0 ** 300, False, id="2^300"),
+    pytest.param(2.0 ** -300, False, id="2^-300"),
+])
+def test_scaled_grid_raises_or_keeps_its_pairs(scale, raises):
+    # the builder triangulates the 6x6 grid exactly at any scale, but the
+    # squares of its edges overflow to inf at 2^1000 and underflow to 0 at
+    # 2^-1060: an error there instead of a silently empty diagram
+    cloud = Cloud.from_points(_lattice_points(6) * scale)
+    if raises:
+        with pytest.raises(ValueError, match=_OUT_OF_RANGE):
+            hole_persistence(cloud)
+    else:
+        assert len(hole_persistence(cloud)) == 25
+
+
+@pytest.mark.parametrize("kind", ["uniform-2^-250", "uniform-2^-260"])
+def test_tiny_uniform_clouds_keep_their_pairs(kind, monkeypatch):
+    cloud = Cloud.from_points(DEGENERATE_CLOUDS[kind]())
+    pairs = hole_persistence(cloud).pairs
+    monkeypatch.setattr(_fastdel, "KERNELS", None)
+    assert len(pairs) > 0 and hole_persistence(cloud).pairs.tobytes() == pairs.tobytes()
+
+
+@needs_kernels
+@pytest.mark.parametrize("pairs", [
+    pytest.param([(2.0, 3.0), (1.0, 4.0)], id="births-descending"),
+    pytest.param([(np.nan, 3.0), (1.0, 4.0)], id="birth-nan"),
+    pytest.param([(-1.0, 3.0), (1.0, 4.0)], id="birth-negative"),
+    pytest.param([(-0.0, 3.0), (1.0, 4.0)], id="birth-minus-zero"),
+    pytest.param([(0.0, 3.0), (-0.0, 4.0)], id="birth-minus-zero-after-zero"),
+    pytest.param([(0.0, np.nan)], id="death-nan"),
+    pytest.param([(1.0, 2.0), (3.0, 3.0)], id="largest-death-not-above"),
+    pytest.param([(2.0, 1.0), (3.0, 4.0)], id="death-below-its-birth"),
+])
+def test_merge_kernel_declines_broken_contracts(pairs):
+    # what Diagram.from_pairs and off_diagonal rule out, a hand-built call
+    # may pass: the kernel declines it instead of reading past its runs
+    assert _fastdel.staircase(np.array(pairs)) is None
+
+
+@needs_kernels
+def test_merge_kernel_outputs():
+    pairs = np.array([(0.0, 2.0), (1.0, 2.0), (1.0, 3.0), (2.0, 5.0), (4.0, 5.0)])
+    points, counts, present, shares = _fastdel.staircase(pairs)
+    assert points.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert counts.tolist() == [1, 3, 2, 1, 2]
+    assert present.tolist() == [1, 3, 2]
+    assert shares.tolist() == [0.2 + 0.2, 0.2, 0.2 + 0.2]
+
+
 def test_kernel_flags_keep_rounding():
     # births and edge lengths must round exactly as the numpy fallback does
     flags = _fastdel.KERNEL_LIBRARY.flags
@@ -514,6 +603,7 @@ _SANITIZED_RUN = """
 import ctypes, sys, warnings
 import numpy as np
 from holecount import Cloud, _fastdel, hole_persistence
+from holecount.diagrams import Diagram, hole_probabilities
 
 lib = ctypes.CDLL(sys.argv[1])
 for name, (restype, argtypes) in _fastdel.KERNEL_LIBRARY.signatures.items():
@@ -556,8 +646,32 @@ clouds = [
     moved,
     0.05 * grid,
 ]
+# the squares of the grid's edges overflow at 2^1000 and underflow at
+# 2^-1060, and triangulate raises
+out_of_range = [clouds[-4], clouds[-3]]
 for pts in clouds:
-    hole_persistence(Cloud.from_points(pts))
+    try:
+        hole_probabilities(hole_persistence(Cloud.from_points(pts)))
+    except ValueError as exc:
+        assert any(pts is p for p in out_of_range), exc
+        assert "range of doubles" in str(exc), exc
+    else:
+        assert not any(pts is p for p in out_of_range)
+# the merge: empty, one pair, all tied (a lattice), ties everywhere, and
+# pairs it declines; 300 pairs and more put every buffer in the sanitized
+# malloc rather than numpy's small-block cache
+tied = np.round(8.0 * rng.random((400, 2))) / 8.0
+merge_inputs = [np.empty((0, 2)), np.array([(1.0, 2.0)]), np.tile([0.5, 0.75], (300, 1)),
+                np.sort(tied, axis=1), rng.random((3000, 2)).cumsum(axis=1)]
+for pairs in merge_inputs:
+    diagram = Diagram.from_pairs(pairs)
+    hole_probabilities(diagram)
+    off = diagram.off_diagonal()
+    if len(off):
+        assert _fastdel.staircase(off) is not None
+for pairs in [np.array([(2.0, 3.0), (1.0, 4.0)] * 200), np.array([(0.0, np.nan)] * 300),
+              np.array([(2.0, 1.0), (3.0, 4.0)] * 200)]:
+    assert _fastdel.staircase(pairs) is None
 for pts in [clouds[4]] + clouds[-9:]:
     cloud = Cloud.from_points(pts)
     assert _fastdel.build_triangulation(cloud.points, cloud.order) is not None
@@ -590,7 +704,7 @@ print("clean")
 # PYTHONMALLOC=malloc leaves to the sanitized malloc, so a read or write one
 # byte past either end is caught.
 _SANITIZED_TEXT_RUN = """
-import ctypes, sys
+import ctypes, json, sys
 import numpy as np
 from holecount import Cloud, _fastdel, cli
 
@@ -627,6 +741,31 @@ assert lib.hc_write_rows(longest, 0, 0, b",", b"\\n", out[:0], 0) == 0
 
 rng = np.random.default_rng(0)
 bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64)
+
+# the keyed writer: its bound is 2 * 24 + 4 bytes per entry plus the
+# separator; the longest key and value fill 48 of them
+def entries(keys, values, i0, i1, cap):
+    keys = np.array(keys, dtype=np.int64)
+    values = np.array(values, dtype=np.float64)
+    out = np.empty(cap, dtype=np.uint8)
+    n = lib.hc_write_entries(keys.ctypes.data_as(_fastdel._p_i64), values, i0, i1,
+                             b",\\n    ", out, cap)
+    return str(out[:n], "ascii") if n >= 0 else n
+
+key, value = -2 ** 63, -2.2250738585072014e-308
+assert entries([key, key], [value, value], 1, 2, 58) == ',\\n    "%d": %r' % (key, value)
+assert entries([key, key], [value, value], 1, 2, 57) == -1
+assert entries([], [], 0, 0, 0) == ""
+assert entries([3], [0.5], 0, 1, 58) == '"3": 0.5'
+assert entries([1, 1, 1], [0.25, 0.25, np.inf], 0, 3, 3 * 58) == -1
+keys = rng.integers(-2 ** 63, 2 ** 63 - 1, 3000, dtype=np.int64, endpoint=True)
+values = bits[np.isfinite(bits)][:3000]
+table = dict(zip(keys.tolist(), values.tolist()))
+text = cli._entries_text(table, ",\\n    ")
+assert text == json.dumps({str(k): v for k, v in table.items()}, separators=(",\\n    ", ": "))[1:-1]
+tied = dict.fromkeys(range(300), 0.5)
+assert cli._entries_text(tied, ", ") == ", ".join('"%d": 0.5' % k for k in range(300))
+
 points = np.unique(bits[np.isfinite(bits)][:10000].reshape(-1, 2), axis=0)
 cloud = Cloud.from_points(points)
 cli.save_cloud_csv(sys.argv[2], cloud, comment="bit patterns")

@@ -32,6 +32,10 @@ does where ``long double`` is too narrow for the exact predicates or there
 is no ``__int128``), it returns None and every caller takes its reference
 path instead: Qhull, numpy and ``DualForest`` for the kernels, Python's
 ``repr`` and ``float`` for the text; the reason is logged at DEBUG level.
+Each kernel wrapper below returns None when ``KERNELS`` is None, read at
+call time, and its caller then takes the reference path; with the kernels
+loaded, every cloud goes through them, and an input they cannot take
+raises.
 
 Every function writes into arrays its Python caller allocates; the kernels
 allocate only small scratch space and the text functions none, which keeps
@@ -53,13 +57,20 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-# hc_build's outcomes; every status but OK hands the cloud to Qhull.
+# hc_build's outcomes; every status but OK and COLLINEAR raises.
 STATUS_OK = 0
-STATUS_DECLINED = 1  # every point on one line, or a point repeated
+STATUS_DECLINED = 1  # fewer than 3 points, or a point repeated
 STATUS_OVERFLOW = 2  # too few triangle slots, or no memory for the flip stack
+STATUS_COLLINEAR = 3  # every point on one line
 
 # Vertex, triangle (about 2n) and edge (about 3n) ids must fit in int32.
 _MAX_POINTS = 2 ** 29
+
+
+def _check_size(n: int) -> None:
+    if n > _MAX_POINTS:
+        raise ValueError(f"{n} points do not fit int32 ids: the kernels take at "
+                         f"most 2**29 points")
 
 
 def _array(dtype):
@@ -170,14 +181,15 @@ KERNELS = load_library(KERNEL_LIBRARY)
 
 def morton_dedup(points: np.ndarray):
     """(kept, order) of the points from one Morton sort (``hc_morton_dedup``),
-    or None when the kernels are not loaded or the cloud is too large for
-    them.  kept is a bool mask of the first occurrences, or None when no
-    point repeats; order is the int32 Morton order of the kept points,
-    numbered by their position among them: successive points lie close, so
-    the builder's locate walk is short."""
-    n = len(points)
-    if KERNELS is None or n > _MAX_POINTS:
+    or None when the kernels are not loaded.  kept is a bool mask of the
+    first occurrences, or None when no point repeats; order is the int32
+    Morton order of the kept points, numbered by their position among them:
+    successive points lie close, so the builder's locate walk is short.
+    Raises ValueError above 2**29 points."""
+    if KERNELS is None:
         return None
+    n = len(points)
+    _check_size(n)
     order = np.empty(n, dtype=np.int32)
     repeat = np.empty(n, dtype=np.uint8)
     m = KERNELS.hc_morton_dedup(points, n, order, repeat)
@@ -191,17 +203,21 @@ def morton_dedup(points: np.ndarray):
 def build_triangulation(points: np.ndarray, order: np.ndarray):
     """Triangulate incrementally; returns (triangles, neighbors) in the
     layout of the Qhull path (CCW from any vertex, -1 across hull edges),
-    or None when the kernels are not loaded or no triangulation on all
-    points exists (all on one line, a point repeated).
+    with no rows when every point lies on one line, or None when the
+    kernels are not loaded.
 
     Exactly cocircular points get the triangulation of a symbolic
     perturbation keyed on their (x, y) order, so the triangles do not
     depend on the input order.  The points are inserted in the given
     order, a permutation of range(n): the Morton order of `morton_dedup`,
-    which `Cloud.from_points` keeps."""
-    n = len(points)
-    if KERNELS is None or not 3 <= n <= _MAX_POINTS:
+    which `Cloud.from_points` keeps.  Raises MemoryError when the builder
+    runs out of memory, and ValueError above 2**29 points or when no
+    triangulation has every point a vertex (fewer than 3 points, or a point
+    repeated, which the distinct points of a `Cloud` never are)."""
+    if KERNELS is None:
         return None
+    n = len(points)
+    _check_size(n)
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.shape != (n, 2):
         raise ValueError(f"expected an (n, 2) array, got shape {points.shape}")
@@ -220,11 +236,12 @@ def build_triangulation(points: np.ndarray, order: np.ndarray):
               "%d in-circle ties broken by the perturbation, underflow "
               "check armed %d, %d predicates decided in long double",
               *counts)
-    if status == STATUS_OK:
-        return tris[:n_tris.value], neigh[:n_tris.value]
-    log.debug("incremental builder stopped with status %d on %d points; "
-              "falling back to Qhull", status, n)
-    return None
+    if status == STATUS_OVERFLOW:
+        raise MemoryError("no memory for the builder's flip stack")
+    if status == STATUS_DECLINED:
+        raise ValueError(f"no triangulation has all {n} points as vertices: "
+                         "fewer than 3, or a point repeated")
+    return tris[:n_tris.value], neigh[:n_tris.value]
 
 
 def edge_table(points: np.ndarray, triangles: np.ndarray,
@@ -232,7 +249,10 @@ def edge_table(points: np.ndarray, triangles: np.ndarray,
     """(edge_faces, edge_length_sq) of a compact triangulation, one row per
     undirected edge, in the order of the numpy edge table.  Every interior
     edge borders two triangles and every hull edge one, so k triangles with
-    h hull slots (-1 neighbours) have (3k + h) / 2 edges."""
+    h hull slots (-1 neighbours) have (3k + h) / 2 edges.  None when the
+    kernels are not loaded."""
+    if KERNELS is None:
+        return None
     k = len(triangles)
     m = (3 * k + int(np.count_nonzero(neighbors < 0))) // 2
     edge_faces = np.empty((m, 2), dtype=np.int32)
@@ -248,7 +268,10 @@ def triangle_births(points: np.ndarray, triangles: np.ndarray, band: float) -> t
     others.  Within the relative band of a right angle, a triangle whose
     coordinates are integers below 2**30 times one power of two (the int64
     rows of `forest.acute_exact`) is decided exactly in int64 and counted
-    in decided; every other one is NaN, left for the caller to decide."""
+    in decided; every other one is NaN, left for the caller to decide.
+    None when the kernels are not loaded."""
+    if KERNELS is None:
+        return None
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise ValueError(f"expected (k, 3) triangles, got shape {triangles.shape}")
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(points)):
@@ -263,7 +286,10 @@ def sweep(births: np.ndarray, edge_faces: np.ndarray, edge_length_sq: np.ndarray
     """(pairs, deepest root walk) of the array sweep; overwrites births.
 
     births holds the k triangle nodes; the unbounded region is node k.
+    None when the kernels are not loaded.
     """
+    if KERNELS is None:
+        return None
     k = len(births)
     m = len(edge_faces)
     order = np.ascontiguousarray(order, dtype=np.int32)
@@ -288,7 +314,10 @@ def staircase(pairs: np.ndarray):
     by (birth, death), from one merge of the births with the sorted deaths
     (``hc_staircase``): the staircase, then the counts in order of first
     appearance and the share of the scale range each one holds.  None when
-    the kernel declines the pairs (births out of order, for one)."""
+    the kernels are not loaded or the kernel declines the pairs (births out
+    of order, for one)."""
+    if KERNELS is None:
+        return None
     m = len(pairs)
     pairs = np.ascontiguousarray(pairs, dtype=np.float64)
     deaths = np.sort(pairs[:, 1])

@@ -43,10 +43,11 @@
 #include <string.h>
 
 #define STATUS_OK 0
-/* No triangulation with every point a vertex: all the points on one line,
- * or a point repeated (or the locate walk's guard fired). */
+/* No triangulation with every point a vertex: fewer than 3 points, a point
+ * repeated, or the locate walk's guard fired. */
 #define STATUS_DECLINED 1
 #define STATUS_OVERFLOW 2 /* fewer than 2n - 2 slots, or no flip stack */
+#define STATUS_COLLINEAR 3 /* every point on one line: no triangle at all */
 
 /* Error filters of the float predicates (Shewchuk 1997, loose static form). */
 #define ORIENT_FILTER (8.0 * DBL_EPSILON)
@@ -718,8 +719,9 @@ int32_t hc_morton_dedup(const double *pts, int32_t n, int32_t *order, uint8_t *r
  * check was armed (a nonzero coordinate below MIN_COORD), else 0, and
  * counts[3] the number of predicates the integer stage left to the long
  * double one.
- * STATUS_DECLINED means the points lie on one line or repeat a point, so
- * no triangulation has every point a vertex.
+ * STATUS_COLLINEAR means the points lie on one line, so there is no
+ * triangle; STATUS_DECLINED that a point repeats (or there are fewer than 3),
+ * so no triangulation has every point a vertex.
  */
 int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
                  int32_t *tris, int32_t *neigh, int64_t cap,
@@ -751,7 +753,7 @@ int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
             break;
     }
     if (third >= n)
-        return STATUS_DECLINED;
+        return STATUS_COLLINEAR;
     if (sgn < 0) {
         int32_t tmp = b;
         b = c;

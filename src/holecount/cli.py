@@ -24,6 +24,7 @@ from . import _fastdel
 from .delaunay import Cloud
 from .diagrams import (
     Diagram,
+    HoleProbabilityTable,
     bottleneck_distance,
     hole_probabilities,
     infer_hole_count,
@@ -293,8 +294,7 @@ def _print_report(report: RunReport) -> None:
     for birth, death in pairs:
         print(f"  birth {birth:.15g}  death {death:.15g}")
     # every k with positive probability, most likely first
-    entries = sorted(report.probabilities.items(), key=lambda kv: (-kv[1], kv[0]))
-    for k, p in entries:
+    for k, p in HoleProbabilityTable(report.probabilities).sorted_entries():
         print(f"  P({k} holes) = {p:.4f}")
     print(f"inferred hole count: {report.inferred_count}"
           f" (gap {report.inferred_gap:.15g})")

@@ -1,13 +1,12 @@
 """Delaunay triangulation of a planar cloud with edge/face adjacency.
 
-The compiled incremental builder in ``_fastdel`` triangulates with exact
-predicates, cutting cocircular cells by a symbolic perturbation keyed on the
-points' (x, y) order; Qhull (scipy.spatial.Delaunay) triangulates when the
-kernels are not loaded and in the few cases the builder declines (see
-`_fastdel.build_triangulation`).  On top of it we build a flat edge
-table in which every edge knows its two incident faces; hull edges carry
-the EXTERNAL sentinel as their second face, so the unbounded region behaves
-like one more triangle everywhere downstream.
+The compiled incremental builder in ``_fastdel`` triangulates every cloud
+with exact predicates, cutting cocircular cells by a symbolic perturbation
+keyed on the points' (x, y) order; Qhull (scipy.spatial.Delaunay)
+triangulates only where the kernels are not loaded.  On top of it we build
+a flat edge table in which every edge knows its two incident faces; hull
+edges carry the EXTERNAL sentinel as their second face, so the unbounded
+region behaves like one more triangle everywhere downstream.
 """
 
 from __future__ import annotations
@@ -48,9 +47,10 @@ class Cloud:
 
     `from_points` also keeps, when the compiled kernels ran its duplicate
     scan, the Morton insertion order that scan sorted the points into; the
-    builder inserts the points in that order, and `triangulate` hands a
-    cloud without one to Qhull.  The order only affects how fast the builder
-    runs, never the triangles.
+    builder inserts the points in that order.  With the kernels loaded,
+    `triangulate` passes a cloud without one (built as ``Cloud(points=...)``)
+    through `from_points` first, with its checks and its duplicate warning.
+    The order only affects how fast the builder runs, never the triangles.
     """
 
     points: np.ndarray  # (n, 2) float64
@@ -172,25 +172,29 @@ def _check_length_range(edge_length_sq: np.ndarray) -> None:
 def triangulate(cloud: Cloud) -> Triangulation:
     """Build the Delaunay triangulation of the cloud.
 
-    The compiled builder triangulates every cloud that carries its Morton
-    order (`Cloud.from_points` with the kernels loaded) and has a
-    triangulation on all its points, cocircular and collinear points
-    included, with the same triangles whatever the input order.  Otherwise
-    Qhull does; it may cut cocircular cells by the input order or leave
-    points out, and then warns with DroppedPointsWarning.  Raises
-    TooFewPointsError / AllCollinearError on degenerate input, and
-    ValueError when a squared edge length leaves the range of doubles.
+    With the kernels loaded, the compiled builder triangulates every cloud,
+    cocircular and collinear points included, with every point a vertex and
+    the same triangles whatever the input order; a cloud without its Morton
+    order goes through `Cloud.from_points` first.  Without them Qhull does;
+    it may cut cocircular cells by the input order or leave points out, and
+    then warns with DroppedPointsWarning.  Raises TooFewPointsError /
+    AllCollinearError on degenerate input, and ValueError when a squared
+    edge length leaves the range of doubles.
     """
+    compiled = _fastdel.KERNELS is not None
+    if compiled and cloud.order is None:
+        cloud = Cloud.from_points(cloud.points)
     pts = cloud.points
     if len(pts) < 3:
         raise TooFewPointsError(f"need at least 3 distinct points, got {len(pts)}")
-    built = (None if cloud.order is None
-             else _fastdel.build_triangulation(pts, cloud.order))
-    tris, neigh = built or _qhull_triangles(pts)
 
-    if _fastdel.KERNELS is not None:
+    if compiled:
+        tris, neigh = _fastdel.build_triangulation(pts, cloud.order)
+        if not len(tris):
+            raise AllCollinearError("points are collinear: empty triangulation")
         edge_faces, edge_length_sq = _fastdel.edge_table(pts, tris, neigh)
     else:
+        tris, neigh = _qhull_triangles(pts)
         # Each triangle contributes the edge opposite each of its vertices;
         # keep one copy per edge (the one seen from the lower face id).
         k = len(tris)

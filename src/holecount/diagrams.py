@@ -126,7 +126,7 @@ def staircase(diagram: Diagram) -> Staircase:
     pairs = diagram.off_diagonal()
     if not len(pairs):
         return Staircase(breakpoints=np.empty(0), counts=np.empty(0, dtype=np.int64))
-    merged = _fastdel.staircase(pairs) if _fastdel.KERNELS is not None else None
+    merged = _fastdel.staircase(pairs)
     if merged is not None:
         points, counts, present, shares = merged
         stair = Staircase(breakpoints=points, counts=counts)

@@ -146,8 +146,9 @@ def triangle_births(tri: Triangulation) -> np.ndarray:
     """
     pts = tri.points
     decided = 0
-    if _fastdel.KERNELS is not None:
-        births, decided = _fastdel.triangle_births(pts, tri.triangles, _ACUTE_BAND)
+    compiled = _fastdel.triangle_births(pts, tri.triangles, _ACUTE_BAND)
+    if compiled is not None:
+        births, decided = compiled
         borderline = np.flatnonzero(np.isnan(births))
     else:
         a, b, c = (pts[tri.triangles[:, j]] for j in range(3))
@@ -312,8 +313,9 @@ def sweep_pairs(births: np.ndarray, edge_faces: np.ndarray,
     reference sweep otherwise; both give identical pairs and walks.  The
     births may be overwritten.
     """
-    if _fastdel.KERNELS is not None:
-        return _fastdel.sweep(births, edge_faces, edge_length_sq, order)
+    compiled = _fastdel.sweep(births, edge_faces, edge_length_sq, order)
+    if compiled is not None:
+        return compiled
     forest = DualForest(births)
     pairs = [event.pair for event in
              iter_events(forest, edge_faces, edge_length_sq, order)

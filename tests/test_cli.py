@@ -443,6 +443,18 @@ class TestComputeCommand:
         assert "1 persistent hole(s)" in out
         assert "P(1 holes) = 1.0000" in out
 
+    def test_table_lists_most_likely_first(self, capsys):
+        # the order of HoleProbabilityTable.sorted_entries: probability
+        # descending, then the smaller count first
+        report = RunReport(diagram=Diagram.from_pairs([(0.0, 1.0)]),
+                           probabilities={1: 0.25, 2: 0.5, 0: 0.25}, inferred_count=2,
+                           inferred_gap=0.5, timings={}, metadata={})
+        cli._print_report(report)
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()
+                 if line.strip().startswith("P(")]
+        assert lines == ["P(2 holes) = 0.5000", "P(0 holes) = 0.2500",
+                         "P(1 holes) = 0.2500"]
+
     def test_svg_dir(self, square_csv, tmp_path, capsys):
         out_dir = tmp_path / "plots"
         assert cli_main(["compute", str(square_csv), "--svg-dir", str(out_dir)]) == 0

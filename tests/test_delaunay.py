@@ -164,9 +164,20 @@ class TestTriangulate:
         with pytest.raises(TooFewPointsError):
             triangulate(Cloud.from_points([(0, 0), (1, 1)]))
 
-    def test_collinear(self):
-        with pytest.raises(AllCollinearError):
-            triangulate(Cloud.from_points([(0, 0), (1, 1), (2, 2), (3, 3)]))
+    def test_collinear(self, monkeypatch):
+        # on both backends: the builder's collinear exit, and Qhull's error;
+        # the repeats leave the cloud collinear after dedup
+        diagonal = np.array([(0, 0), (1, 1), (2, 2), (3, 3)], dtype=np.float64)
+        x = np.random.default_rng(0).integers(0, 40, 300) / 8.0
+        with_repeats = np.stack([x, 0.75 * x - 2.0], axis=1)
+        for kernels in {_fastdel.KERNELS, None}:
+            monkeypatch.setattr(_fastdel, "KERNELS", kernels)
+            for pts in (diagonal, with_repeats):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DuplicatePointsWarning)
+                    cloud = Cloud.from_points(pts)
+                with pytest.raises(AllCollinearError):
+                    triangulate(cloud)
 
     def test_unit_square_counts(self):
         tri = triangulate(Cloud.from_points([(0, 0), (1, 0), (1, 1), (0, 1)]))
@@ -276,7 +287,7 @@ class TestTriangulate:
         }
         for kind, pts in clouds.items():
             fast = build_triangulation(pts, Cloud.from_points(pts).order)
-            assert fast is not None, f"incremental builder fell back on {kind}"
+            assert fast is not None, kind
             assert adjacency(*fast) == adjacency(*_qhull_triangles(pts)), kind
 
     def test_collinear_start_keeps_every_vertex(self):
@@ -375,8 +386,8 @@ class TestTriangulate:
             assert canon(build_triangulation(pts, order)[0]) == canon(tris)
 
     def test_cocircular_grid_handled(self):
-        # a 3x3 integer grid is full of cocircular 4-tuples; the builder must
-        # either resolve them or fall back, and the counts must still close
+        # a 3x3 integer grid is full of cocircular 4-tuples; whichever
+        # triangulator resolves them, the counts must still close
         pts = [(x, y) for x in range(3) for y in range(3)]
         tri = triangulate(Cloud.from_points(pts))
         b = tri.hull_edge_count

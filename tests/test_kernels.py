@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 
 import holecount
 from holecount import Cloud, _fastdel
+from holecount import delaunay as delaunay_mod
 from holecount import forest as forest_mod
 from holecount.cli import RunReport, compute_report, load_cloud_csv
 from holecount.delaunay import edges_sorted_desc, triangulate
 from holecount.diagrams import Diagram, infer_hole_count
 from holecount.forest import (hole_persistence, hole_persistence_stats,
                               init_forest, iter_events)
+from holecount.samplers import ShapeSpec, sample_shape
 
 from conftest import parabola_cloud, random_cloud
 from test_certified import NEAR_RIGHT_ACUTE, NEAR_RIGHT_OBTUSE
@@ -118,6 +120,71 @@ def test_backends_agree_above_rounding_on_rounded_clouds(monkeypatch):
         count, gap = infer_hole_count(compiled)
         assert count == infer_hole_count(fallback)[0], seed
         assert gap == pytest.approx(infer_hole_count(fallback)[1], abs=1e-12)
+
+
+def _benchmark_clouds():
+    """One cloud of each benchmark workload, at the benchmark's sizes: a
+    uniform cloud, a permuted lattice, a noisy wheel translated by 10^6, and
+    a wheel with a copy whose points move by at most 0.002."""
+    rng = np.random.default_rng(7919)
+    wheel = sample_shape(ShapeSpec.wheel(6), 1000, noise=0.005, seed=1).points
+    theta = rng.uniform(0.0, 2.0 * np.pi, len(wheel))
+    radius = 0.002 * np.sqrt(rng.uniform(size=len(wheel)))
+    return {
+        "uniform": rng.uniform(0.0, 1.0, (5000, 2)),
+        "lattice": rng.permutation(_lattice_points(20)),
+        "shapes": sample_shape(ShapeSpec.wheel(5), 3000, noise=0.005, seed=2).points + 1e6,
+        "compare": wheel,
+        "compare-moved": wheel + np.stack([radius * np.cos(theta),
+                                           radius * np.sin(theta)], axis=1),
+    }
+
+
+@needs_kernels
+def test_no_pipeline_call_reaches_qhull(request, monkeypatch):
+    # with the kernels loaded, the builder triangulates every cloud: the
+    # fixtures, the degenerate clouds, the benchmark's, a collinear cloud
+    # (which raises) and direct Clouds, which go through from_points first
+    calls = []
+    qhull = delaunay_mod._qhull_triangles
+    monkeypatch.setattr(delaunay_mod, "_qhull_triangles",
+                        lambda pts: calls.append(len(pts)) or qhull(pts))
+    clouds = [request.getfixturevalue(name)
+              for name in ("square2", "equilateral2", "figure_eight")]
+    clouds += [Cloud.from_points(make()) for make in DEGENERATE_CLOUDS.values()]
+    clouds += [Cloud.from_points(pts) for pts in _benchmark_clouds().values()]
+    for cloud in clouds:
+        try:
+            hole_persistence(cloud)
+        except ValueError as exc:  # the grids at 2^1000 and 2^-1060
+            assert "range of doubles" in str(exc), exc
+    with pytest.raises(holecount.AllCollinearError):
+        hole_persistence(Cloud.from_points(np.stack([np.arange(50.0)] * 2, axis=1)))
+    with pytest.warns(holecount.DuplicatePointsWarning):
+        hole_persistence(Cloud(points=np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0),
+                                                (1.0, 0.0)])))
+    with pytest.raises(ValueError, match="non-finite"):
+        hole_persistence(Cloud(points=np.array([(0.0, 0.0), (1.0, np.nan), (2.0, 2.0)])))
+    assert calls == []
+    # without the kernels the spy does see Qhull
+    monkeypatch.setattr(_fastdel, "KERNELS", None)
+    triangulate(clouds[0])
+    assert calls == [4]
+
+
+@needs_kernels
+@pytest.mark.parametrize("seed", range(10))
+def test_direct_cloud_matches_from_points(seed):
+    # a cloud rounded to 1/20 is full of cocircular cells, which the
+    # builder cuts by its perturbation and Qhull by the input order; a Cloud
+    # built without from_points, and so without its Morton order, must
+    # still reach the builder and give the same pairs and root walk
+    pts = np.random.default_rng(seed).permutation(_rounded(seed))
+    direct, walk, k = hole_persistence_stats(Cloud(points=pts), track_depth=True)
+    built, built_walk, built_k = hole_persistence_stats(Cloud.from_points(pts),
+                                                       track_depth=True)
+    assert direct.pairs.tobytes() == built.pairs.tobytes()
+    assert (walk, k) == (built_walk, built_k)
 
 
 @needs_kernels
@@ -602,7 +669,7 @@ def _sanitizer_runtimes():
 _SANITIZED_RUN = """
 import ctypes, sys, warnings
 import numpy as np
-from holecount import Cloud, _fastdel, hole_persistence
+from holecount import AllCollinearError, Cloud, _fastdel, hole_persistence
 from holecount.diagrams import Diagram, hole_probabilities
 
 lib = ctypes.CDLL(sys.argv[1])
@@ -696,6 +763,17 @@ for pts in [spread, cluster[rng.permutation(len(cluster))], np.full((50, 2), 3.0
         cloud = Cloud.from_points(pts)
     assert np.array_equal(np.sort(cloud.order), np.arange(cloud.n))
     assert cloud.n == len(np.unique(pts, axis=0))
+# the builder's collinear exit, after a long walk for a third point, and a
+# Cloud built without from_points, which triangulate passes through it
+try:
+    hole_persistence(Cloud.from_points(np.stack([np.arange(3000.0)] * 2, axis=1)))
+except AllCollinearError:
+    pass
+else:
+    raise AssertionError("a collinear cloud was triangulated")
+direct = np.unique(rounded, axis=0)[::-1].copy()
+assert (hole_persistence(Cloud(points=direct)).pairs.tobytes()
+        == hole_persistence(Cloud.from_points(direct)).pairs.tobytes())
 print("clean")
 """
 

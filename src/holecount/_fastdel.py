@@ -11,12 +11,14 @@ in-circle ties and ghost triangles, compacted in place), the edge table
 ``hc_edge_table`` (each edge's two faces and squared length), ``hc_births``
 (from each triangle's point set, whatever its vertex order) and the sweep
 ``hc_sweep``; ``hc_staircase`` builds a diagram's staircase by one merge of
-its sorted births and deaths.  The builder's predicates pass a float
-filter, then an integer stage (int64 and ``__int128``) for coordinates that
-are small integers times one power of two, as on lattices, and only then
-Shewchuk's expansions in ``long double``; ``hc_births`` decides the
-borderline right angles of such integer-like triangles by the same test.
-The edge sort between the edge table and the sweep is numpy's.
+its sorted births and deaths, and ``hc_bottleneck`` computes the bottleneck
+distance of two diagrams (nearest-neighbour rounds and edge searches that
+scan the birth-sorted pairs, then Hopcroft-Karp matchings).  The builder's
+predicates pass a float filter, then an integer stage (int64 and
+``__int128``) for coordinates that are small integers times one power of
+two, as on lattices, and only then Shewchuk's expansions in ``long
+double``; ``hc_births`` decides the borderline right angles of such
+integer-like triangles by the same test.  The edge sort between the edge table and the sweep is numpy's.
 ``_text.cpp`` holds the CLI's number text, ``hc_write_rows`` (repr-identical
 rows through ``std::to_chars``), ``hc_write_entries`` (the ``"k": v``
 entries of the report's probabilities) and ``hc_parse_rows`` (correctly
@@ -37,9 +39,12 @@ call time, and its caller then takes the reference path; with the kernels
 loaded, every cloud goes through them, and an input they cannot take
 raises.
 
-Every function writes into arrays its Python caller allocates; the kernels
-allocate only small scratch space and the text functions none, which keeps
-the peak memory of a run within a small constant of its output size.
+Every function writes into arrays its Python caller allocates, and the
+text functions allocate nothing else.  The kernels' own scratch space is
+freed before they return: O(n) for the builder and the Morton pass, and
+O(m1 + m2 + edges) for ``hc_bottleneck``, whose edge count is known only
+after its scan.  A failed allocation returns a status, on which the wrapper
+raises MemoryError.
 """
 
 from __future__ import annotations
@@ -112,6 +117,7 @@ KERNEL_LIBRARY = Library(
                               _F64, _p_i64]),
         "hc_staircase": (_c_i64, [_c_i64, _F64, _F64, _F64, _p_i64, _F64, _p_i64,
                                   _p_i64]),
+        "hc_bottleneck": (_c_i32, [_c_i64, _F64, _c_i64, _F64, _F64, _p_i64]),
     },
 )
 
@@ -333,3 +339,27 @@ def staircase(pairs: np.ndarray):
         return None
     present = present[:n_present.value]
     return breakpoints[:n], counts[:n - 1], present, sums[present]
+
+
+def bottleneck(p1: np.ndarray, p2: np.ndarray):
+    """The bottleneck distance of two diagrams' off-diagonal pairs, each
+    sorted by birth as `Diagram` keeps them (``hc_bottleneck``), the float
+    of `diagrams.bottleneck_distance`'s reference path.  None when the
+    kernels are not loaded or the kernel declines the pairs (births out of
+    order, a death below its birth, or a value that is not finite).  Raises
+    MemoryError when the kernel's scratch space, which grows with the edges
+    it keeps, cannot be allocated."""
+    if KERNELS is None:
+        return None
+    p1 = np.ascontiguousarray(p1, dtype=np.float64)
+    p2 = np.ascontiguousarray(p2, dtype=np.float64)
+    out = np.empty(2)
+    counts = (ctypes.c_int64 * 3)()
+    status = KERNELS.hc_bottleneck(len(p1), p1, len(p2), p2, out, counts)
+    if status == STATUS_OVERFLOW:
+        raise MemoryError("no memory for the bottleneck distance's edges")
+    if status != STATUS_OK:
+        return None
+    log.debug("bottleneck: upper bound %r after %d rounds, %d edges, %d tests",
+              float(out[1]), counts[1], counts[0], counts[2])
+    return float(out[0])

@@ -14,10 +14,15 @@
  *   hc_staircase    the hole-count staircase of a diagram by one merge of its
  *                   ascending births and sorted deaths, and the share of the
  *                   scale range that each count holds
+ *   hc_bottleneck   the exact bottleneck distance of two diagrams: rounds of
+ *                   mutual nearest neighbours, edge searches along the sorted
+ *                   births and Hopcroft-Karp feasibility tests
  *
  * Arrays are C-contiguous: points (n, 2) float64, triangles and neighbours
- * (k, 3) int32, edge faces (E, 2) int32.  Every kernel writes only into
- * buffers the caller allocated, apart from small scratch space.
+ * (k, 3) int32, edge faces (E, 2) int32, diagram pairs (m, 2) float64.
+ * Every kernel writes only into buffers the caller allocated, apart from
+ * scratch space that it frees before it returns: O(n) for the builder and
+ * the Morton pass, O(m1 + m2 + edges) for hc_bottleneck.
  *
  * The builder's predicates are exact, in the stages of Shewchuk's adaptive
  * predicates (1997) with the cheapest exact stage first: a float filter
@@ -1229,4 +1234,544 @@ int64_t hc_staircase(int64_t m, const double *pairs, const double *deaths,
     }
     *n_present_out = n_present;
     return n;
+}
+
+/* The bottleneck distance of two diagrams, the float of the reference in
+ * diagrams.bottleneck_distance.
+ *
+ * p1 (m1, 2) and p2 (m2, 2) hold off-diagonal pairs sorted by birth, as
+ * Diagram.off_diagonal keeps them.  A pair costs (death - birth) / 2.0 to
+ * send to the diagonal, and two pairs cost their L-infinity distance, the
+ * larger of the absolute birth and death differences, rounded as numpy
+ * rounds it.  At a threshold delta a point is forced when its diagonal
+ * cost exceeds delta, and delta is feasible when the edges of cost <= delta
+ * match every forced point across.  By Mendelsohn-Dulmage that holds
+ * exactly when one matching covers the forced points of p1 and one covers
+ * those of p2, so each test is two Hopcroft-Karp runs, one per side
+ * (covers).  The distance is the smallest feasible candidate: a diagonal
+ * cost or an edge cost.
+ *
+ * The steps follow the reference's:
+ *   - Rounds of mutual nearest neighbours, each on the points the earlier
+ *     rounds left unpaired, until a round pairs none (at most
+ *     BOTTLENECK_ROUNDS), give a matching of cost U, an upper bound.
+ *   - Each point pays at least its cheapest option, the diagonal or its
+ *     nearest neighbour across, which bounds the result from below: the
+ *     reference's cheapest kept edge is that neighbour whenever it is
+ *     cheaper than the diagonal.
+ *   - A test at delta uses only the edges of cost <= delta from a forced
+ *     point, and their cost is below that point's diagonal cost.  The
+ *     reference keeps every edge of cost <= U with cost < max(diag_i,
+ *     diag_j), which decides every delta <= U.  Here a threshold t starts
+ *     at the lower bound, which is often the answer, and doubles (to at
+ *     least U / 64, at most U) while it is not feasible.  For the tests in
+ *     [t_prev, t] each point whose diagonal cost exceeds t_prev lists its
+ *     edges of cost <= t below that cost, so the edges kept stay close to
+ *     the answer in cost.
+ *   - The sorted distinct candidates in the last step (t_prev, t] are
+ *     bisected.
+ * The result is the smallest feasible candidate whatever U and the steps
+ * of t are, so it is the reference's bit for bit.  As the births are
+ * sorted, the nearest-neighbour and edge searches scan outward from a
+ * binary-searched birth; no spatial tree is built.
+ *
+ * out[0] gets the distance and out[1] U; counts[0] the number of edges the
+ * last graph lists (once for each endpoint that can be forced), counts[1]
+ * the rounds run and counts[2] the feasibility tests.  Returns STATUS_OK;
+ * STATUS_DECLINED on births out of order, a death below its birth, a value
+ * that is not finite or more than 2^31 - 1 pairs; or STATUS_OVERFLOW when
+ * there is no memory for the O(m1 + m2 + edges) scratch space, which is
+ * freed before it returns. */
+
+#define BOTTLENECK_ROUNDS 64 /* at most this many nearest-neighbour rounds */
+
+static double linf(const double *a, const double *b)
+{
+    double db = fabs(a[0] - b[0]), dd = fabs(a[1] - b[1]);
+    return dd > db ? dd : db;
+}
+
+/* The first k of [0, n) whose pair p[idx[k]] (p[k] when idx is NULL) has a
+ * birth >= x. */
+static int64_t first_birth_at(const double *p, const int32_t *idx, int64_t n, double x)
+{
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (p[2 * (int64_t)(idx ? idx[mid] : mid)] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* The pair p[alive[k]] nearest to q, scanning outward from q's birth; the
+ * first one found wins a tie.  Its distance goes to *dist. */
+static int32_t nearest(const double *q, const double *p, const int32_t *alive,
+                       int64_t n, double *dist)
+{
+    int64_t start = first_birth_at(p, alive, n, q[0]);
+    double best = INFINITY;
+    int32_t arg = -1;
+    for (int64_t step = 1; step >= -1; step -= 2)
+        for (int64_t k = step > 0 ? start : start - 1; k >= 0 && k < n; k += step) {
+            const double *r = p + 2 * (int64_t)alive[k];
+            if (fabs(r[0] - q[0]) >= best)
+                break;
+            double c = linf(q, r);
+            if (c < best) {
+                best = c;
+                arg = alive[k];
+            }
+        }
+    *dist = best;
+    return arg;
+}
+
+/* U: the cost of the rounds of mutual nearest neighbours.  A pair costs the
+ * lesser of its edge and sending both points to the diagonal; every point
+ * left unpaired goes to the diagonal.  The first round, over all points,
+ * also writes each point's nearest distance across to near1 and near2.
+ * alive1 is scratch of m1 entries, alive2 and nn2 of m2 each. */
+static double upper_bound(int64_t m1, const double *p1, const double *d1, int64_t m2,
+                          const double *p2, const double *d2, double *near1,
+                          double *near2, int32_t *alive1, int32_t *alive2,
+                          int32_t *nn2, int64_t *rounds)
+{
+    int64_t n1 = m1, n2 = m2, round = 0;
+    double bound = 0.0, c;
+    for (int64_t k = 0; k < m1; k++)
+        alive1[k] = (int32_t)k;
+    for (int64_t k = 0; k < m2; k++)
+        alive2[k] = (int32_t)k;
+    while (round < BOTTLENECK_ROUNDS && n1 > 0 && n2 > 0) {
+        for (int64_t k = 0; k < n2; k++) {
+            int32_t j = alive2[k];
+            nn2[j] = nearest(p2 + 2 * (int64_t)j, p1, alive1, n1, &c);
+            if (round == 0)
+                near2[j] = c;
+        }
+        int64_t paired = 0, kept = 0;
+        for (int64_t k = 0; k < n1; k++) {
+            int32_t i = alive1[k];
+            int32_t j = nearest(p1 + 2 * (int64_t)i, p2, alive2, n2, &c);
+            if (round == 0)
+                near1[i] = c;
+            if (nn2[j] == i) {
+                double diag = d1[i] > d2[j] ? d1[i] : d2[j];
+                double cost = c < diag ? c : diag;
+                if (cost > bound)
+                    bound = cost;
+                nn2[j] = -1; /* paired */
+                paired++;
+            } else {
+                alive1[kept++] = i;
+            }
+        }
+        n1 = kept;
+        kept = 0;
+        for (int64_t k = 0; k < n2; k++)
+            if (nn2[alive2[k]] >= 0)
+                alive2[kept++] = alive2[k];
+        n2 = kept;
+        round++;
+        if (!paired)
+            break;
+    }
+    for (int64_t k = 0; k < n1; k++)
+        if (d1[alive1[k]] > bound)
+            bound = d1[alive1[k]];
+    for (int64_t k = 0; k < n2; k++)
+        if (d2[alive2[k]] > bound)
+            bound = d2[alive2[k]];
+    *rounds = round;
+    return bound;
+}
+
+/* The rows of one side's tests at every delta in [below, t]: each point u
+ * of P whose diagonal cost exceeds `below`, so that it can be forced, lists
+ * the points v of Q with cost <= t and cost < dP[u], the only edges a test
+ * uses from it.  Row u is adj[off[u] .. off[u + 1]).  Without `adj` it
+ * only counts the edges. */
+static int64_t scan_rows(double below, double t, int64_t mP, const double *P,
+                         const double *dP, int64_t mQ, const double *Q, int64_t *off,
+                         int32_t *adj)
+{
+    int64_t n = 0;
+    for (int64_t u = 0; u < mP; u++) {
+        if (adj)
+            off[u] = n;
+        if (!(dP[u] > below))
+            continue;
+        const double *q = P + 2 * u;
+        double r = dP[u] < t ? dP[u] : t;
+        int64_t start = first_birth_at(Q, NULL, mQ, q[0]);
+        for (int64_t step = 1; step >= -1; step -= 2)
+            for (int64_t v = step > 0 ? start : start - 1; v >= 0 && v < mQ; v += step) {
+                if (fabs(Q[2 * v] - q[0]) > r)
+                    break;
+                double c = linf(q, Q + 2 * v);
+                if (c <= t && c < dP[u]) {
+                    if (adj)
+                        adj[n] = (int32_t)v;
+                    n++;
+                }
+            }
+    }
+    if (adj)
+        off[mP] = n;
+    return n;
+}
+
+/* Both sides' rows for tests in [below, t]: p1's against p2 (off1, adj1)
+ * and p2's against p1 (off2, adj2); an edge is listed once for each
+ * endpoint that can be forced. */
+typedef struct {
+    int64_t *off1, *off2;
+    int32_t *adj1, *adj2;
+    int64_t n1, n2;
+} Graph;
+
+/* Rebuilds the graph: one scan counts each side's edges, the next writes
+ * them into arrays of exactly that size. */
+static int build_graph(Graph *g, double below, double t, int64_t m1, const double *p1,
+                       const double *d1, int64_t m2, const double *p2, const double *d2)
+{
+    free(g->adj1);
+    free(g->adj2);
+    g->n1 = scan_rows(below, t, m1, p1, d1, m2, p2, NULL, NULL);
+    g->n2 = scan_rows(below, t, m2, p2, d2, m1, p1, NULL, NULL);
+    g->adj1 = malloc((size_t)g->n1 * sizeof *g->adj1 + 1);
+    g->adj2 = malloc((size_t)g->n2 * sizeof *g->adj2 + 1);
+    if (!g->adj1 || !g->adj2)
+        return -1;
+    scan_rows(below, t, m1, p1, d1, m2, p2, g->off1, g->adj1);
+    scan_rows(below, t, m2, p2, d2, m1, p1, g->off2, g->adj2);
+    return 0;
+}
+
+/* One side of the feasibility test: rows are that side's points, columns
+ * the other side's, and each row's edges a run of a CSR array. */
+typedef struct {
+    int64_t rows, cols;
+    const double *p, *q; /* the rows' pairs and the columns' pairs */
+    const double *diag, *nearest; /* the nearest column's distance */
+    const int64_t *off;
+    const int32_t *adj;
+} Side;
+
+/* Scratch of covers, each array as long as the longer side. */
+typedef struct {
+    int32_t *forced, *match_row, *match_col, *dist, *queue, *stack;
+    int64_t *next;
+} Matching;
+
+/* Whether the edges of cost <= delta hold a matching that covers every row
+ * whose diagonal cost exceeds delta: Hopcroft-Karp on the forced rows. */
+static int covers(const Side *s, double delta, Matching *w)
+{
+    int64_t n = 0;
+    for (int64_t u = 0; u < s->rows; u++)
+        if (s->diag[u] > delta) {
+            if (!(s->nearest[u] <= delta))
+                return 0;
+            w->forced[n++] = (int32_t)u;
+        }
+    if (n == 0)
+        return 1;
+    if (n > s->cols)
+        return 0;
+    for (int64_t v = 0; v < s->cols; v++)
+        w->match_col[v] = -1;
+    int64_t unmatched = 0;
+    for (int64_t k = 0; k < n; k++) { /* greedy start */
+        int32_t u = w->forced[k];
+        const double *pu = s->p + 2 * (int64_t)u;
+        w->match_row[u] = -1;
+        for (int64_t e = s->off[u]; e < s->off[u + 1]; e++) {
+            int32_t v = s->adj[e];
+            if (w->match_col[v] < 0 && linf(pu, s->q + 2 * (int64_t)v) <= delta) {
+                w->match_row[u] = v;
+                w->match_col[v] = u;
+                break;
+            }
+        }
+        unmatched += w->match_row[u] < 0;
+    }
+    while (unmatched > 0) {
+        /* layers of the alternating paths from the unmatched rows */
+        int64_t head = 0, tail = 0;
+        int found = 0;
+        for (int64_t k = 0; k < n; k++) {
+            int32_t u = w->forced[k];
+            w->dist[u] = w->match_row[u] < 0 ? 0 : INT32_MAX;
+            if (w->match_row[u] < 0)
+                w->queue[tail++] = u;
+            w->next[u] = s->off[u];
+        }
+        while (head < tail) {
+            int32_t u = w->queue[head++];
+            const double *pu = s->p + 2 * (int64_t)u;
+            for (int64_t e = s->off[u]; e < s->off[u + 1]; e++) {
+                int32_t v = s->adj[e];
+                if (!(linf(pu, s->q + 2 * (int64_t)v) <= delta))
+                    continue;
+                int32_t x = w->match_col[v];
+                if (x < 0) {
+                    found = 1;
+                } else if (w->dist[x] == INT32_MAX) {
+                    w->dist[x] = w->dist[u] + 1;
+                    w->queue[tail++] = x;
+                }
+            }
+        }
+        if (!found)
+            return 0;
+        /* an augmenting path from each unmatched row along the layers, by
+         * an explicit stack; next[u] is the edge u tries */
+        int64_t augmented = 0;
+        for (int64_t k = 0; k < n; k++) {
+            int32_t root = w->forced[k];
+            if (w->match_row[root] >= 0)
+                continue;
+            int64_t top = 0;
+            w->stack[top++] = root;
+            while (top > 0) {
+                int32_t u = w->stack[top - 1];
+                const double *pu = s->p + 2 * (int64_t)u;
+                int32_t x = INT32_MAX;
+                for (; w->next[u] < s->off[u + 1]; w->next[u]++) {
+                    int32_t v = s->adj[w->next[u]];
+                    if (!(linf(pu, s->q + 2 * (int64_t)v) <= delta))
+                        continue;
+                    x = w->match_col[v];
+                    if (x < 0 || w->dist[x] == w->dist[u] + 1)
+                        break;
+                    x = INT32_MAX;
+                }
+                if (x < 0) { /* a free column: each row takes its next edge */
+                    for (int64_t a = 0; a < top; a++) {
+                        int32_t r = w->stack[a];
+                        int32_t v = s->adj[w->next[r]];
+                        w->match_row[r] = v;
+                        w->match_col[v] = r;
+                    }
+                    augmented++;
+                    break;
+                }
+                if (x != INT32_MAX) {
+                    w->stack[top++] = x;
+                } else { /* a dead end: out of this phase */
+                    w->dist[u] = INT32_MAX;
+                    if (--top > 0)
+                        w->next[w->stack[top - 1]]++;
+                }
+            }
+        }
+        if (!augmented)
+            return 0;
+        unmatched -= augmented;
+    }
+    return 1;
+}
+
+static int feasible(const Side *side1, const Side *side2, double delta, Matching *w)
+{
+    return covers(side1, delta, w) && covers(side2, delta, w);
+}
+
+/* A double >= +0.0 as a key whose unsigned order is the values' order. */
+static uint64_t key_of(double x)
+{
+    uint64_t k;
+    memcpy(&k, &x, sizeof k);
+    return k;
+}
+
+static double value_of(uint64_t k)
+{
+    double x;
+    memcpy(&x, &k, sizeof x);
+    return x;
+}
+
+/* Sorts n keys by an LSD radix sort of 11-bit digits, with `spare` as
+ * scratch of n more; a digit that every key shares takes no pass. */
+static void sort_keys(uint64_t *key, uint64_t *spare, int64_t n)
+{
+    int64_t count[1 << 11];
+    uint64_t *from = key, *to = spare;
+    for (int shift = 0; shift < 64 && n > 1; shift += 11) {
+        memset(count, 0, sizeof count);
+        for (int64_t k = 0; k < n; k++)
+            count[(from[k] >> shift) & 0x7ff]++;
+        if (count[(from[0] >> shift) & 0x7ff] == n)
+            continue;
+        for (int64_t d = 0, sum = 0; d < (1 << 11); d++) {
+            int64_t c = count[d];
+            count[d] = sum;
+            sum += c;
+        }
+        for (int64_t k = 0; k < n; k++)
+            to[count[(from[k] >> shift) & 0x7ff]++] = from[k];
+        uint64_t *swap = from;
+        from = to;
+        to = swap;
+    }
+    if (from != key)
+        memcpy(key, from, (size_t)n * sizeof *key);
+}
+
+/* One row list's edge costs above `below`, as keys when `keys` is not
+ * NULL; returns their number. */
+static int64_t row_costs(double below, int64_t mP, const double *P, const double *Q,
+                         const int64_t *off, const int32_t *adj, uint64_t *keys)
+{
+    int64_t n = 0;
+    for (int64_t u = 0; u < mP; u++)
+        for (int64_t e = off[u]; e < off[u + 1]; e++) {
+            double c = linf(P + 2 * u, Q + 2 * (int64_t)adj[e]);
+            if (c > below) {
+                if (keys)
+                    keys[n] = key_of(c);
+                n++;
+            }
+        }
+    return n;
+}
+
+/* The candidates in (below, t]: the diagonal costs d (d1, then d2) and the
+ * graph's edge costs, as keys when `keys` is not NULL; returns their
+ * number. */
+static int64_t candidates(const Graph *g, double below, double t, int64_t m1,
+                          const double *p1, const double *d, int64_t m2,
+                          const double *p2, uint64_t *keys)
+{
+    int64_t n = 0;
+    for (int64_t k = 0; k < m1 + m2; k++)
+        if (d[k] > below && d[k] <= t) {
+            if (keys)
+                keys[n] = key_of(d[k]);
+            n++;
+        }
+    n += row_costs(below, m1, p1, p2, g->off1, g->adj1, keys ? keys + n : NULL);
+    n += row_costs(below, m2, p2, p1, g->off2, g->adj2, keys ? keys + n : NULL);
+    return n;
+}
+
+static int well_formed(int64_t m, const double *p)
+{
+    int ok = m <= INT32_MAX;
+    for (int64_t k = 0; k < m; k++)
+        ok &= isfinite(p[2 * k]) & isfinite(p[2 * k + 1]) & (p[2 * k + 1] >= p[2 * k])
+              & (k == 0 || p[2 * k] >= p[2 * k - 2]);
+    return ok;
+}
+
+int32_t hc_bottleneck(int64_t m1, const double *p1, int64_t m2, const double *p2,
+                      double *out, int64_t *counts)
+{
+    counts[0] = counts[1] = counts[2] = 0;
+    if (!well_formed(m1, p1) || !well_formed(m2, p2))
+        return STATUS_DECLINED;
+    const int64_t m = m1 > m2 ? m1 : m2;
+    int32_t status = STATUS_OVERFLOW;
+    Graph g = {NULL, NULL, NULL, NULL, 0, 0};
+    uint64_t *keys = NULL;
+    /* d1, d2, then near1, near2; the nearest-neighbour rounds' lists, then
+     * the matching's */
+    double *d1 = malloc((size_t)(m1 + m2) * 2 * sizeof *d1 + 1);
+    int32_t *ints = malloc((size_t)(m1 + 2 * m2 + 6 * m) * sizeof *ints + 1);
+    int64_t *next = malloc((size_t)m * sizeof *next + 1);
+    g.off1 = malloc((size_t)(m1 + 1) * sizeof *g.off1);
+    g.off2 = malloc((size_t)(m2 + 1) * sizeof *g.off2);
+    if (!d1 || !ints || !next || !g.off1 || !g.off2)
+        goto done;
+    double *d2 = d1 + m1, *near1 = d2 + m2, *near2 = near1 + m1;
+    double worst = 0.0;
+    for (int64_t k = 0; k < m1; k++) {
+        d1[k] = (p1[2 * k + 1] - p1[2 * k]) / 2.0;
+        worst = d1[k] > worst ? d1[k] : worst;
+    }
+    for (int64_t k = 0; k < m2; k++) {
+        d2[k] = (p2[2 * k + 1] - p2[2 * k]) / 2.0;
+        worst = d2[k] > worst ? d2[k] : worst;
+    }
+    if (m1 == 0 || m2 == 0) {
+        out[0] = out[1] = worst;
+        status = STATUS_OK;
+        goto done;
+    }
+
+    int32_t *match = ints + m1 + 2 * m2;
+    const double U = upper_bound(m1, p1, d1, m2, p2, d2, near1, near2, ints,
+                                 ints + m1, ints + m1 + m2, &counts[1]);
+    out[1] = U;
+    double lower = 0.0;
+    for (int64_t k = 0; k < m1 + m2; k++) { /* d1, d2 against near1, near2 */
+        double cheapest = near1[k] < d1[k] ? near1[k] : d1[k];
+        lower = cheapest > lower ? cheapest : lower;
+    }
+    Matching w = {match, match + m, match + 2 * m, match + 3 * m, match + 4 * m,
+                  match + 5 * m, next};
+    Side side1 = {m1, m2, p1, p2, d1, near1, g.off1, NULL};
+    Side side2 = {m2, m1, p2, p1, d2, near2, g.off2, NULL};
+    /* t gallops up from the lower bound until it is feasible; U is */
+    double t = lower, below = lower;
+    for (;;) {
+        if (build_graph(&g, below, t, m1, p1, d1, m2, p2, d2))
+            goto done;
+        side1.adj = g.adj1;
+        side2.adj = g.adj2;
+        if (t >= U)
+            break;
+        counts[2]++;
+        if (feasible(&side1, &side2, t, &w))
+            break;
+        below = t;
+        /* straight to U when the step does not move t, as on subnormals */
+        double step = 2.0 * t > U / 64.0 ? 2.0 * t : U / 64.0;
+        t = step > t && step < U ? step : U;
+    }
+    counts[0] = g.n1 + g.n2;
+    status = STATUS_OK;
+    if (t == lower) { /* the smallest candidate */
+        out[0] = lower;
+        goto done;
+    }
+    /* the sorted distinct candidates in (below, t]; the largest is
+     * feasible, as t is */
+    const int64_t n = candidates(&g, below, t, m1, p1, d1, m2, p2, NULL);
+    keys = malloc((size_t)n * 2 * sizeof *keys + 1);
+    if (!keys) {
+        status = STATUS_OVERFLOW;
+        goto done;
+    }
+    candidates(&g, below, t, m1, p1, d1, m2, p2, keys);
+    sort_keys(keys, keys + n, n);
+    int64_t distinct = 0;
+    for (int64_t k = 0; k < n; k++)
+        if (distinct == 0 || keys[k] != keys[distinct - 1])
+            keys[distinct++] = keys[k];
+    int64_t lo = 0, hi = distinct - 1;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        counts[2]++;
+        if (feasible(&side1, &side2, value_of(keys[mid]), &w))
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    out[0] = distinct ? value_of(keys[lo]) : t;
+done:
+    free(d1);
+    free(ints);
+    free(next);
+    free(g.adj1);
+    free(g.adj2);
+    free(g.off1);
+    free(g.off2);
+    free(keys);
+    return status;
 }

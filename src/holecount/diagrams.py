@@ -247,7 +247,9 @@ def bottleneck_distance(d1: Diagram, d2: Diagram) -> float:
     (death - birth) / 2.  The result is the smallest candidate cost at
     which the augmented graph (points plus diagonal slots) has a perfect
     matching, bit for bit the float of `oracles.bottleneck_distance_dense`,
-    found without a dense cost matrix or graph:
+    found without a dense cost matrix or graph.  With the kernels loaded
+    one ``hc_bottleneck`` call computes it (`_fastdel.bottleneck`);
+    without them the code below does, the reference, by the same steps:
 
     * At a threshold delta a point is forced when its diagonal cost exceeds
       delta.  A perfect augmented matching exists exactly when the edges of
@@ -262,9 +264,17 @@ def bottleneck_distance(d1: Diagram, d2: Diagram) -> float:
     * Every point pays at least its cheapest option, which bounds the
       result from below; the search gallops up from that bound through the
       candidates and then bisects.
+
+    The kernel repeats the nearest-neighbour rounds on the points left
+    unpaired, finds neighbours by scanning the birth-sorted pairs instead
+    of kd-trees, and keeps only the edges up to a threshold that gallops up
+    from the lower bound; the smallest feasible candidate is the same.
     """
     p1 = d1.off_diagonal()
     p2 = d2.off_diagonal()
+    distance = _fastdel.bottleneck(p1, p2)
+    if distance is not None:
+        return distance
     diag1 = (p1[:, 1] - p1[:, 0]) / 2.0
     diag2 = (p2[:, 1] - p2[:, 0]) / 2.0
     if not len(p1) or not len(p2):

@@ -1,6 +1,6 @@
-"""Shared fixtures: small analytic clouds with known persistence, the edge
-table's endpoints, the per-triangle references that births are checked
-against, and the eight axis maps."""
+"""Shared fixtures: the two backends, small analytic clouds with known
+persistence, the edge table's endpoints, the per-triangle references that
+births are checked against, and the eight axis maps."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holecount import Cloud
+from holecount import Cloud, _fastdel
+
+
+@pytest.fixture(params=["kernels", "fallback"])
+def backend(request, monkeypatch):
+    """Runs a test with the compiled kernels, then on the reference path
+    that a platform without them takes."""
+    if request.param == "kernels":
+        if _fastdel.KERNELS is None:
+            pytest.skip("compiled kernels unavailable (no C compiler)")
+    else:
+        monkeypatch.setattr(_fastdel, "KERNELS", None)
+    return request.param
+
 
 # Two touching "rooms" separated by a central wall: the union of disks is one
 # hole at scale 1.5, splits into two at 2.0, and both vanish at 5*sqrt(17)/8.

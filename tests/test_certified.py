@@ -28,16 +28,6 @@ from conftest import AXIS_MAPS, edge_vertices, float_circumradius, fraction_acut
 ACUTE_BAND = 1e-12
 
 
-@pytest.fixture(params=["kernels", "fallback"])
-def backend(request, monkeypatch):
-    if request.param == "kernels":
-        if _fastdel.KERNELS is None:
-            pytest.skip("compiled kernels unavailable (no C compiler)")
-    else:
-        monkeypatch.setattr(_fastdel, "KERNELS", None)
-    return request.param
-
-
 def borderline(tri):
     """Triangles within the relative band around a right angle that the
     float pass leaves to the exact pass."""

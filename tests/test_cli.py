@@ -576,8 +576,9 @@ class TestBenchCommand:
         assert cli_main(["bench", "--max-n", "1000"]) == 0
         header, row = capsys.readouterr().out.splitlines()
         assert header.split() == ["n", "triangulate", "sort", "sweep", "total",
-                                  "t/(n", "log2", "n)", "views", "peak", "RSS"]
-        assert len(row.split()) == 8
+                                  "t/(n", "log2", "n)", "views", "bottleneck", "peak",
+                                  "RSS"]
+        assert len(row.split()) == 9
 
     def test_json_rows_and_backend(self, capsys):
         assert cli_main(["bench", "--max-n", "1000", "--repeats", "2", "--json"]) == 0
@@ -588,10 +589,19 @@ class TestBenchCommand:
         (row,) = data["rows"]
         assert row["n"] == 1000
         assert set(row) == {"n", "triangulate_s", "sort_s", "sweep_s", "total_s",
-                            "t_per_n_log2_n", "views_s", "peak_rss_mb"}
+                            "t_per_n_log2_n", "views_s", "bottleneck_s", "peak_rss_mb"}
         stages = row["triangulate_s"] + row["sort_s"] + row["sweep_s"]
         assert row["total_s"] == pytest.approx(stages)
         assert row["views_s"] > 0.0 and row["peak_rss_mb"] > 0.0
+        assert row["bottleneck_s"] > 0.0
+
+    def test_no_bottleneck_time_above_its_size(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_BOTTLENECK_MAX_N", 999)
+        assert cli_main(["bench", "--max-n", "1000", "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["bottleneck_s"] is None
+        assert cli_main(["bench", "--max-n", "1000"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[7] == "-"
 
     def test_max_n_validated(self, capsys):
         assert cli_main(["bench", "--max-n", "10"]) == 1

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from holecount import Cloud, _fastdel, hole_persistence
+from holecount import diagrams as diagrams_mod
 from holecount.diagrams import (
     Diagram,
     barcode,
@@ -68,6 +69,18 @@ needs_kernels = pytest.mark.skipif(
 
 def D(*pairs):
     return Diagram.from_pairs(list(pairs))
+
+
+def wheel_and_moved_copy(seed, spokes, eps, n=300):
+    """The diagrams of a noisy wheel and of a copy with every point moved
+    by at most eps."""
+    points = sample_shape(ShapeSpec.wheel(spokes), n, noise=0.005, seed=seed).points
+    rng = np.random.default_rng(seed)
+    radius = eps * np.sqrt(rng.uniform(size=len(points)))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=len(points))
+    moved = points + np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+    return (hole_persistence(Cloud.from_points(points)),
+            hole_persistence(Cloud.from_points(moved)))
 
 
 def _cloud(name, request):
@@ -335,35 +348,68 @@ class TestBottleneck:
         assert bottleneck_distance(d1, d2) == pytest.approx(0.3)
 
     @given(pair_lists, pair_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_symmetry(self, p1, p2):
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_symmetry(self, backend, p1, p2):
         d1, d2 = Diagram.from_pairs(p1), Diagram.from_pairs(p2)
         assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1)
 
     @given(any_pair_lists, any_pair_lists)
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @example([], [])
     @example([(0.0, 2.0)], [])
     @example([], [(1.0, 1.0), (0.0, 3.0)])
     @example([(0.1, 0.7)], [(0.3, 0.7)])
-    def test_equals_dense_reference(self, p1, p2):
+    # tied costs: every cross pair costs 0.25 or 0.75, every diagonal 0.5
+    @example([(0.0, 1.0), (0.5, 1.5)], [(0.25, 1.25), (0.75, 1.75)])
+    # repeated pairs, one of them moved by 1/8
+    @example([(1.0, 2.0)] * 3, [(1.0, 2.0)] * 2 + [(1.125, 2.0)])
+    # every pair of one diagram on the diagonal
+    @example([(0.5, 0.5), (3.0, 3.0)], [(0.0, 0.25), (0.125, 0.375)])
+    # subnormal costs, where doubling a threshold of 0 does not move it
+    @example([(0.0, 1e-323)], [(0.0, 1e-323), (0.0, 1e-323)])
+    # the greedy start leaves two rows whose augmenting paths share a column
+    @example([(0.125, 0.625), (0.125, 0.75), (0.25, 0.625)],
+             [(0.0, 0.5), (0.25, 0.75), (0.625, 0.875)])
+    def test_equals_dense_reference(self, backend, p1, p2):
         d1, d2 = Diagram.from_pairs(p1), Diagram.from_pairs(p2)
         assert bottleneck_distance(d1, d2) == bottleneck_distance_dense(d1, d2)
         assert bottleneck_distance(d1, d1) == bottleneck_distance_dense(d1, d1) == 0.0
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 7), st.floats(1e-4, 0.01))
-    @settings(max_examples=12, deadline=None)
-    def test_wheel_and_moved_copy_equal_dense_reference(self, seed, spokes, eps):
-        points = sample_shape(ShapeSpec.wheel(spokes), 300, noise=0.005, seed=seed).points
-        rng = np.random.default_rng(seed)
-        radius = eps * np.sqrt(rng.uniform(size=len(points)))
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=len(points))
-        moved = points + np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
-        d1 = hole_persistence(Cloud.from_points(points))
-        d2 = hole_persistence(Cloud.from_points(moved))
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_wheel_and_moved_copy_equal_dense_reference(self, backend, seed, spokes, eps):
+        d1, d2 = wheel_and_moved_copy(seed, spokes, eps)
         distance = bottleneck_distance(d1, d2)
         assert distance == bottleneck_distance_dense(d1, d2)
         assert distance <= eps + 1e-9  # stability, up to rounding in the radii
+
+    @needs_kernels
+    def test_kernel_runs_instead_of_the_reference(self, monkeypatch):
+        # with the kernels loaded no kd-tree and no scipy matching runs;
+        # without them the wrapper returns None and the reference runs
+        calls = []
+
+        def spy(name):
+            original = getattr(diagrams_mod, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(diagrams_mod, name, wrapped)
+
+        spy("_covers")
+        spy("cKDTree")
+        # seed 1 runs one feasibility test on the reference path
+        d1, d2 = wheel_and_moved_copy(seed=1, spokes=5, eps=0.002, n=1000)
+        distance = bottleneck_distance(d1, d2)
+        assert calls == []
+        monkeypatch.setattr(_fastdel, "KERNELS", None)
+        assert _fastdel.bottleneck(d1.off_diagonal(), d2.off_diagonal()) is None
+        assert bottleneck_distance(d1, d2) == distance
+        assert calls.count("cKDTree") == 2 and "_covers" in calls
 
     @given(pair_lists, pair_lists, pair_lists)
     @settings(max_examples=40, deadline=None)

@@ -593,6 +593,22 @@ def test_merge_kernel_declines_broken_contracts(pairs):
 
 
 @needs_kernels
+@pytest.mark.parametrize("pairs", [
+    pytest.param([(1.0, 2.0), (0.5, 3.0)], id="births-out-of-order"),
+    pytest.param([(0.0, np.nan)], id="death-nan"),
+    pytest.param([(0.0, np.inf)], id="death-inf"),
+    pytest.param([(2.0, 1.0)], id="death-below-its-birth"),
+])
+def test_bottleneck_kernel_declines_broken_contracts(pairs):
+    # what Diagram rules out, a hand-built call may pass: the kernel
+    # declines it, and the wrapper leaves the distance to the reference
+    good = np.array([(0.0, 1.0), (0.5, 2.0)])
+    assert _fastdel.bottleneck(good, good) == 0.0
+    assert _fastdel.bottleneck(np.array(pairs), good) is None
+    assert _fastdel.bottleneck(good, np.array(pairs)) is None
+
+
+@needs_kernels
 def test_merge_kernel_outputs():
     pairs = np.array([(0.0, 2.0), (1.0, 2.0), (1.0, 3.0), (2.0, 5.0), (4.0, 5.0)])
     points, counts, present, shares = _fastdel.staircase(pairs)
@@ -739,6 +755,31 @@ for pairs in merge_inputs:
 for pairs in [np.array([(2.0, 3.0), (1.0, 4.0)] * 200), np.array([(0.0, np.nan)] * 300),
               np.array([(2.0, 1.0), (3.0, 4.0)] * 200)]:
     assert _fastdel.staircase(pairs) is None
+# the bottleneck distance: one side empty and both, a single pair, 300
+# pairs and more rounded to 1/8 and 1/16 so that costs tie, uniform pairs
+# whose search gallops and bisects through 15 tests, and a wheel against
+# its moved copy
+def on_grid(k, step):
+    return Diagram.from_pairs(np.sort(np.round(rng.random((k, 2)) / step) * step, axis=1))
+wheel = np.vstack([np.stack([np.cos(a), np.sin(a)], axis=1) for a in [np.linspace(0, 6.2, 600)]]
+                  + [rng.uniform(-0.7, 0.7, (1500, 2))])
+shaken = wheel + rng.uniform(-1e-3, 1e-3, wheel.shape)
+many = Diagram.from_pairs(merge_inputs[4])
+bottleneck_inputs = [
+    (Diagram.from_pairs([]), many), (many, Diagram.from_pairs([])),
+    (Diagram.from_pairs([]), Diagram.from_pairs([])),
+    (Diagram.from_pairs([(1.0, 2.0)]), Diagram.from_pairs([(1.25, 2.5)])),
+    (on_grid(300, 0.125), on_grid(300, 0.0625)),
+    (on_grid(400, 0.125), on_grid(400, 0.125)),
+    (Diagram.from_pairs(np.sort(rng.random((300, 2)), axis=1)),
+     Diagram.from_pairs(np.sort(rng.random((350, 2)), axis=1))),
+    (hole_persistence(Cloud.from_points(wheel)), hole_persistence(Cloud.from_points(shaken))),
+]
+for d1, d2 in bottleneck_inputs:
+    distance = _fastdel.bottleneck(d1.off_diagonal(), d2.off_diagonal())
+    assert distance is not None and distance == _fastdel.bottleneck(d2.off_diagonal(),
+                                                                     d1.off_diagonal())
+assert _fastdel.bottleneck(np.array([(1.0, 2.0), (0.0, 3.0)] * 200), many.pairs) is None
 for pts in [clouds[4]] + clouds[-9:]:
     cloud = Cloud.from_points(pts)
     assert _fastdel.build_triangulation(cloud.points, cloud.order) is not None

@@ -1263,11 +1263,12 @@ int64_t hc_staircase(int64_t m, const double *pairs, const double *deaths,
  *     point, and their cost is below that point's diagonal cost.  The
  *     reference keeps every edge of cost <= U with cost < max(diag_i,
  *     diag_j), which decides every delta <= U.  Here a threshold t starts
- *     at the lower bound, which is often the answer, and doubles (to at
- *     least U / 64, at most U) while it is not feasible.  For the tests in
- *     [t_prev, t] each point whose diagonal cost exceeds t_prev lists its
- *     edges of cost <= t below that cost, so the edges kept stay close to
- *     the answer in cost.
+ *     at the lower bound, which is often the answer, and while t is not
+ *     feasible its gap above the bound grows: an eighth of the bound, then
+ *     twice the last gap, at most U.  For the tests in [t_prev, t] each
+ *     point whose diagonal cost exceeds t_prev lists its edges of cost <= t
+ *     below that cost, so the edges kept stay close to the answer in
+ *     cost.
  *   - The sorted distinct candidates in the last step (t_prev, t] are
  *     bisected.
  * The result is the smallest feasible candidate whatever U and the steps
@@ -1729,9 +1730,11 @@ int32_t hc_bottleneck(int64_t m1, const double *p1, int64_t m2, const double *p2
         counts[2]++;
         if (feasible(&side1, &side2, t, &w))
             break;
+        /* the gap above the lower bound starts at an eighth of it and
+         * doubles; straight to U when a step does not move t, as from a
+         * lower bound of 0 or a subnormal one */
+        double step = lower + (t > lower ? 2.0 * (t - lower) : lower / 8.0);
         below = t;
-        /* straight to U when the step does not move t, as on subnormals */
-        double step = 2.0 * t > U / 64.0 ? 2.0 * t : U / 64.0;
         t = step > t && step < U ? step : U;
     }
     counts[0] = g.n1 + g.n2;

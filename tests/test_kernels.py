@@ -757,7 +757,7 @@ for pairs in [np.array([(2.0, 3.0), (1.0, 4.0)] * 200), np.array([(0.0, np.nan)]
     assert _fastdel.staircase(pairs) is None
 # the bottleneck distance: one side empty and both, a single pair, 300
 # pairs and more rounded to 1/8 and 1/16 so that costs tie, uniform pairs
-# whose search gallops and bisects through 15 tests, and a wheel against
+# whose search gallops and bisects through 19 tests, and a wheel against
 # its moved copy
 def on_grid(k, step):
     return Diagram.from_pairs(np.sort(np.round(rng.random((k, 2)) / step) * step, axis=1))

@@ -1,4 +1,4 @@
-/* Compiled kernels of holecount, loaded through ctypes by _fastdel.py.
+/* Compiled kernels of holecount, loaded through ctypes.PyDLL by _fastdel.py.
  *
  *   hc_morton_dedup insertion order along a Z-order curve (stable radix
  *                   sort of 32-bit Morton keys), which also marks the
@@ -20,9 +20,15 @@
  *
  * Arrays are C-contiguous: points (n, 2) float64, triangles and neighbours
  * (k, 3) int32, edge faces (E, 2) int32, diagram pairs (m, 2) float64.
- * Every kernel writes only into buffers the caller allocated, apart from
- * scratch space that it frees before it returns: O(n) for the builder and
- * the Morton pass, O(m1 + m2 + edges) for hc_bottleneck.
+ * Each exported function takes them as Python objects and borrows their
+ * memory through the buffer protocol (see borrow), which checks each one's
+ * layout, element kind and size, length and, where it is written,
+ * writability, and checks the ids it indexes with, before the kernel runs;
+ * a failed check sets a Python exception, which ctypes raises.  Every
+ * kernel writes only into buffers the caller allocated, apart from scratch
+ * space that it frees before it returns: O(n) for the builder and the
+ * Morton pass, the union-find forest of hc_sweep, O(m1 + m2 + edges) for
+ * hc_bottleneck.
  *
  * The builder's predicates are exact, in the stages of Shewchuk's adaptive
  * predicates (1997) with the cheapest exact stage first: a float filter
@@ -40,6 +46,9 @@
  * must round exactly as the numpy fallback in forest.py and delaunay.py
  * does, so that both paths give bit-identical diagrams.
  */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 #include <float.h>
 #include <math.h>
@@ -662,7 +671,7 @@ static int mark_run_repeats(const double *pts, const int32_t *idx, int32_t len,
  * gives the cloud without its repeats, whose lo and span are those of the
  * whole cloud.  Returns m, or -1 when there is no memory for the scratch
  * space. */
-int32_t hc_morton_dedup(const double *pts, int32_t n, int32_t *order, uint8_t *repeat)
+static int32_t morton_dedup(const double *pts, int32_t n, int32_t *order, uint8_t *repeat)
 {
     if (n <= 0)
         return 0;
@@ -728,9 +737,9 @@ int32_t hc_morton_dedup(const double *pts, int32_t n, int32_t *order, uint8_t *r
  * triangle; STATUS_DECLINED that a point repeats (or there are fewer than 3),
  * so no triangulation has every point a vertex.
  */
-int32_t hc_build(const double *pts, int32_t n, const int32_t *order,
-                 int32_t *tris, int32_t *neigh, int64_t cap,
-                 int64_t *n_tris_out, int64_t *counts)
+static int32_t build_triangulation(const double *pts, int32_t n, const int32_t *order,
+                                   int32_t *tris, int32_t *neigh, int64_t cap,
+                                   int64_t *n_tris_out, int64_t *counts)
 {
     const int32_t inf = n;
     int64_t n_tris = 0;
@@ -941,9 +950,9 @@ done:
  * its squared length.  Writes at most `cap` rows and returns how many edges
  * there are in all: (3k + h) / 2 for h hull edges when every neighbour link
  * is mutual. */
-int64_t hc_edge_table(const double *pts, int64_t k, const int32_t *tris,
-                      const int32_t *neigh, int64_t cap, int32_t *edge_faces,
-                      double *length_sq)
+static int64_t fill_edge_table(const double *pts, int64_t k, const int32_t *tris,
+                               const int32_t *neigh, int64_t cap, int32_t *edge_faces,
+                               double *length_sq)
 {
     int64_t e = 0;
     for (int64_t t = 0; t < k; t++) {
@@ -1037,8 +1046,8 @@ static int acute_fixed(const int64_t *q)
  * the others are marked NaN for the caller to re-decide.  Returns the
  * number of band triangles decided here.  Same operations, in the same
  * order, as the numpy fallback in forest.triangle_births. */
-int64_t hc_births(const double *pts, int64_t k, const int32_t *tris, double band,
-                  double *births)
+static int64_t triangle_births(const double *pts, int64_t k, const int32_t *tris,
+                               double band, double *births)
 {
     int64_t decided = 0;
     for (int64_t t = 0; t < k; t++) {
@@ -1078,10 +1087,10 @@ int64_t hc_births(const double *pts, int64_t k, const int32_t *tris, double band
  * region) maps to node k, whose birth is +inf and is not stored in
  * `births`.  Writes the (birth, death) pairs with death > birth and returns
  * their number, and the longest root walk of any find in *max_steps_out. */
-int64_t hc_sweep(int64_t m, const int32_t *order, const int32_t *edge_faces,
-                 const double *length_sq, int32_t k, int32_t *parent,
-                 int32_t *weight, double *births, double *pairs,
-                 int64_t *max_steps_out)
+static int64_t sweep_edges(int64_t m, const int32_t *order, const int32_t *edge_faces,
+                           const double *length_sq, int32_t k, int32_t *parent,
+                           int32_t *weight, double *births, double *pairs,
+                           int64_t *max_steps_out)
 {
 #define BIRTH(x) ((x) == k ? INFINITY : births[x])
 #define SET_BIRTH(x, value) \
@@ -1179,9 +1188,9 @@ int64_t hc_sweep(int64_t m, const int32_t *order, const int32_t *edge_faces,
  * death not above the largest birth, or a count below 0 (a death below its
  * own birth); also on a birth of -0.0, which np.unique may place on either
  * side of 0.0.  The caller then takes the reference path. */
-int64_t hc_staircase(int64_t m, const double *pairs, const double *deaths,
-                     double *breakpoints, int64_t *counts, double *sums,
-                     int64_t *present, int64_t *n_present_out)
+static int64_t merge_staircase(int64_t m, const double *pairs, const double *deaths,
+                               double *breakpoints, int64_t *counts, double *sums,
+                               int64_t *present, int64_t *n_present_out)
 {
     *n_present_out = 0;
     if (m == 0)
@@ -1670,8 +1679,8 @@ static int well_formed(int64_t m, const double *p)
     return ok;
 }
 
-int32_t hc_bottleneck(int64_t m1, const double *p1, int64_t m2, const double *p2,
-                      double *out, int64_t *counts)
+static int32_t bottleneck_distance(int64_t m1, const double *p1, int64_t m2,
+                                   const double *p2, double *out, int64_t *counts)
 {
     counts[0] = counts[1] = counts[2] = 0;
     if (!well_formed(m1, p1) || !well_formed(m2, p2))
@@ -1777,4 +1786,285 @@ done:
     free(g.off2);
     free(keys);
     return status;
+}
+
+/* The exported functions.  ctypes.PyDLL calls them with the GIL held and
+ * passes each array as the Python object itself (ctypes.py_object); the
+ * lengths come from the arrays, and the counts go back as the return
+ * value, a tuple where there are several.  Each function borrows its
+ * arrays, checks the ids it indexes with, runs its kernel and releases
+ * every buffer it borrowed, on every path; a failed borrow or check sets a
+ * Python exception before anything is written, and ctypes raises it. */
+
+#define MAX_ARRAYS 6 /* the most arrays one function borrows */
+
+enum { READ, WRITE };
+
+typedef struct {
+    Py_buffer views[MAX_ARRAYS];
+    int n;      /* views held */
+    int failed; /* a Python exception is set */
+} Borrowed;
+
+/* The kind of a struct-module format of one item: 'f' floating point, 'i'
+ * signed and 'u' unsigned integer, 0 anything else.  A native or
+ * standard-size prefix in native byte order is allowed; numpy reports
+ * int64 as 'l' or 'q' depending on the platform, so callers match kind and
+ * item size, not the format character. */
+static char format_kind(const char *format)
+{
+    if (format == NULL)
+        return 'u'; /* plain bytes */
+    if (*format == '@' || *format == '=' || *format == (PY_LITTLE_ENDIAN ? '<' : '>'))
+        format++;
+    if (format[0] == '\0' || format[1] != '\0')
+        return 0;
+    if (strchr("efd", format[0]))
+        return 'f';
+    if (strchr("bhilqn", format[0]))
+        return 'i';
+    return strchr("BHILQN", format[0]) ? 'u' : 0;
+}
+
+/* The memory of obj's buffer, which must be C-contiguous, hold items of
+ * `kind` (see format_kind) and `size` bytes, at least `count` of them, and
+ * be writable for WRITE.  Otherwise NULL with a Python exception set; after
+ * one failure every later call returns NULL, so a function borrows all its
+ * arrays and tests b->failed once. */
+static void *borrow(Borrowed *b, PyObject *obj, char kind, size_t size, int64_t count,
+                    int mode)
+{
+    if (b->failed)
+        return NULL;
+    b->failed = 1;
+    if (b->n == MAX_ARRAYS) {
+        PyErr_SetString(PyExc_SystemError, "too many arrays to borrow");
+        return NULL;
+    }
+    Py_buffer *view = &b->views[b->n];
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (mode == WRITE ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0)
+        return NULL;
+    b->n++;
+    if (format_kind(view->format) != kind || view->itemsize != (Py_ssize_t)size
+        || !PyBuffer_IsContiguous(view, 'C')) {
+        PyErr_Format(PyExc_TypeError,
+                     "array %d: expected a C-contiguous array of %zu-byte '%c' "
+                     "items, got format '%s' with %zd-byte items",
+                     b->n, size, kind, view->format ? view->format : "B",
+                     view->itemsize);
+        return NULL;
+    }
+    if (count < 0 || view->len / view->itemsize < count) {
+        PyErr_Format(PyExc_ValueError, "array %d: holds %zd items, the call needs %lld",
+                     b->n, view->len / view->itemsize, (long long)count);
+        return NULL;
+    }
+    b->failed = 0;
+    return view->buf;
+}
+
+/* The number of items of the array borrowed last; 0 after a failure. */
+static int64_t last_length(const Borrowed *b)
+{
+    return b->failed ? 0 : b->views[b->n - 1].len / b->views[b->n - 1].itemsize;
+}
+
+static void release(Borrowed *b)
+{
+    while (b->n > 0)
+        PyBuffer_Release(&b->views[--b->n]);
+}
+
+/* Raise ValueError(what) unless lo <= ids[i] < hi for every i < len; a
+ * no-op after a failure.  No early exit, so that the test vectorises. */
+static void check_ids(Borrowed *b, const int32_t *ids, int64_t len, int64_t lo,
+                      int64_t hi, const char *what)
+{
+    if (b->failed)
+        return;
+    int bad = 0;
+    for (int64_t i = 0; i < len; i++)
+        bad |= (ids[i] < lo) | (ids[i] >= hi);
+    if (bad) {
+        PyErr_SetString(PyExc_ValueError, what);
+        b->failed = 1;
+    }
+}
+
+/* Raise ValueError(what) when n is above INT32_MAX; a no-op after a
+ * failure. */
+static void check_int32(Borrowed *b, int64_t n, const char *what)
+{
+    if (!b->failed && n > INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, what);
+        b->failed = 1;
+    }
+}
+
+/* pts (n, 2); order and repeat take n items. */
+int32_t hc_morton_dedup(PyObject *pts_obj, PyObject *order_obj, PyObject *repeat_obj)
+{
+    Borrowed b = {.n = 0};
+    const double *pts = borrow(&b, pts_obj, 'f', sizeof *pts, 0, READ);
+    const int64_t n = last_length(&b) / 2;
+    int32_t *order = borrow(&b, order_obj, 'i', sizeof *order, n, WRITE);
+    uint8_t *repeat = borrow(&b, repeat_obj, 'u', sizeof *repeat, n, WRITE);
+    check_int32(&b, n, "more points than int32 ids can number");
+    int32_t kept = b.failed ? -1 : morton_dedup(pts, (int32_t)n, order, repeat);
+    release(&b);
+    return kept;
+}
+
+/* The n points of `order` into cap = len(tris) / 3 slots; returns (status,
+ * triangles, then the builder's four counts). */
+PyObject *hc_build(PyObject *pts_obj, PyObject *order_obj, PyObject *tris_obj,
+                   PyObject *neigh_obj)
+{
+    Borrowed b = {.n = 0};
+    const int32_t *order = borrow(&b, order_obj, 'i', sizeof *order, 0, READ);
+    const int64_t n = last_length(&b);
+    const double *pts = borrow(&b, pts_obj, 'f', sizeof *pts, 2 * n, READ);
+    int32_t *tris = borrow(&b, tris_obj, 'i', sizeof *tris, 0, WRITE);
+    const int64_t cap = last_length(&b) / 3;
+    int32_t *neigh = borrow(&b, neigh_obj, 'i', sizeof *neigh, 3 * cap, WRITE);
+    check_int32(&b, n, "more points than int32 ids can number");
+    check_ids(&b, order, n, 0, n, "insertion order out of range");
+    PyObject *result = NULL;
+    if (!b.failed) {
+        int64_t n_tris, counts[4];
+        int32_t status = build_triangulation(pts, (int32_t)n, order, tris, neigh, cap,
+                                             &n_tris, counts);
+        result = Py_BuildValue("(iLLLLL)", status, (long long)n_tris, (long long)counts[0],
+                               (long long)counts[1], (long long)counts[2],
+                               (long long)counts[3]);
+    }
+    release(&b);
+    return result;
+}
+
+/* k = len(tris) / 3 triangles of the points pts; writes at most cap =
+ * len(length_sq) rows. */
+int64_t hc_edge_table(PyObject *pts_obj, PyObject *tris_obj, PyObject *neigh_obj,
+                      PyObject *edge_faces_obj, PyObject *length_sq_obj)
+{
+    Borrowed b = {.n = 0};
+    const double *pts = borrow(&b, pts_obj, 'f', sizeof *pts, 0, READ);
+    const int64_t n = last_length(&b) / 2;
+    const int32_t *tris = borrow(&b, tris_obj, 'i', sizeof *tris, 0, READ);
+    const int64_t k = last_length(&b) / 3;
+    const int32_t *neigh = borrow(&b, neigh_obj, 'i', sizeof *neigh, 3 * k, READ);
+    double *length_sq = borrow(&b, length_sq_obj, 'f', sizeof *length_sq, 0, WRITE);
+    const int64_t cap = last_length(&b);
+    int32_t *edge_faces = borrow(&b, edge_faces_obj, 'i', sizeof *edge_faces, 2 * cap, WRITE);
+    check_ids(&b, tris, 3 * k, 0, n, "triangle vertex out of range");
+    int64_t m = b.failed ? -1
+                         : fill_edge_table(pts, k, tris, neigh, cap, edge_faces, length_sq);
+    release(&b);
+    return m;
+}
+
+/* k = len(tris) / 3 triangles of the points pts; births takes k items. */
+int64_t hc_births(PyObject *pts_obj, PyObject *tris_obj, double band, PyObject *births_obj)
+{
+    Borrowed b = {.n = 0};
+    const double *pts = borrow(&b, pts_obj, 'f', sizeof *pts, 0, READ);
+    const int64_t n = last_length(&b) / 2;
+    const int32_t *tris = borrow(&b, tris_obj, 'i', sizeof *tris, 0, READ);
+    const int64_t k = last_length(&b) / 3;
+    double *births = borrow(&b, births_obj, 'f', sizeof *births, k, WRITE);
+    check_ids(&b, tris, 3 * k, 0, n, "triangle vertex out of range");
+    int64_t decided = b.failed ? -1 : triangle_births(pts, k, tris, band, births);
+    release(&b);
+    return decided;
+}
+
+/* The sweep over the edges `order` names, of a table of n_edges =
+ * len(length_sq) rows, on the k = len(births) triangle nodes plus the
+ * unbounded region; pairs takes k + 1 rows.  Returns (pairs, longest root
+ * walk). */
+PyObject *hc_sweep(PyObject *order_obj, PyObject *edge_faces_obj, PyObject *length_sq_obj,
+                   PyObject *births_obj, PyObject *pairs_obj)
+{
+    Borrowed b = {.n = 0};
+    const int32_t *order = borrow(&b, order_obj, 'i', sizeof *order, 0, READ);
+    const int64_t m = last_length(&b);
+    const double *length_sq = borrow(&b, length_sq_obj, 'f', sizeof *length_sq, 0, READ);
+    const int64_t n_edges = last_length(&b);
+    const int32_t *edge_faces = borrow(&b, edge_faces_obj, 'i', sizeof *edge_faces,
+                                       2 * n_edges, READ);
+    double *births = borrow(&b, births_obj, 'f', sizeof *births, 0, WRITE);
+    const int64_t k = last_length(&b);
+    double *pairs = borrow(&b, pairs_obj, 'f', sizeof *pairs, 2 * (k + 1), WRITE);
+    check_int32(&b, k + 1, "more triangles than int32 ids can number");
+    check_ids(&b, order, m, 0, n_edges, "edge order out of range");
+    check_ids(&b, edge_faces, 2 * n_edges, -1, k, "face id out of range");
+    PyObject *result = NULL;
+    if (!b.failed) {
+        /* union-find forest, singletons to start: parent, then weight */
+        int32_t *forest = malloc(2 * (size_t)(k + 1) * sizeof *forest);
+        if (forest == NULL) {
+            PyErr_NoMemory();
+        } else {
+            for (int64_t i = 0; i <= k; i++) {
+                forest[i] = (int32_t)i;
+                forest[k + 1 + i] = 0;
+            }
+            int64_t max_steps;
+            int64_t n_pairs = sweep_edges(m, order, edge_faces, length_sq, (int32_t)k,
+                                          forest, forest + k + 1, births, pairs,
+                                          &max_steps);
+            free(forest);
+            result = Py_BuildValue("(LL)", (long long)n_pairs, (long long)max_steps);
+        }
+    }
+    release(&b);
+    return result;
+}
+
+/* The staircase of m = len(deaths) pairs; breakpoints and counts take 2m
+ * items, sums and present m + 1.  Returns (breakpoints, length of
+ * present), or (-1, 0) on a pair it declines. */
+PyObject *hc_staircase(PyObject *pairs_obj, PyObject *deaths_obj, PyObject *breakpoints_obj,
+                       PyObject *counts_obj, PyObject *sums_obj, PyObject *present_obj)
+{
+    Borrowed b = {.n = 0};
+    const double *deaths = borrow(&b, deaths_obj, 'f', sizeof *deaths, 0, READ);
+    const int64_t m = last_length(&b);
+    const double *pairs = borrow(&b, pairs_obj, 'f', sizeof *pairs, 2 * m, READ);
+    double *breakpoints = borrow(&b, breakpoints_obj, 'f', sizeof *breakpoints, 2 * m,
+                                 WRITE);
+    int64_t *counts = borrow(&b, counts_obj, 'i', sizeof *counts, 2 * m, WRITE);
+    double *sums = borrow(&b, sums_obj, 'f', sizeof *sums, m + 1, WRITE);
+    int64_t *present = borrow(&b, present_obj, 'i', sizeof *present, m + 1, WRITE);
+    PyObject *result = NULL;
+    if (!b.failed) {
+        int64_t n_present;
+        int64_t n = merge_staircase(m, pairs, deaths, breakpoints, counts, sums, present,
+                                    &n_present);
+        result = Py_BuildValue("(LL)", (long long)n, (long long)n_present);
+    }
+    release(&b);
+    return result;
+}
+
+/* The m1 = len(p1) / 2 and m2 = len(p2) / 2 pairs; returns (status,
+ * distance, upper bound, edges, rounds, tests). */
+PyObject *hc_bottleneck(PyObject *p1_obj, PyObject *p2_obj)
+{
+    Borrowed b = {.n = 0};
+    const double *p1 = borrow(&b, p1_obj, 'f', sizeof *p1, 0, READ);
+    const int64_t m1 = last_length(&b) / 2;
+    const double *p2 = borrow(&b, p2_obj, 'f', sizeof *p2, 0, READ);
+    const int64_t m2 = last_length(&b) / 2;
+    PyObject *result = NULL;
+    if (!b.failed) {
+        double out[2] = {0.0, 0.0};
+        int64_t counts[3];
+        int32_t status = bottleneck_distance(m1, p1, m2, p2, out, counts);
+        result = Py_BuildValue("(iddLLL)", status, out[0], out[1], (long long)counts[0],
+                               (long long)counts[1], (long long)counts[2]);
+    }
+    release(&b);
+    return result;
 }

@@ -88,7 +88,7 @@ def _read_rows(path, fh, first_lineno: int, columns: str) -> np.ndarray:
     data = getattr(fh, "buffer", fh).read()
     if TEXT is not None:
         rows = np.empty((data.count(b"\n") + 1, 2))
-        n = TEXT.hc_parse_rows(data, len(data), rows, len(rows))
+        n = TEXT.hc_parse_rows(data, rows)
         if n >= 0:
             return rows[:n]
     text = io.TextIOWrapper(io.BytesIO(data), encoding=getattr(fh, "encoding", None))
@@ -106,7 +106,7 @@ def _rows_text(rows: np.ndarray, i0: int, i1: int, mid: str, sep: str) -> str:
         # hc_write_rows declines a buffer sized below its own bound
         cap = (i1 - i0) * (2 * TEXT.hc_max_number_chars() + len(mid) + len(sep))
         out = np.empty(cap, dtype=np.uint8)
-        n = TEXT.hc_write_rows(rows, i0, i1, mid.encode(), sep.encode(), out, cap)
+        n = TEXT.hc_write_rows(rows, i0, i1, mid.encode(), sep.encode(), out)
         if n >= 0:
             return str(out[:n], "ascii")
     text = sep.join(f"{x!r}{mid}{y!r}" for x, y in rows[i0:i1].tolist())
@@ -132,8 +132,7 @@ def _entries_text(table: dict, sep: str) -> str:
             # and a value that is not finite
             cap = len(table) * (2 * TEXT.hc_max_number_chars() + 4 + len(sep))
             out = np.empty(cap, dtype=np.uint8)
-            n = TEXT.hc_write_entries(keys.ctypes.data_as(_fastdel._p_i64), values, 0,
-                                      len(table), sep.encode(), out, cap)
+            n = TEXT.hc_write_entries(keys, values, 0, len(table), sep.encode(), out)
             if n >= 0:
                 return str(out[:n], "ascii")
     return json.dumps({str(k): v for k, v in table.items()}, separators=(sep, ": "))[1:-1]

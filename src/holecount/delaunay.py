@@ -11,6 +11,8 @@ region behaves like one more triangle everywhere downstream.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,6 +25,18 @@ from . import _fastdel
 
 #: Face id of the unbounded external region.
 EXTERNAL = -1
+
+_PACKAGE_PREFIX = os.path.dirname(__file__) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """The `warnings.warn` stacklevel, for a warning raised in the function
+    that calls this one, of the first frame outside this package: the
+    user's line, also when the package called that function itself."""
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_PREFIX):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class TooFewPointsError(ValueError):
@@ -77,7 +91,7 @@ class Cloud:
         if kept is not None:
             n_in, pts = len(pts), pts[kept]
             warnings.warn(f"removed {n_in - len(pts)} duplicate point(s)",
-                          DuplicatePointsWarning, stacklevel=2)
+                          DuplicatePointsWarning, stacklevel=_caller_stacklevel())
         cloud = cls(points=pts)
         if order is not None:
             order.flags.writeable = False

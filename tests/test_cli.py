@@ -234,11 +234,11 @@ class TestNumberText:
         rows = np.array([[1.0, np.inf], [np.nan, -0.0]])
         assert _rows_text(rows, 0, 2, ",", "\n") == "1.0,inf\nnan,-0.0"
         out = np.empty(64, dtype=np.uint8)
-        assert cli.TEXT.hc_write_rows(rows, 0, 1, b",", b"\n", out, 64) == -1
+        assert cli.TEXT.hc_write_rows(rows, 0, 1, b",", b"\n", out) == -1
         rows = np.full((2, 2), -2.2250738585072014e-308)
         assert cli.TEXT.hc_max_number_chars() == len(repr(float(rows[0, 0]))) == 24
-        assert cli.TEXT.hc_write_rows(rows, 1, 2, b",", b"\n", out, 49) == -1
-        assert cli.TEXT.hc_write_rows(rows, 1, 2, b",", b"\n", out, 50) == 50
+        assert cli.TEXT.hc_write_rows(rows, 1, 2, b",", b"\n", out[:49]) == -1
+        assert cli.TEXT.hc_write_rows(rows, 1, 2, b",", b"\n", out[:50]) == 50
 
 
 class TestPairsCsv:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holecount
-from holecount import Cloud, _fastdel
+from holecount import Cloud, _fastdel, cli
 from holecount import delaunay as delaunay_mod
 from holecount import forest as forest_mod
 from holecount.cli import RunReport, compute_report, load_cloud_csv
@@ -32,6 +32,9 @@ from test_delaunay import DEGENERATE_CLOUDS
 
 needs_kernels = pytest.mark.skipif(
     _fastdel.KERNELS is None, reason="compiled kernels unavailable (no C compiler)"
+)
+needs_text = pytest.mark.skipif(
+    cli.TEXT is None, reason="compiled number text unavailable (no C++ compiler)"
 )
 
 
@@ -437,6 +440,21 @@ def test_ingest_matches_numpy_unique(kind, kernels, monkeypatch):
         assert cloud.order is None
 
 
+@needs_kernels
+def test_duplicate_warning_names_the_callers_line():
+    # triangulate passes a Cloud built without from_points through it; the
+    # warning still names the caller's line, not the package's
+    pts = np.array([(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (2.0, 2.0)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = sys._getframe().f_lineno + 1
+        hole_persistence(Cloud(points=pts))
+        Cloud.from_points(pts)
+    assert [(w.category, w.filename, w.lineno) for w in caught] == [
+        (holecount.DuplicatePointsWarning, __file__, first),
+        (holecount.DuplicatePointsWarning, __file__, first + 1)]
+
+
 def _sweep_output(cloud):
     """The pairs of one sweep over the cloud, in the order it emits them."""
     tri = triangulate(cloud)
@@ -638,28 +656,49 @@ def test_edge_table_rejects_one_sided_neighbour_links():
         _fastdel.edge_table(pts, tris, neigh)
 
 
+# The borrow call of one array parameter, and the pointer it is assigned to.
+_BORROW = re.compile(r"(const )?(\w+) \*(\w+) = borrow\(&b, (\w+), '(\w)', "
+                     r"sizeof \*(\w+),[^;]*?\b(READ|WRITE)\);")
+
+
 def _assert_exports_match(library, tmp_path):
     """The source builds without warnings, every exported hc_* function has
     a ctypes signature and vice versa, and each signature declares the C
-    prototype's return type and parameters, one for one and kind for kind."""
+    prototype's return type and parameters, one for one and kind for kind.
+    Each array parameter (a PyObject *) is borrowed once, with the element
+    kind of the pointer it is assigned to, and writable exactly when that
+    pointer is not const."""
     out = subprocess.run(
         [library.compiler, *library.flags, "-Wall", "-Wextra", "-Werror",
          "-o", str(tmp_path / "k.so"), str(library.source), "-lm"],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     source = library.source.read_text()
-    exported = re.findall(r"^(?!static\b)(\w+) (hc_\w+)\(([^)]*)\)", source, re.M)
-    assert sorted(name for _, name, _ in exported) == sorted(library.signatures)
-    kinds = {"void": None, "double *": _fastdel._F64, "int32_t *": _fastdel._I32,
-             "int64_t *": _fastdel._p_i64, "int32_t": ctypes.c_int32,
+    exported = list(re.finditer(r"^(?!static\b)(\w+ ?\*?)(hc_\w+)\(([^)]*)\)", source,
+                                re.M))
+    assert sorted(m[2] for m in exported) == sorted(library.signatures)
+    kinds = {"void": None, "PyObject *": ctypes.py_object, "int32_t": ctypes.c_int32,
              "int64_t": ctypes.c_int64, "double": ctypes.c_double,
-             "char *": ctypes.c_char_p, "uint8_t *": _fastdel._U8}
-    for restype, name, params in exported:
-        declared = [re.fullmatch(r"(?:const )?(\w+) (\*?)\w+", p.strip())
-                    .expand(r"\1 \2").strip()
+             "char *": ctypes.c_char_p}
+    element_kinds = {"double": "f", "int32_t": "i", "int64_t": "i", "uint8_t": "u",
+                     "char": "u"}
+    ends = [m.start() for m in exported[1:]] + [len(source)]
+    for m, end in zip(exported, ends):
+        restype, name, params = m.groups()
+        declared = [re.fullmatch(r"(?:const )?(\w+) (\*?)(\w+)", p.strip()).groups()
                     for p in params.split(",") if params != "void"]
         assert library.signatures[name] == (
-            kinds[restype], [kinds[kind] for kind in declared]), name
+            kinds[restype.strip()],
+            [kinds[f"{kind} {star}".strip()] for kind, star, _ in declared]), name
+        body = source[m.end():end]
+        borrowed = {}
+        for const, ctype, var, obj, kind, sized, mode in _BORROW.findall(body):
+            assert obj not in borrowed and sized == var, (name, obj)
+            assert element_kinds[ctype] == kind, (name, obj)
+            assert (mode == "READ") == bool(const), (name, obj)
+            borrowed[obj] = kind
+        assert sorted(borrowed) == sorted(
+            param for kind, star, param in declared if kind == "PyObject"), name
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
@@ -670,6 +709,173 @@ def test_exports_match_signatures(tmp_path):
 @pytest.mark.skipif(shutil.which("g++") is None, reason="no C++ compiler")
 def test_text_exports_match_signatures(tmp_path):
     _assert_exports_match(_fastdel.TEXT_LIBRARY, tmp_path)
+
+
+def _square_tables():
+    """A unit square's points, compact triangles, neighbours and edge table
+    from the builder."""
+    pts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    tris, neigh = _fastdel.build_triangulation(pts, np.arange(4, dtype=np.int32))
+    faces, length_sq = _fastdel.edge_table(pts, tris, neigh)
+    return pts, tris, neigh, faces, length_sq
+
+
+def _valid_calls():
+    """For every exported function that takes arrays, by name: (library,
+    arguments of a call it accepts, positions of the arrays it writes).
+    Every array has at least two rows, so a strided view of it is not
+    contiguous."""
+    pts, tris, neigh, faces, length_sq = _square_tables()
+    k, m = len(tris), len(faces)
+    pairs = np.array([(0.0, 2.0), (1.0, 3.0)])
+    text = np.frombuffer(b"1,2\n3,4\n", dtype=np.uint8).copy()
+    i32, i64, u8 = np.int32, np.int64, np.uint8
+    kernels = _fastdel.KERNELS
+    return {
+        "hc_morton_dedup": (kernels, [pts, np.empty(4, i32), np.empty(4, u8)], [1, 2]),
+        "hc_build": (kernels, [pts, np.arange(4, dtype=i32), np.empty((6, 3), i32),
+                               np.empty((6, 3), i32)], [2, 3]),
+        "hc_edge_table": (kernels, [pts, tris, neigh, np.empty((m, 2), i32), np.empty(m)],
+                          [3, 4]),
+        "hc_births": (kernels, [pts, tris, 1e-12, np.empty(k)], [3]),
+        "hc_sweep": (kernels, [edges_sorted_desc(length_sq), faces, length_sq,
+                               np.full(k, 0.5), np.empty((k + 1, 2))], [3, 4]),
+        "hc_staircase": (kernels, [pairs, np.sort(pairs[:, 1]), np.empty(4),
+                                   np.empty(4, i64), np.full(3, -1.0), np.empty(3, i64)],
+                         [2, 3, 4, 5]),
+        "hc_bottleneck": (kernels, [pairs, pairs[::-1].copy()], []),
+        "hc_write_rows": (cli.TEXT, [pairs, 0, 2, b",", b"\n", np.empty(200, u8)], [5]),
+        "hc_write_entries": (cli.TEXT, [np.array([1, 2], i64), pairs[:, 1].copy(), 0, 2,
+                                        b", ", np.empty(200, u8)], [5]),
+        "hc_parse_rows": (cli.TEXT, [text, np.empty((3, 2))], [1]),
+    }
+
+
+_ARRAY_FUNCTIONS = sorted(
+    name for library in (_fastdel.KERNEL_LIBRARY, _fastdel.TEXT_LIBRARY)
+    for name, (_, argtypes) in library.signatures.items() if ctypes.py_object in argtypes)
+
+
+def _array_variants(args, written):
+    """(position, variant) pairs that every function must refuse: each
+    array as float32 (a kind or item size it does not take) and as a
+    strided view, and each array it writes as a read-only copy."""
+    for i, arg in enumerate(args):
+        if not isinstance(arg, np.ndarray):
+            continue
+        yield i, arg.astype(np.float32)
+        yield i, np.stack([arg, arg], axis=-1)[..., 0]
+        if i in written:
+            frozen = arg.copy()
+            frozen.flags.writeable = False
+            yield i, frozen
+
+
+@needs_kernels
+@needs_text
+@pytest.mark.parametrize("name", _ARRAY_FUNCTIONS)
+def test_kernels_refuse_arrays_they_cannot_take(name):
+    # 1000 calls it takes leave the arrays' reference counts as they were;
+    # what ndpointer refused, the buffer borrow refuses before the kernel
+    # writes anything, and it releases every buffer it already holds
+    library, args, written = _valid_calls()[name]
+    fn = getattr(library, name)
+    refs = [sys.getrefcount(a) for a in args if isinstance(a, np.ndarray)]
+    for _ in range(1000):
+        fn(*args)
+    assert [sys.getrefcount(a) for a in args if isinstance(a, np.ndarray)] == refs
+    variants = list(_array_variants(args, written))
+    assert variants
+    for i, variant in variants:
+        call = list(args)
+        call[i] = variant
+        before = [a.copy() if isinstance(a, np.ndarray) else a for a in call]
+        arrays = [a for a in call if isinstance(a, np.ndarray)]
+        refs = [sys.getrefcount(a) for a in arrays]
+        with pytest.raises((TypeError, ValueError, BufferError)):
+            fn(*call)
+        assert [sys.getrefcount(a) for a in arrays] == refs, (name, i)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(call, before)
+                   if isinstance(a, np.ndarray)), (name, i)
+
+
+@needs_kernels
+@needs_text
+def test_valid_calls_cover_every_array_function():
+    assert sorted(_valid_calls()) == _ARRAY_FUNCTIONS
+
+
+@needs_kernels
+def test_kernels_raise_on_ids_out_of_range():
+    pts, tris, neigh, faces, length_sq = _square_tables()
+    order = edges_sorted_desc(length_sq)
+    births = np.full(len(tris), 0.5)
+    bad_tris = tris.copy()
+    bad_tris[1, 2] = len(pts)
+    with pytest.raises(ValueError, match="triangle vertex out of range"):
+        _fastdel.triangle_births(pts, bad_tris, 1e-12)
+    with pytest.raises(ValueError, match="triangle vertex out of range"):
+        _fastdel.edge_table(pts, bad_tris, neigh)
+    with pytest.raises(ValueError, match="insertion order out of range"):
+        _fastdel.build_triangulation(pts, np.array([0, 1, 2, 4], dtype=np.int32))
+    for bad_order in (order + 1, order - 1):
+        with pytest.raises(ValueError, match="edge order out of range"):
+            _fastdel.sweep(births.copy(), faces, length_sq, bad_order)
+    for bad_face in (-2, len(tris)):
+        bad_faces = faces.copy()
+        bad_faces[-1, 1] = bad_face
+        with pytest.raises(ValueError, match="face id out of range"):
+            _fastdel.sweep(births.copy(), bad_faces, length_sq, order)
+    # a buffer shorter than the call needs
+    k = len(tris)
+    with pytest.raises(ValueError, match=f"array 5: holds {2 * k} items, the call "
+                                         f"needs {2 * k + 2}"):
+        _fastdel.KERNELS.hc_sweep(order, faces, length_sq, births, np.empty((k, 2)))
+    assert _fastdel.sweep(births.copy(), faces, length_sq, order)[1] >= 0
+
+
+def _leak_calls():
+    """(function, arguments) of each kernel wrapper and of the CLI's text
+    reader and writers, on small inputs."""
+    pts, tris, neigh, faces, length_sq = _square_tables()
+    cloud = Cloud.from_points(random_cloud(0, 50).points)
+    off = hole_persistence(cloud).off_diagonal()
+    data = b"# x\n1,2\n3,4\n"
+
+    class Source:  # a file whose read() returns the same bytes every time
+        def read(self):
+            return data
+
+    source = Source()
+    return [
+        (_fastdel.morton_dedup, (cloud.points,)),
+        (_fastdel.build_triangulation, (cloud.points, cloud.order)),
+        (_fastdel.edge_table, (pts, tris, neigh)),
+        (_fastdel.triangle_births, (pts, tris, 1e-12)),
+        (_fastdel.sweep, (np.full(len(tris), 0.5), faces, length_sq,
+                          edges_sorted_desc(length_sq))),
+        (_fastdel.staircase, (off,)),
+        (_fastdel.bottleneck, (off, off[::-1].copy())),
+        (cli._read_rows, ("cloud.csv", source, 1, "x,y")),
+        (cli._rows_text, (off, 0, len(off), ",", "\n")),
+        (cli._entries_text, ({1: 0.25, 3: 0.75}, ", ")),
+    ], data
+
+
+@needs_kernels
+@needs_text
+def test_kernel_calls_leave_reference_counts():
+    # a buffer borrowed and not released keeps a reference to its array,
+    # which the sanitizers do not see
+    calls, data = _leak_calls()
+    for fn, args in calls:
+        # the arrays and the text; small ints and interned strings are
+        # shared with the rest of the interpreter
+        held = [a for a in args if isinstance(a, np.ndarray)] + [data]
+        refs = [sys.getrefcount(a) for a in held]
+        for _ in range(1000):
+            fn(*args)
+        assert [sys.getrefcount(a) for a in held] == refs, fn.__name__
 
 
 def _sanitizer_runtimes():
@@ -688,7 +894,7 @@ import numpy as np
 from holecount import AllCollinearError, Cloud, _fastdel, hole_persistence
 from holecount.diagrams import Diagram, hole_probabilities
 
-lib = ctypes.CDLL(sys.argv[1])
+lib = ctypes.PyDLL(sys.argv[1])
 for name, (restype, argtypes) in _fastdel.KERNEL_LIBRARY.signatures.items():
     getattr(lib, name).restype = restype
     getattr(lib, name).argtypes = argtypes
@@ -827,7 +1033,7 @@ import ctypes, json, sys
 import numpy as np
 from holecount import Cloud, _fastdel, cli
 
-lib = ctypes.CDLL(sys.argv[1])
+lib = ctypes.PyDLL(sys.argv[1])
 for name, (restype, argtypes) in _fastdel.TEXT_LIBRARY.signatures.items():
     getattr(lib, name).restype = restype
     getattr(lib, name).argtypes = argtypes
@@ -836,8 +1042,7 @@ cli.TEXT = lib
 def parse(text):
     data = np.frombuffer(text.encode(), dtype=np.uint8).copy()
     rows = np.empty((text.count("\\n") + 1, 2))
-    n = lib.hc_parse_rows(data.ctypes.data_as(ctypes.c_char_p), len(data), rows,
-                          len(rows))
+    n = lib.hc_parse_rows(data, rows)
     return n, rows[:max(n, 0)].tolist()
 
 assert parse("1,2\\n3,-4.5e-3") == (2, [[1.0, 2.0], [3.0, -4.5e-3]])
@@ -855,8 +1060,8 @@ assert parse("# caf\\u00e9\\n1,2") == (-1, [])
 
 longest = np.full((2, 2), -2.2250738585072014e-308)
 out = np.empty(50, dtype=np.uint8)  # the bound of one row, its separator included
-assert lib.hc_write_rows(longest, 1, 2, b",", b"\\n", out, 50) == 50
-assert lib.hc_write_rows(longest, 0, 0, b",", b"\\n", out[:0], 0) == 0
+assert lib.hc_write_rows(longest, 1, 2, b",", b"\\n", out) == 50
+assert lib.hc_write_rows(longest, 0, 0, b",", b"\\n", out[:0]) == 0
 
 rng = np.random.default_rng(0)
 bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64)
@@ -867,8 +1072,7 @@ def entries(keys, values, i0, i1, cap):
     keys = np.array(keys, dtype=np.int64)
     values = np.array(values, dtype=np.float64)
     out = np.empty(cap, dtype=np.uint8)
-    n = lib.hc_write_entries(keys.ctypes.data_as(_fastdel._p_i64), values, i0, i1,
-                             b",\\n    ", out, cap)
+    n = lib.hc_write_entries(keys, values, i0, i1, b",\\n    ", out)
     return str(out[:n], "ascii") if n >= 0 else n
 
 key, value = -2 ** 63, -2.2250738585072014e-308

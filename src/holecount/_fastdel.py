@@ -1,13 +1,16 @@
 """Compiled kernels for the large-cloud pipeline, loaded through ctypes.PyDLL.
 
 ``_kernels.c`` exports one function per step, each called once per cloud.
-Ingest runs ``hc_morton_dedup``: one stable radix sort of Z-order keys
+Ingest runs ``hc_insertion_order``: one stable radix sort of Z-order keys
 finds the repeated points (each compared exactly with the points of its run
-of equal keys) and gives the Morton insertion order of the kept points,
-which ``Cloud`` carries to the builder; it is the one source of that order.
+of equal keys) and gives the insertion order of the kept points, which
+``Cloud`` carries to the builder; it is the one source of that order.  The
+order is biased randomized (Amenta, Choi and Rote 2003): rounds that grow
+4x, drawn by a hash of each point's coordinates, each round in Z-order.
 Then follow the incremental Delaunay builder ``hc_build`` (triangle and
 edge splits and Lawson flips in that order, with exact predicates, symbolic
-in-circle ties and ghost triangles, compacted in place), the edge table
+in-circle ties, ghost triangles and half-edge neighbour links, compacted in
+place), the edge table
 ``hc_edge_table`` (each edge's two faces and squared length), ``hc_births``
 (from each triangle's point set, whatever its vertex order) and the sweep
 ``hc_sweep``; ``hc_staircase`` builds a diagram's staircase by one merge of
@@ -59,7 +62,7 @@ raises.
 
 Every function writes into arrays its Python caller allocates, and the
 text functions allocate nothing else.  The kernels' own scratch space is
-freed before they return: O(n) for the builder and the Morton pass, the
+freed before they return: O(n) for the builder and the insertion order, the
 union-find forest of ``hc_sweep``, and O(m1 + m2 + edges) for
 ``hc_bottleneck``, whose edge count is known only after its scan.  A failed allocation returns a status, on which the wrapper
 raises MemoryError.
@@ -130,7 +133,7 @@ KERNEL_LIBRARY = Library(
     # cache.
     ("-O3", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off", *_PYTHON_FLAGS),
     {
-        "hc_morton_dedup": (_c_i32, [_ARRAY] * 3),
+        "hc_insertion_order": (_c_i32, [_ARRAY] * 3),
         "hc_build": (_OBJECT, [_ARRAY] * 4),
         "hc_edge_table": (_c_i64, [_ARRAY] * 5),
         "hc_births": (_c_i64, [_ARRAY, _ARRAY, _c_f64, _ARRAY]),
@@ -203,20 +206,21 @@ def load_library(library: Library):
 KERNELS = load_library(KERNEL_LIBRARY)
 
 
-def morton_dedup(points: np.ndarray):
-    """(kept, order) of the points from one Morton sort (``hc_morton_dedup``),
+def insertion_order(points: np.ndarray):
+    """(kept, order) of the points from one sort (``hc_insertion_order``),
     or None when the kernels are not loaded.  kept is a bool mask of the
     first occurrences, or None when no point repeats; order is the int32
-    Morton order of the kept points, numbered by their position among them:
-    successive points lie close, so the builder's locate walk is short.
-    Raises ValueError above 2**29 points."""
+    insertion order of the kept points, numbered by their position among
+    them: rounds that grow 4x, drawn by a hash of the coordinates, each in
+    Morton order, so that the builder's flips stay few and its locate
+    walks short.  Raises ValueError above 2**29 points."""
     if KERNELS is None:
         return None
     n = len(points)
     _check_size(n)
     order = np.empty(n, dtype=np.int32)
     repeat = np.empty(n, dtype=np.uint8)
-    m = KERNELS.hc_morton_dedup(points, order, repeat)
+    m = KERNELS.hc_insertion_order(points, order, repeat)
     if m < 0:
         raise MemoryError("no memory for the Morton keys")
     if m == n:
@@ -233,7 +237,7 @@ def build_triangulation(points: np.ndarray, order: np.ndarray):
     Exactly cocircular points get the triangulation of a symbolic
     perturbation keyed on their (x, y) order, so the triangles do not
     depend on the input order.  The points are inserted in the given
-    order, a permutation of range(n): the Morton order of `morton_dedup`,
+    order, a permutation of range(n): the order of `insertion_order`,
     which `Cloud.from_points` keeps.  Raises MemoryError when the builder
     runs out of memory, and ValueError above 2**29 points or when no
     triangulation has every point a vertex (fewer than 3 points, or a point
@@ -256,8 +260,8 @@ def build_triangulation(points: np.ndarray, order: np.ndarray):
     status, n_tris, *counts = KERNELS.hc_build(points, order, tris, neigh)
     log.debug("builder: %d predicates left undecided by the float filter, "
               "%d in-circle ties broken by the perturbation, underflow "
-              "check armed %d, %d predicates decided in long double",
-              *counts)
+              "check armed %d, %d predicates decided in long double, "
+              "%d locate steps, %d flips", *counts)
     if status == STATUS_OVERFLOW:
         raise MemoryError("no memory for the builder's flip stack")
     if status == STATUS_DECLINED:

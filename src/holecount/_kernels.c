@@ -1,12 +1,15 @@
 /* Compiled kernels of holecount, loaded through ctypes.PyDLL by _fastdel.py.
  *
- *   hc_morton_dedup insertion order along a Z-order curve (stable radix
- *                   sort of 32-bit Morton keys), which also marks the
- *                   repeated points (each one equal to an earlier point
- *                   inside its run of equal keys) and returns the order of
- *                   the kept points
+ *   hc_insertion_order
+ *                   the builder's insertion order: rounds that grow 4x, each
+ *                   in Z-order (a biased randomized insertion order from a
+ *                   hash of the coordinates and a stable radix sort of
+ *                   32-bit Morton keys); the same sort marks the repeated
+ *                   points (each one equal to an earlier point inside its
+ *                   run of equal keys), and the order covers the kept ones
  *   hc_build        incremental Delaunay triangulation (triangle and edge
- *                   splits, Lawson flips), compacted in place
+ *                   splits, Lawson flips on half-edge links), compacted in
+ *                   place
  *   hc_edge_table   each edge's two faces and squared length
  *   hc_births       per-triangle birth scales, with the borderline right
  *                   angles of integer-like rows decided exactly
@@ -27,7 +30,7 @@
  * a failed check sets a Python exception, which ctypes raises.  Every
  * kernel writes only into buffers the caller allocated, apart from scratch
  * space that it frees before it returns: O(n) for the builder and the
- * Morton pass, the union-find forest of hc_sweep, O(m1 + m2 + edges) for
+ * insertion order, the union-find forest of hc_sweep, O(m1 + m2 + edges) for
  * hc_bottleneck.
  *
  * The builder's predicates are exact, in the stages of Shewchuk's adaptive
@@ -482,18 +485,20 @@ static int ghost_slot(const int32_t *tri, int32_t inf)
     return -1;
 }
 
-/* Slot of triangle t whose neighbour link points to triangle u. */
-static int facing(const int32_t *neigh, int32_t t, int32_t u)
-{
-    return NB(t, 0) == u ? 0 : NB(t, 1) == u ? 1 : 2;
-}
+/* The builder links each triangle side to the side across it: link[3t + j]
+ * is the half-edge 3t' + j' of the edge opposite vertex j of slot t, seen
+ * from its neighbour t'.  3 (2n - 2) slots' half-edges fit in uint32 for n
+ * up to 2^29.  NO_LINK marks a hull side once the ghosts are dropped. */
+#define LINK(t, j) link[3 * (int64_t)(t) + (j)]
+#define NO_LINK UINT32_MAX
 
-/* Compact the slots of hc_build in place: drop the ghosts and renumber the
- * neighbours (-1 across hull edges).  Each triangle keeps the vertex order
- * its slot had, CCW; nothing downstream reads more of it, as the births
- * depend on the triangle's point set alone (see clamped_circumradius).
- * Returns the number of triangles kept. */
-static int64_t compact(int32_t n, int32_t *tris, int32_t *neigh, int64_t n_tris)
+/* Compact the slots of hc_build in place: drop the ghosts, then turn the
+ * half-edge links into the neighbours' triangle ids (-1 across hull
+ * edges), in the same memory.  Each triangle keeps the vertex order its
+ * slot had, CCW; nothing downstream reads more of it, as the births depend
+ * on the triangle's point set alone (see clamped_circumradius).  Returns
+ * the number of triangles kept. */
+static int64_t compact(int32_t n, int32_t *tris, uint32_t *link, int64_t n_tris)
 {
     int64_t k = 0;
     for (int64_t t = 0; t < n_tris; t++) {
@@ -501,8 +506,8 @@ static int64_t compact(int32_t n, int32_t *tris, int32_t *neigh, int64_t n_tris)
             continue;
         k++;
         for (int j = 0; j < 3; j++)
-            if (ghost_slot(&TRI(NB(t, j), 0), n) >= 0)
-                NB(t, j) = -1;
+            if (ghost_slot(&TRI(LINK(t, j) / 3, 0), n) >= 0)
+                LINK(t, j) = NO_LINK;
     }
     /* move the real triangles above slot k into the ghost slots below it */
     for (int64_t lo = 0, hi = n_tris;; lo++) {
@@ -514,13 +519,16 @@ static int64_t compact(int32_t n, int32_t *tris, int32_t *neigh, int64_t n_tris)
             hi--;
         while (ghost_slot(&TRI(hi, 0), n) >= 0);
         for (int j = 0; j < 3; j++) {
-            int32_t nb = NB(hi, j);
+            uint32_t e = LINK(hi, j);
             TRI(lo, j) = TRI(hi, j);
-            NB(lo, j) = nb;
-            if (nb >= 0)
-                NB(nb, facing(neigh, nb, (int32_t)hi)) = (int32_t)lo;
+            LINK(lo, j) = e;
+            if (e != NO_LINK)
+                link[e] = (uint32_t)(3 * lo + j);
         }
     }
+    int32_t *neigh = (int32_t *)link;
+    for (int64_t e = 0; e < 3 * k; e++)
+        neigh[e] = link[e] == NO_LINK ? -1 : (int32_t)(link[e] / 3);
     return k;
 }
 
@@ -557,16 +565,40 @@ static uint32_t morton_cell(double x, double lo, double scale)
     return v < 65535.0 ? (uint32_t)v : 65535u;
 }
 
+#define MAX_LEVEL 31
+
+/* The insertion round of a point: the number of trailing zero bit pairs of
+ * a hash of its coordinate bits, so that P(level >= j) = 4^-j, up to
+ * MAX_LEVEL.
+ * x + 0.0 turns -0.0 into 0.0 and keeps every other value, so equal points
+ * share their level.  The hash multiplies x's bits into y's and mixes them
+ * with the finalizer of SplitMix64 (Steele, Lea and Flood 2014). */
+static uint8_t round_level(double x, double y)
+{
+    uint64_t xb, yb;
+    x += 0.0;
+    y += 0.0;
+    memcpy(&xb, &x, sizeof xb);
+    memcpy(&yb, &y, sizeof yb);
+    uint64_t h = xb * 0x9E3779B97F4A7C15u + yb;
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9u;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBu;
+    h ^= h >> 31;
+    return (uint8_t)(__builtin_ctzll(h | 1ull << 2 * MAX_LEVEL) >> 1);
+}
+
 /* Sort the points stably by their Z-order keys into order and return the
- * sorted keys.  Each axis is cut into 2^16 cells over the larger of the two
- * coordinate spans, from the per-axis minimum, and the cell numbers are
- * interleaved (x in the even bits) into a 32-bit key.  The keys are sorted
- * by an LSD radix sort, one pass per key byte, with the passes whose byte is
- * the same for every key left out.  When the span is 0 (all points equal)
- * every key is 0 and the order is the identity.  key has room for 2n keys
- * and spare for n indices; the sorted keys are in one half of key. */
+ * sorted keys; level[i] receives point i's round_level in the same pass.
+ * Each axis is cut into 2^16 cells over the larger of the two coordinate
+ * spans, from the per-axis minimum, and the cell numbers are interleaved
+ * (x in the even bits) into a 32-bit key.  The keys are sorted by an LSD
+ * radix sort, one pass per key byte, with the passes whose byte is the same
+ * for every key left out.  When the span is 0 (all points equal, so one is
+ * kept) every key and every level is 0 and the order is the identity.  key
+ * has room for 2n keys and spare for n indices; the sorted keys are in one
+ * half of key. */
 static const uint32_t *morton_sort(const double *pts, int32_t n, int32_t *order,
-                                   uint32_t *key, int32_t *spare)
+                                   uint8_t *level, uint32_t *key, int32_t *spare)
 {
     for (int32_t i = 0; i < n; i++)
         order[i] = i;
@@ -581,6 +613,7 @@ static const uint32_t *morton_sort(const double *pts, int32_t n, int32_t *order,
     const double span = span_x > span_y ? span_x : span_y;
     if (!(span > 0.0)) {
         memset(key, 0, (size_t)n * sizeof *key);
+        memset(level, 0, (size_t)n);
         return key;
     }
     const double scale = 65535.0 / span;
@@ -591,6 +624,7 @@ static const uint32_t *morton_sort(const double *pts, int32_t n, int32_t *order,
         uint32_t k = spread_bits(morton_cell(PX(i), lo_x, scale))
                      | spread_bits(morton_cell(PY(i), lo_y, scale)) << 1;
         key[i] = k;
+        level[i] = round_level(PX(i), PY(i));
         for (int b = 0; b < 4; b++)
             counts[b][(k >> (8 * b)) & 0xFF]++;
     }
@@ -636,11 +670,14 @@ static int compare_run_points(const void *pa, const void *pb)
     return (a->i > b->i) - (a->i < b->i);
 }
 
+#define REPEATED 0x80 /* above every round_level */
+
 /* Mark the repeats among the points idx[0..len), which share one key: every
- * point equal (==, so -0.0 equals 0.0) to one of lower index.  The run is
- * sorted by (x, y, index) in scratch space, grown as needed, so the first
- * of each group of equal points is its earliest.  Returns 0, or -1 when
- * there is no memory for the scratch space. */
+ * point equal (==, so -0.0 equals 0.0) to one of lower index gets the
+ * REPEATED bit in repeat[].  The run is sorted by (x, y, index) in scratch
+ * space, grown as needed, so the first of each group of equal points is its
+ * earliest.  Returns 0, or -1 when there is no memory for the scratch
+ * space. */
 static int mark_run_repeats(const double *pts, const int32_t *idx, int32_t len,
                             uint8_t *repeat, run_point **scratch, int32_t *cap)
 {
@@ -657,21 +694,27 @@ static int mark_run_repeats(const double *pts, const int32_t *idx, int32_t len,
     qsort(run, (size_t)len, sizeof *run, compare_run_points);
     for (int32_t j = 1; j < len; j++)
         if (run[j].x == run[j - 1].x && run[j].y == run[j - 1].y)
-            repeat[run[j].i] = 1;
+            repeat[run[j].i] |= REPEATED;
     return 0;
 }
 
-/* The insertion order along a Z-order curve, which keeps successive points
- * close so the builder's locate walk is short, and the repeated points,
- * from one sort (see morton_sort).  Equal points have equal keys, so a
- * point equal to an earlier one lies in that point's run of equal keys;
- * repeat[i] is set to 1 for each such point and to 0 for the rest, the
- * first occurrences.  order[0..m) then holds the Morton order of the m kept
- * points, numbered by their position among them: the order morton_sort
- * gives the cloud without its repeats, whose lo and span are those of the
- * whole cloud.  Returns m, or -1 when there is no memory for the scratch
- * space. */
-static int32_t morton_dedup(const double *pts, int32_t n, int32_t *order, uint8_t *repeat)
+/* The builder's insertion order of the kept points and the repeated
+ * points, from one sort (see morton_sort).  Equal points have equal keys,
+ * so a point equal to an earlier one lies in that point's run of equal
+ * keys; repeat[i] is set to 1 for each such point and to 0 for the rest,
+ * the first occurrences.  order[0..m) then holds the m kept points,
+ * numbered by their position among them, in rounds of descending
+ * round_level, each in Z-order: the biased randomized insertion order of
+ * Amenta, Choi and Rote (2003) with rounds that grow 4x.  Random rounds
+ * keep the Lawson flips per point bounded on curves, where Z-order alone
+ * inserts each point outside the hull built so far; Z-order inside a round
+ * keeps the locate walks short.  The levels hash the coordinates, so the
+ * order does not depend on the row order where the keys differ.  The
+ * levels sit in repeat[] until the repeats are known and the partition by
+ * level reuses the keys as scratch, so nothing more is allocated.  Returns
+ * m, or -1 when there is no memory for the scratch space. */
+static int32_t insertion_order(const double *pts, int32_t n, int32_t *order,
+                               uint8_t *repeat)
 {
     if (n <= 0)
         return 0;
@@ -680,8 +723,7 @@ static int32_t morton_dedup(const double *pts, int32_t n, int32_t *order, uint8_
     run_point *scratch = NULL;
     int32_t cap = 0, kept = -1;
     if (keys && spare) {
-        const uint32_t *key = morton_sort(pts, n, order, keys, spare);
-        memset(repeat, 0, (size_t)n);
+        const uint32_t *key = morton_sort(pts, n, order, repeat, keys, spare);
         int failed = 0;
         for (int32_t s = 0, e; s < n && !failed; s = e) {
             for (e = s + 1; e < n && key[e] == key[s]; e++)
@@ -694,12 +736,31 @@ static int32_t morton_dedup(const double *pts, int32_t n, int32_t *order, uint8_
             kept = 0;
             for (int32_t i = 0; i < n; i++) {
                 rank[i] = kept;
-                kept += !repeat[i];
+                kept += !(repeat[i] & REPEATED);
             }
-            if (kept < n)
-                for (int32_t k = 0, j = 0; k < n; k++)
-                    if (!repeat[order[k]])
-                        order[j++] = rank[order[k]];
+            /* the kept points in Z-order with their levels, then a stable
+             * counting sort by descending level into the free keys */
+            int32_t *by_level = (int32_t *)keys;
+            uint8_t *level = (uint8_t *)(keys + n);
+            int64_t start[MAX_LEVEL + 1] = {0};
+            for (int32_t k = 0, j = 0; k < n; k++) {
+                const uint8_t r = repeat[order[k]];
+                if (r & REPEATED)
+                    continue;
+                level[j] = r;
+                start[r]++;
+                order[j++] = rank[order[k]];
+            }
+            for (int64_t l = MAX_LEVEL, sum = 0; l >= 0; l--) {
+                const int64_t count = start[l];
+                start[l] = sum;
+                sum += count;
+            }
+            for (int32_t j = 0; j < kept; j++)
+                by_level[start[level[j]]++] = order[j];
+            memcpy(order, by_level, (size_t)kept * sizeof *order);
+            for (int32_t i = 0; i < n; i++)
+                repeat[i] = (repeat[i] & REPEATED) != 0;
         }
     }
     free(keys);
@@ -712,27 +773,30 @@ static int32_t morton_dedup(const double *pts, int32_t n, int32_t *order, uint8_
  *
  * Triangle slots hold vertex indices, with index n standing for the infinite
  * vertex of ghost triangles (two hull vertices plus infinity), so the splits
- * and the flips treat the outside uniformly.  neigh[t, j] is the triangle
- * across the edge opposite vertex j.  A point strictly inside a triangle,
- * real or ghost, splits it into three: one keeps its slot and two take new
- * ones.  A point exactly on an edge splits the edge's two triangles into
- * four (on a hull edge, the real triangle and the ghost), again two new
- * slots, so the 2n - 2 slots of the finished triangulation are all live.  A
- * point on the line of a hull edge but beyond its ends is located by
- * walking along the hull to a ghost it lies strictly beyond.  Lawson flips
- * (Guibas, Knuth and Sharir 1992) then make every edge opposite the point
- * Delaunay; a ghost's circle is the open half-plane beyond its hull edge,
- * so points on a hull edge's line stay on the hull, and in-circle ties are
- * broken by the perturbation in incircle().  The result is the Delaunay
- * triangulation of the perturbed points, whatever the insertion order.
+ * and the flips treat the outside uniformly.  The side opposite vertex j of
+ * slot t is linked to the same edge's side in the triangle across it by
+ * half-edge ids (see LINK), so a split or a flip rewires its neighbours
+ * without searching them.  A point strictly inside a triangle, real or
+ * ghost, splits it into three: one keeps its slot and two take new ones.  A
+ * point exactly on an edge splits the edge's two triangles into four (on a
+ * hull edge, the real triangle and the ghost), again two new slots, so the
+ * 2n - 2 slots of the finished triangulation are all live.  A point on the
+ * line of a hull edge but beyond its ends is located by walking along the
+ * hull to a ghost it lies strictly beyond.  Lawson flips (Guibas, Knuth and
+ * Sharir 1992) then make every edge opposite the point Delaunay; a ghost's
+ * circle is the open half-plane beyond its hull edge, so points on a hull
+ * edge's line stay on the hull, and in-circle ties are broken by the
+ * perturbation in incircle().  The result is the Delaunay triangulation of
+ * the perturbed points, whatever the insertion order.
  *
- * On STATUS_OK the first *n_tris_out rows hold the real triangles,
- * compacted as above.  counts[0] receives the number of predicates the
- * float filter left to the exact stages, counts[1] the number of in-circle
- * ties the perturbation broke, counts[2] 1 when the filters' underflow
- * check was armed (a nonzero coordinate below MIN_COORD), else 0, and
- * counts[3] the number of predicates the integer stage left to the long
- * double one.
+ * On STATUS_OK the first *n_tris_out rows hold the real triangles and their
+ * neighbours' triangle ids, compacted as above.  counts[0] receives the
+ * number of predicates the float filter left to the exact stages, counts[1]
+ * the number of in-circle ties the perturbation broke, counts[2] 1 when the
+ * filters' underflow check was armed (a nonzero coordinate below
+ * MIN_COORD), else 0, counts[3] the number of predicates the integer stage
+ * left to the long double one, counts[4] the locate walks' steps from one
+ * triangle to the next and counts[5] the flips.
  * STATUS_COLLINEAR means the points lie on one line, so there is no
  * triangle; STATUS_DECLINED that a point repeats (or there are fewer than 3),
  * so no triangulation has every point a vertex.
@@ -742,10 +806,12 @@ static int32_t build_triangulation(const double *pts, int32_t n, const int32_t *
                                    int64_t *n_tris_out, int64_t *counts)
 {
     const int32_t inf = n;
+    uint32_t *link = (uint32_t *)neigh;
     int64_t n_tris = 0;
     int32_t status = STATUS_OK;
     *n_tris_out = 0;
-    counts[0] = counts[1] = counts[2] = counts[3] = 0;
+    for (int i = 0; i < 6; i++)
+        counts[i] = 0;
     if (n < 3)
         return STATUS_DECLINED;
     if (cap < 2 * (int64_t)n - 2)
@@ -779,14 +845,15 @@ static int32_t build_triangulation(const double *pts, int32_t n, const int32_t *
     if (!stack)
         return STATUS_OVERFLOW;
     const int32_t first[4][3] = {{a, b, c}, {c, b, inf}, {a, c, inf}, {b, a, inf}};
-    /* ghost (c,b,inf): edge opposite c is (b,inf), shared with the ghost of
-     * edge (a,b); opposite b is (inf,c), shared with the ghost of (c,a);
-     * opposite inf is (c,b), shared with the real triangle. */
-    const int32_t first_nb[4][3] = {{1, 2, 3}, {3, 2, 0}, {1, 3, 0}, {2, 1, 0}};
+    /* ghost 1 = (c,b,inf): its side opposite c is (b,inf), side 1 of the
+     * ghost of edge (a,b), half-edge 3 * 3 + 1 = 10; opposite b is (inf,c),
+     * side 0 of the ghost of (c,a), 6; opposite inf is (c,b), side 0 of the
+     * real triangle, 0. */
+    const uint32_t first_link[4][3] = {{5, 8, 11}, {10, 6, 0}, {4, 9, 1}, {7, 3, 2}};
     for (int t = 0; t < 4; t++)
         for (int j = 0; j < 3; j++) {
             TRI(t, j) = first[t][j];
-            NB(t, j) = first_nb[t][j];
+            LINK(t, j) = first_link[t][j];
         }
     n_tris = 4;
     int64_t last = 0;
@@ -802,7 +869,7 @@ static int32_t build_triangulation(const double *pts, int32_t n, const int32_t *
         int on = -1;
         int64_t guard = 0;
         const int64_t max_guard = 4 * n_tris + 64;
-        for (;;) {
+        for (;; counts[4]++) {
             /* exact predicates cannot make the walk cycle; a guard anyway */
             if (++guard > max_guard) {
                 status = STATUS_DECLINED;
@@ -817,7 +884,7 @@ static int32_t build_triangulation(const double *pts, int32_t n, const int32_t *
                 if (sgn > 0)
                     break;
                 if (sgn < 0) {
-                    t = NB(t, g); /* step back inside across the finite edge */
+                    t = LINK(t, g) / 3; /* step back inside across the finite edge */
                     continue;
                 }
                 if (same_point(pts, p, x) || same_point(pts, p, y)) {
@@ -830,7 +897,7 @@ static int32_t build_triangulation(const double *pts, int32_t n, const int32_t *
                 }
                 /* on the edge's line beyond one end: to the next hull edge
                  * at that end, across the ghost edge (end, inf) */
-                t = between(pts, x, y, p) ? NB(t, (g + 1) % 3) : NB(t, (g + 2) % 3);
+                t = LINK(t, between(pts, x, y, p) ? (g + 1) % 3 : (g + 2) % 3) / 3;
                 continue;
             }
             int moved = 0, zeros = 0;
@@ -838,7 +905,7 @@ static int32_t build_triangulation(const double *pts, int32_t n, const int32_t *
                 int32_t u = TRI(t, (j + 1) % 3), w = TRI(t, (j + 2) % 3);
                 sgn = orient(pts, u, w, p, may_underflow, counts);
                 if (sgn < 0) {
-                    t = NB(t, j);
+                    t = LINK(t, j) / 3;
                     moved = 1;
                     break;
                 }
@@ -857,48 +924,46 @@ static int32_t build_triangulation(const double *pts, int32_t n, const int32_t *
         }
 
         /* -- split: (p, ring[i], ring[i+1]) in slot[i], across the ring edge
-         * from out[i], whose link back is neigh[out[i], back[i]] ---------- */
-        int32_t ring[4], out[4], slot[4], back[4];
+         * from the half-edge out[i] of the triangle outside ---------------- */
+        int32_t ring[4], slot[4];
+        uint32_t out[4];
         int len;
         if (on < 0) {
             len = 3;
             for (int j = 0; j < 3; j++) {
                 ring[j] = TRI(t, (j + 1) % 3);
-                out[j] = NB(t, j);
-                back[j] = facing(neigh, out[j], (int32_t)t);
+                out[j] = LINK(t, j);
             }
             slot[0] = (int32_t)t;
             slot[1] = (int32_t)n_tris;
             slot[2] = (int32_t)n_tris + 1;
         } else {
             /* t = (r0, r1, r3) and o = (r2, r3, r1) share the edge (r1, r3) */
-            const int32_t o = NB(t, on);
-            const int f = facing(neigh, o, (int32_t)t);
-            const int32_t owner[4] = {(int32_t)t, o, o, (int32_t)t};
+            const int32_t o = (int32_t)(LINK(t, on) / 3);
+            const int f = (int)(LINK(t, on) % 3);
             len = 4;
             ring[0] = TRI(t, on);
             ring[1] = TRI(t, (on + 1) % 3);
             ring[2] = TRI(o, f);
             ring[3] = TRI(t, (on + 2) % 3);
-            out[0] = NB(t, (on + 2) % 3);
-            out[1] = NB(o, (f + 1) % 3);
-            out[2] = NB(o, (f + 2) % 3);
-            out[3] = NB(t, (on + 1) % 3);
-            for (int i = 0; i < 4; i++)
-                back[i] = facing(neigh, out[i], owner[i]);
+            out[0] = LINK(t, (on + 2) % 3);
+            out[1] = LINK(o, (f + 1) % 3);
+            out[2] = LINK(o, (f + 2) % 3);
+            out[3] = LINK(t, (on + 1) % 3);
             slot[0] = (int32_t)t;
             slot[1] = (int32_t)n_tris;
             slot[2] = o;
             slot[3] = (int32_t)n_tris + 1;
         }
         for (int i = 0; i < len; i++) {
+            const uint32_t s = 3 * (uint32_t)slot[i];
             TRI(slot[i], 0) = p;
             TRI(slot[i], 1) = ring[i];
             TRI(slot[i], 2) = ring[(i + 1) % len];
-            NB(slot[i], 0) = out[i];
-            NB(slot[i], 1) = slot[(i + 1) % len];
-            NB(slot[i], 2) = slot[(i + len - 1) % len];
-            NB(out[i], back[i]) = slot[i];
+            link[s] = out[i];
+            link[out[i]] = s;
+            link[s + 1] = 3 * (uint32_t)slot[(i + 1) % len] + 2;
+            link[s + 2] = 3 * (uint32_t)slot[(i + len - 1) % len] + 1;
             stack[i] = slot[i];
         }
         n_tris += 2;
@@ -907,8 +972,9 @@ static int32_t build_triangulation(const double *pts, int32_t n, const int32_t *
          * while q's triangle has p in its circle --------------------------- */
         int64_t n_stack = len;
         while (n_stack > 0) {
-            const int32_t r = stack[--n_stack], o = NB(r, 0);
-            const int f = facing(neigh, o, r);
+            const int32_t r = stack[--n_stack];
+            const int32_t o = (int32_t)(LINK(r, 0) / 3);
+            const int f = (int)(LINK(r, 0) % 3);
             int g = ghost_slot(&TRI(o, 0), inf);
             if (g >= 0)
                 sgn = orient(pts, TRI(o, (g + 1) % 3), TRI(o, (g + 2) % 3), p,
@@ -918,19 +984,24 @@ static int32_t build_triangulation(const double *pts, int32_t n, const int32_t *
                                counts);
             if (sgn <= 0)
                 continue;
-            const int32_t u = TRI(r, 1), w = TRI(r, 2), q = TRI(o, f);
-            const int32_t ru = NB(r, 2), rw = NB(r, 1);
-            const int32_t ou = NB(o, (f + 1) % 3), ow = NB(o, (f + 2) % 3);
-            NB(ou, facing(neigh, ou, o)) = r;
-            NB(rw, facing(neigh, rw, r)) = o;
-            const int32_t new_r[3] = {p, u, q}, new_r_nb[3] = {ou, o, ru};
-            const int32_t new_o[3] = {p, q, w}, new_o_nb[3] = {ow, rw, r};
-            for (int j = 0; j < 3; j++) {
-                TRI(r, j) = new_r[j];
-                NB(r, j) = new_r_nb[j];
-                TRI(o, j) = new_o[j];
-                NB(o, j) = new_o_nb[j];
-            }
+            counts[5]++;
+            const int32_t w = TRI(r, 2), q = TRI(o, f);
+            const uint32_t rw = LINK(r, 1);
+            const uint32_t ou = LINK(o, (f + 1) % 3), ow = LINK(o, (f + 2) % 3);
+            const uint32_t rs = 3 * (uint32_t)r, os = 3 * (uint32_t)o;
+            /* r keeps p, u and its side (p, u) */
+            TRI(r, 2) = q;
+            link[rs] = ou;
+            link[ou] = rs;
+            link[rs + 1] = os + 2;
+            TRI(o, 0) = p;
+            TRI(o, 1) = q;
+            TRI(o, 2) = w;
+            link[os] = ow;
+            link[ow] = os;
+            link[os + 1] = rw;
+            link[rw] = os + 1;
+            link[os + 2] = rs + 1;
             stack[n_stack++] = r;
             stack[n_stack++] = o;
         }
@@ -940,7 +1011,7 @@ static int32_t build_triangulation(const double *pts, int32_t n, const int32_t *
 done:
     free(stack);
     if (status == STATUS_OK)
-        *n_tris_out = compact(n, tris, neigh, n_tris);
+        *n_tris_out = compact(n, tris, link, n_tris);
     return status;
 }
 
@@ -1903,7 +1974,7 @@ static void check_int32(Borrowed *b, int64_t n, const char *what)
 }
 
 /* pts (n, 2); order and repeat take n items. */
-int32_t hc_morton_dedup(PyObject *pts_obj, PyObject *order_obj, PyObject *repeat_obj)
+int32_t hc_insertion_order(PyObject *pts_obj, PyObject *order_obj, PyObject *repeat_obj)
 {
     Borrowed b = {.n = 0};
     const double *pts = borrow(&b, pts_obj, 'f', sizeof *pts, 0, READ);
@@ -1911,13 +1982,13 @@ int32_t hc_morton_dedup(PyObject *pts_obj, PyObject *order_obj, PyObject *repeat
     int32_t *order = borrow(&b, order_obj, 'i', sizeof *order, n, WRITE);
     uint8_t *repeat = borrow(&b, repeat_obj, 'u', sizeof *repeat, n, WRITE);
     check_int32(&b, n, "more points than int32 ids can number");
-    int32_t kept = b.failed ? -1 : morton_dedup(pts, (int32_t)n, order, repeat);
+    int32_t kept = b.failed ? -1 : insertion_order(pts, (int32_t)n, order, repeat);
     release(&b);
     return kept;
 }
 
 /* The n points of `order` into cap = len(tris) / 3 slots; returns (status,
- * triangles, then the builder's four counts). */
+ * triangles, then the builder's six counts). */
 PyObject *hc_build(PyObject *pts_obj, PyObject *order_obj, PyObject *tris_obj,
                    PyObject *neigh_obj)
 {
@@ -1932,12 +2003,13 @@ PyObject *hc_build(PyObject *pts_obj, PyObject *order_obj, PyObject *tris_obj,
     check_ids(&b, order, n, 0, n, "insertion order out of range");
     PyObject *result = NULL;
     if (!b.failed) {
-        int64_t n_tris, counts[4];
+        int64_t n_tris, counts[6];
         int32_t status = build_triangulation(pts, (int32_t)n, order, tris, neigh, cap,
                                              &n_tris, counts);
-        result = Py_BuildValue("(iLLLLL)", status, (long long)n_tris, (long long)counts[0],
-                               (long long)counts[1], (long long)counts[2],
-                               (long long)counts[3]);
+        result = Py_BuildValue("(iLLLLLLL)", status, (long long)n_tris,
+                               (long long)counts[0], (long long)counts[1],
+                               (long long)counts[2], (long long)counts[3],
+                               (long long)counts[4], (long long)counts[5]);
     }
     release(&b);
     return result;

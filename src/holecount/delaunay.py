@@ -60,7 +60,8 @@ class Cloud:
     """An ordered sequence of distinct 2D points.
 
     `from_points` also keeps, when the compiled kernels ran its duplicate
-    scan, the Morton insertion order that scan sorted the points into; the
+    scan, the insertion order that scan sorted the points into (rounds that
+    grow 4x, drawn by a hash of the coordinates, each in Morton order); the
     builder inserts the points in that order.  With the kernels loaded,
     `triangulate` passes a cloud without one (built as ``Cloud(points=...)``)
     through `from_points` first, with its checks and its duplicate warning.
@@ -79,7 +80,7 @@ class Cloud:
             raise ValueError(f"expected an (n, 2) array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("cloud contains non-finite coordinates")
-        found = _fastdel.morton_dedup(pts)
+        found = _fastdel.insertion_order(pts)
         if found is not None:
             kept, order = found
         else:
@@ -188,8 +189,8 @@ def triangulate(cloud: Cloud) -> Triangulation:
 
     With the kernels loaded, the compiled builder triangulates every cloud,
     cocircular and collinear points included, with every point a vertex and
-    the same triangles whatever the input order; a cloud without its Morton
-    order goes through `Cloud.from_points` first.  Without them Qhull does;
+    the same triangles whatever the input order; a cloud without its
+    insertion order goes through `Cloud.from_points` first.  Without them Qhull does;
     it may cut cocircular cells by the input order or leave points out, and
     then warns with DroppedPointsWarning.  Raises TooFewPointsError /
     AllCollinearError on degenerate input, and ValueError when a squared

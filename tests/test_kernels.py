@@ -1,5 +1,6 @@
 """The compiled kernels against the Python fallback, and the fallback alone."""
 
+import ast
 import ctypes
 import logging
 import os
@@ -68,7 +69,8 @@ def _assert_backends_agree(monkeypatch, cloud, same_walk=True):
     pytest.param("square2", True, id="square2"),
     pytest.param("equilateral2", True, id="equilateral2"),
     # its cocircular trapezoids are cut along the other diagonal by Qhull:
-    # the same births, but a walk of 2 there against 1 here
+    # the same births, but each path's deepest walk follows its own
+    # triangle numbering, so the walks need not agree
     pytest.param("figure_eight", False, id="figure_eight"),
 ])
 def test_fallback_identical_on_fixtures(fixture, same_walk, request, monkeypatch):
@@ -180,7 +182,7 @@ def test_no_pipeline_call_reaches_qhull(request, monkeypatch):
 def test_direct_cloud_matches_from_points(seed):
     # a cloud rounded to 1/20 is full of cocircular cells, which the
     # builder cuts by its perturbation and Qhull by the input order; a Cloud
-    # built without from_points, and so without its Morton order, must
+    # built without from_points, and so without its insertion order, must
     # still reach the builder and give the same pairs and root walk
     pts = np.random.default_rng(seed).permutation(_rounded(seed))
     direct, walk, k = hole_persistence_stats(Cloud(points=pts), track_depth=True)
@@ -205,16 +207,40 @@ def test_builder_counts_exact_stage_and_ties(caplog):
         (record,) = [r for r in caplog.records if r.name == _fastdel.__name__]
         return record.args
 
-    assert counts(random_cloud(0, 3000).points) == (0, 0, 0, 0)
+    exact, ties, armed, long_double, steps, flips = counts(random_cloud(0, 3000).points)
+    assert (exact, ties, armed, long_double) == (0, 0, 0, 0) and steps > 0 and flips > 0
     grid = _lattice_points(20)
-    exact, ties, armed, long_double = counts(grid)
+    exact, ties, armed, long_double, _, _ = counts(grid)
     assert exact > 0 and ties > 0 and armed == 0 and long_double == 0
     assert counts(_lattice_points(30) * 0.05)[3] > 0
-    exact, _, _, long_double = counts(DEGENERATE_CLOUDS["lattice-20-ulp-moves"]())
+    exact, _, _, long_double, _, _ = counts(DEGENERATE_CLOUDS["lattice-20-ulp-moves"]())
     assert exact > long_double > 0
     rng = np.random.default_rng(0)
     assert counts(rng.random((300, 2)) * 2.0 ** -300)[2] == 1
     assert counts(np.vstack([rng.random((20, 2)), [(5e-324, 0.5)]]))[2] == 1
+
+
+@needs_kernels
+@pytest.mark.parametrize("make,max_flips,max_steps", [
+    # Z-order alone took 6.14 flips per point on the wheel, and 138 flips
+    # and 16.3 steps on the parabola at 10^4, 490 and 138 at 4 * 10^4
+    pytest.param(lambda: sample_shape(ShapeSpec.wheel(6), 3000, noise=0.005, seed=1),
+                 3.2, None, id="wheel-3000"),
+    pytest.param(lambda: parabola_cloud(0, 10 ** 4), 3.0, 6.0, id="parabola-1e4"),
+    pytest.param(lambda: parabola_cloud(0, 4 * 10 ** 4), 3.0, 6.0, id="parabola-4e4"),
+])
+def test_builder_work_per_point_is_bounded(make, max_flips, max_steps, caplog):
+    # the insertion rounds keep the flips per point near the expected
+    # constant on a curve, where each point of a Z-order lands outside the
+    # hull built so far; counts, unlike times, repeat on every machine
+    caplog.set_level(logging.DEBUG, logger=_fastdel.__name__)
+    cloud = make()
+    assert _fastdel.build_triangulation(cloud.points, cloud.order) is not None
+    (record,) = [r for r in caplog.records if r.name == _fastdel.__name__]
+    *_, steps, flips = record.args
+    assert flips / cloud.n <= max_flips
+    if max_steps is not None:
+        assert steps / cloud.n <= max_steps
 
 
 def _assert_births_parity(pts, triangles):
@@ -294,27 +320,48 @@ def test_births_kernel_parity_on_integer_rows(rows):
     _assert_births_parity(pts, np.arange(len(pts)).reshape(-1, 3))
 
 
-def _numpy_morton_order(points):
-    """The numpy key build and stable argsort that the compiled Morton sort
-    replaced: the reference its order must match."""
+def _numpy_insertion_order(points):
+    """The insertion order of hc_insertion_order in numpy, the reference it
+    must match: the stable argsort of the Morton keys (as the numpy code
+    that the compiled sort replaced built them), then a stable sort by
+    descending level, the trailing zero bit pairs of a hash of each point's
+    coordinate bits in wrapping uint64 arithmetic."""
     # a span that overflows leaves scale 0 and NaN keys, whose cast bits
     # the masks below clear, as the kernel clamps them to 0
+    n = len(points)
     with np.errstate(over="ignore", invalid="ignore"):
-        span = float(np.ptp(points, axis=0).max()) if len(points) else 0.0
+        span = float(np.ptp(points, axis=0).max()) if n else 0.0
         if span <= 0.0:
-            return np.arange(len(points))
-        scale = (2 ** 16 - 1) / span
-        q = ((points - points.min(axis=0)) * scale).astype(np.uint64)
-    key = np.zeros(len(points), dtype=np.uint64)
-    for axis, shift0 in ((0, 0), (1, 1)):
-        v = q[:, axis]
-        v = (v | (v << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
-        v = (v | (v << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
-        v = (v | (v << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        v = (v | (v << np.uint64(2))) & np.uint64(0x3333333333333333)
-        v = (v | (v << np.uint64(1))) & np.uint64(0x5555555555555555)
-        key |= v << np.uint64(shift0)
-    return np.argsort(key, kind="stable")
+            morton = np.arange(n)
+        else:
+            scale = (2 ** 16 - 1) / span
+            q = ((points - points.min(axis=0)) * scale).astype(np.uint64)
+    if span > 0.0:
+        key = np.zeros(n, dtype=np.uint64)
+        for axis, shift0 in ((0, 0), (1, 1)):
+            v = q[:, axis]
+            v = (v | (v << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+            v = (v | (v << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+            v = (v | (v << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+            v = (v | (v << np.uint64(2))) & np.uint64(0x3333333333333333)
+            v = (v | (v << np.uint64(1))) & np.uint64(0x5555555555555555)
+            key |= v << np.uint64(shift0)
+        morton = np.argsort(key, kind="stable")
+    # + 0.0 turns -0.0 into 0.0, so equal points share their level
+    bits = (np.ascontiguousarray(points, dtype=np.float64) + 0.0).view(np.uint64)
+    h = bits[:, 0] * np.uint64(0x9E3779B97F4A7C15) + bits[:, 1]
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        h = (h ^ (h >> np.uint64(shift))) * np.uint64(factor)
+    h = (h ^ (h >> np.uint64(31))) | np.uint64(1 << 62)
+    level = np.zeros(n, dtype=np.int64)
+    low_zero = np.ones(n, dtype=bool)
+    for _ in range(31):
+        low_zero &= (h & np.uint64(3)) == 0
+        level += low_zero
+        h >>= np.uint64(2)
+    morton_rank = np.empty(n, dtype=np.int64)
+    morton_rank[morton] = np.arange(n)
+    return np.lexsort((morton_rank, -level))
 
 
 def _uniform(n, seed=0):
@@ -343,9 +390,36 @@ _MORTON_CLOUDS = {
 def test_morton_order_matches_numpy_keys(kind):
     # the reference orders the cloud without its repeats, as "all-equal" has
     pts = _MORTON_CLOUDS[kind]()
-    kept, order = _fastdel.morton_dedup(pts)
+    kept, order = _fastdel.insertion_order(pts)
     assert order.dtype == np.int32
-    assert np.array_equal(order, _numpy_morton_order(pts if kept is None else pts[kept]))
+    assert np.array_equal(order, _numpy_insertion_order(pts if kept is None else pts[kept]))
+
+
+@st.composite
+def _permuted_rows(draw):
+    """(rows, the same rows permuted): integers times one power of two, so
+    distinct points have distinct Morton keys, then repeats of some rows
+    with the sign of each zero flipped."""
+    coordinate = st.integers(-100, 100).map(float) | st.just(0.0)
+    rows = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=300))
+    rows = np.array(rows) * 2.0 ** draw(st.integers(-40, 40))
+    repeats = rows[draw(st.lists(st.integers(0, len(rows) - 1), max_size=30))]
+    rows = np.vstack([rows, np.where(repeats == 0.0, -repeats, repeats)])
+    return rows, rows[draw(st.permutations(range(len(rows))))]
+
+
+@needs_kernels
+@given(_permuted_rows())
+@settings(max_examples=100, deadline=None)
+def test_insertion_order_ignores_row_order(pair):
+    # the rounds come from a hash of the coordinates, not from the rows'
+    # positions, so the points go in in the same order however the rows
+    # are shuffled; a repeat keeps the first row's sign of zero, which the
+    # hash ignores
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", holecount.DuplicatePointsWarning)
+        first, second = (Cloud.from_points(rows) for rows in pair)
+    assert np.array_equal(first.points[first.order], second.points[second.order])
 
 
 @needs_kernels
@@ -355,7 +429,7 @@ def test_morton_order_of_overflowing_span_is_a_permutation():
     pts = 1.5e308 * np.random.default_rng(0).uniform(-1.0, 1.0, (3000, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kept, order = _fastdel.morton_dedup(pts)
+        kept, order = _fastdel.insertion_order(pts)
     assert kept is None
     assert np.array_equal(np.sort(order), np.arange(len(pts)))
 
@@ -435,7 +509,7 @@ def test_ingest_matches_numpy_unique(kind, kernels, monkeypatch):
                       if removed else [])
     if kernels:
         assert cloud.order.dtype == np.int32 and not cloud.order.flags.writeable
-        assert np.array_equal(cloud.order, _numpy_morton_order(cloud.points))
+        assert np.array_equal(cloud.order, _numpy_insertion_order(cloud.points))
     else:
         assert cloud.order is None
 
@@ -711,6 +785,42 @@ def test_text_exports_match_signatures(tmp_path):
     _assert_exports_match(_fastdel.TEXT_LIBRARY, tmp_path)
 
 
+def _direct_kernel_calls(source):
+    """(name, call) of every call written as KERNELS.hc_*(...),
+    TEXT.hc_*(...) or lib.hc_*(...) in the Python source, whatever object
+    holds KERNELS or TEXT."""
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr.startswith("hc_")):
+            continue
+        owner = node.func.value
+        if (owner.attr if isinstance(owner, ast.Attribute)
+                else getattr(owner, "id", None)) in ("KERNELS", "TEXT", "lib"):
+            yield node.func.attr, node
+
+
+def test_direct_kernel_calls_pass_every_argument():
+    # ctypes passes surplus arguments to a function with argtypes without
+    # complaint, so a call written for an older signature would still run;
+    # every direct call, in the package, the tests and the sanitized runs,
+    # passes exactly the arguments its signature declares, by position
+    signatures = {**_fastdel.KERNEL_LIBRARY.signatures, **_fastdel.TEXT_LIBRARY.signatures}
+    package, tests = Path(holecount.__file__).parent, Path(__file__).parent
+    sources = {path.name: path.read_text()
+               for path in sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))}
+    sources.update(_SANITIZED_RUN=_SANITIZED_RUN, _SANITIZED_TEXT_RUN=_SANITIZED_TEXT_RUN)
+    called, wrong = set(), []
+    for where, source in sources.items():
+        for name, call in _direct_kernel_calls(source):
+            called.add(name)
+            expected = len(signatures[name][1]) if name in signatures else None
+            if (call.keywords or any(isinstance(a, ast.Starred) for a in call.args)
+                    or len(call.args) != expected):
+                wrong.append((where, call.lineno, name, len(call.args), expected))
+    assert wrong == []
+    assert called == set(signatures)
+
+
 def _square_tables():
     """A unit square's points, compact triangles, neighbours and edge table
     from the builder."""
@@ -732,7 +842,7 @@ def _valid_calls():
     i32, i64, u8 = np.int32, np.int64, np.uint8
     kernels = _fastdel.KERNELS
     return {
-        "hc_morton_dedup": (kernels, [pts, np.empty(4, i32), np.empty(4, u8)], [1, 2]),
+        "hc_insertion_order": (kernels, [pts, np.empty(4, i32), np.empty(4, u8)], [1, 2]),
         "hc_build": (kernels, [pts, np.arange(4, dtype=i32), np.empty((6, 3), i32),
                                np.empty((6, 3), i32)], [2, 3]),
         "hc_edge_table": (kernels, [pts, tris, neigh, np.empty((m, 2), i32), np.empty(m)],
@@ -848,7 +958,7 @@ def _leak_calls():
 
     source = Source()
     return [
-        (_fastdel.morton_dedup, (cloud.points,)),
+        (_fastdel.insertion_order, (cloud.points,)),
         (_fastdel.build_triangulation, (cloud.points, cloud.order)),
         (_fastdel.edge_table, (pts, tris, neigh)),
         (_fastdel.triangle_births, (pts, tris, 1e-12)),
@@ -993,7 +1103,7 @@ for pts in [clouds[4]] + clouds[-9:]:
 # overflows, whose keys are NaN or out of range until clamped
 for pts in [np.vstack([1e-9 * rng.random((10000, 2)), [(1.0, 1.0)]]),
             1.5e308 * rng.uniform(-1.0, 1.0, (3000, 2))]:
-    kept, order = _fastdel.morton_dedup(pts)
+    kept, order = _fastdel.insertion_order(pts)
     assert kept is None and np.array_equal(np.sort(order), np.arange(len(pts)))
     assert _fastdel.build_triangulation(pts, order) is not None
 # ingest's Morton pass: repeats in short runs and in one long run of equal

@@ -10,8 +10,8 @@ order is biased randomized (Amenta, Choi and Rote 2003): rounds that grow
 Then follow the incremental Delaunay builder ``hc_build`` (triangle and
 edge splits and Lawson flips in that order, with exact predicates, symbolic
 in-circle ties, ghost triangles and half-edge neighbour links, compacted in
-place), the edge table
-``hc_edge_table`` (each edge's two faces and squared length), ``hc_births``
+place), the edge table ``hc_edge_table`` (each edge's two faces and squared
+length), ``hc_births``
 (from each triangle's point set, whatever its vertex order) and the sweep
 ``hc_sweep``; ``hc_staircase`` builds a diagram's staircase by one merge of
 its sorted births and deaths, and ``hc_bottleneck`` computes the bottleneck

@@ -320,33 +320,37 @@ def test_births_kernel_parity_on_integer_rows(rows):
     _assert_births_parity(pts, np.arange(len(pts)).reshape(-1, 3))
 
 
-def _numpy_insertion_order(points):
-    """The insertion order of hc_insertion_order in numpy, the reference it
-    must match: the stable argsort of the Morton keys (as the numpy code
-    that the compiled sort replaced built them), then a stable sort by
-    descending level, the trailing zero bit pairs of a hash of each point's
-    coordinate bits in wrapping uint64 arithmetic."""
+def _numpy_morton_order(points):
+    """The numpy key build and stable argsort that the compiled Morton sort
+    replaced."""
     # a span that overflows leaves scale 0 and NaN keys, whose cast bits
     # the masks below clear, as the kernel clamps them to 0
-    n = len(points)
     with np.errstate(over="ignore", invalid="ignore"):
-        span = float(np.ptp(points, axis=0).max()) if n else 0.0
+        span = float(np.ptp(points, axis=0).max()) if len(points) else 0.0
         if span <= 0.0:
-            morton = np.arange(n)
-        else:
-            scale = (2 ** 16 - 1) / span
-            q = ((points - points.min(axis=0)) * scale).astype(np.uint64)
-    if span > 0.0:
-        key = np.zeros(n, dtype=np.uint64)
-        for axis, shift0 in ((0, 0), (1, 1)):
-            v = q[:, axis]
-            v = (v | (v << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
-            v = (v | (v << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
-            v = (v | (v << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-            v = (v | (v << np.uint64(2))) & np.uint64(0x3333333333333333)
-            v = (v | (v << np.uint64(1))) & np.uint64(0x5555555555555555)
-            key |= v << np.uint64(shift0)
-        morton = np.argsort(key, kind="stable")
+            return np.arange(len(points))
+        scale = (2 ** 16 - 1) / span
+        q = ((points - points.min(axis=0)) * scale).astype(np.uint64)
+    key = np.zeros(len(points), dtype=np.uint64)
+    for axis, shift0 in ((0, 0), (1, 1)):
+        v = q[:, axis]
+        v = (v | (v << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+        v = (v | (v << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+        v = (v | (v << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+        v = (v | (v << np.uint64(2))) & np.uint64(0x3333333333333333)
+        v = (v | (v << np.uint64(1))) & np.uint64(0x5555555555555555)
+        key |= v << np.uint64(shift0)
+    return np.argsort(key, kind="stable")
+
+
+def _numpy_insertion_order(points):
+    """The insertion order of hc_insertion_order in numpy, the reference it
+    must match: the Morton order, stably sorted by descending level, the
+    trailing zero bit pairs of a hash of each point's coordinate bits in
+    wrapping uint64 arithmetic."""
+    n = len(points)
+    morton_rank = np.empty(n, dtype=np.int64)
+    morton_rank[_numpy_morton_order(points)] = np.arange(n)
     # + 0.0 turns -0.0 into 0.0, so equal points share their level
     bits = (np.ascontiguousarray(points, dtype=np.float64) + 0.0).view(np.uint64)
     h = bits[:, 0] * np.uint64(0x9E3779B97F4A7C15) + bits[:, 1]
@@ -359,8 +363,6 @@ def _numpy_insertion_order(points):
         low_zero &= (h & np.uint64(3)) == 0
         level += low_zero
         h >>= np.uint64(2)
-    morton_rank = np.empty(n, dtype=np.int64)
-    morton_rank[morton] = np.arange(n)
     return np.lexsort((morton_rank, -level))
 
 

@@ -864,7 +864,8 @@ static int32_t build_triangulation(const double *pts, int32_t n, const int32_t *
         const int32_t p = order[idx];
 
         /* -- locate: walk from a triangle around the last point to one that
-         * contains p, strictly (on = -1) or on its edge opposite slot on */
+         * contains p, strictly (on = -1) or on its edge opposite slot on;
+         * each continue is one step, counted in counts[4] */
         int64_t t = last;
         int on = -1;
         int64_t guard = 0;
